@@ -31,7 +31,6 @@ from .fitting import (
     InsufficientDataError,
     UnstableFitError,
     bootstrap_uncertainty,
-    finite_lambda_correlation,
     fit_dataset,
     fit_datasets_shared_loss,
     load_noise_csv,
@@ -42,6 +41,7 @@ from .model import (
     CascadeScenario,
     ChannelParams,
     HarmonicFitError,
+    correlation_estimate_from_ratio,
     fringe_scan,
     fringe_visibility,
     joint_quadrature_variance,
@@ -87,7 +87,6 @@ _SCHEMAS: dict[str, dict] = {
         "loss_spinwave": (float, 0.0),
         "output_loss": (float, 0.0),
         "points": (int, 256),
-        "seed": (int, 0),
     },
     "gain-sweep": {
         "sweep": (str, "prep-gain"),
@@ -100,7 +99,6 @@ _SCHEMAS: dict[str, dict] = {
         "loss_stokes": (float, 0.0),
         "loss_spinwave": (float, 0.0),
         "output_loss": (float, 0.0),
-        "seed": (int, 0),
     },
     "fit": {
         "shared_loss": (_parse_bool, False),
@@ -117,7 +115,6 @@ _SCHEMAS: dict[str, dict] = {
         "from_ratio": (float, None),
         "readout_gq": (float, None),
         "readout_gq_db": (float, None),
-        "seed": (int, 0),
     },
     "fringes": {
         "seed_amplitude": (float, 1.0),
@@ -128,11 +125,9 @@ _SCHEMAS: dict[str, dict] = {
         "loss_spinwave": (float, 0.0),
         "output_loss": (float, 0.0),
         "points": (int, 256),
-        "seed": (int, 0),
     },
     "oracle-check": {
         "truncation": (int, 40),
-        "seed": (int, 0),
     },
 }
 
@@ -314,6 +309,8 @@ def _cmd_fit(args) -> int:
         raise UsageError("starts must be >= 1")
     if cfg["bootstrap"] != 0 and cfg["bootstrap"] < 100:
         raise UsageError("bootstrap must be 0 (off) or >= 100 resamples")
+    if cfg["bootstrap"] and cfg["shared_loss"]:
+        raise UsageError("bootstrap is not available with shared-loss")
     config = FitConfig(
         n_starts=cfg["starts"], mu_max=cfg["mu_max"], seed=cfg["seed"], pairing=cfg["pairing"]
     )
@@ -322,12 +319,10 @@ def _cmd_fit(args) -> int:
         fits = fit_datasets_shared_loss(datasets, config)
     else:
         fits = [fit_dataset(d, config) for d in datasets]
-    boots = []
-    for d, f in zip(datasets, fits):
-        if cfg["bootstrap"] > 0 and not cfg["shared_loss"]:
-            boots.append(bootstrap_uncertainty(d, f, cfg["bootstrap"], config))
-        else:
-            boots.append(None)
+    boots = [
+        bootstrap_uncertainty(d, f, cfg["bootstrap"], config) if cfg["bootstrap"] else None
+        for d, f in zip(datasets, fits)
+    ]
     for f, b in zip(fits, boots):
         _report_fit(sys.stdout, f, b)
     if args.out:
@@ -376,9 +371,9 @@ def _cmd_correlation(args) -> int:
             if gq is None and gq_db is None:
                 raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
             readout = _resolve_readout(cfg)
-            if from_ratio <= 0:
+            if not from_ratio > 0:
                 raise UsageError("from-ratio must be positive")
-            x_plus = finite_lambda_correlation(from_ratio, readout.quantum_noise_gain)
+            x_plus = correlation_estimate_from_ratio(from_ratio, readout.quantum_noise_gain)
             fh.write("estimate: finite-gain single point (2R, upper-bound-style)\n")
         else:
             if cfg["prep_gain"] is None:
@@ -469,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("noise-scan", help="cascade output variance vs scan phase")
     _add_common(
         p, "prep_gain", "readout_gq", "readout_gq_db", "loss_stokes", "loss_spinwave",
-        "output_loss", "points", "seed",
+        "output_loss", "points",
     )
     p.set_defaults(func=_cmd_noise_scan)
 
     p = subs.add_parser("gain-sweep", help="noise reduction R vs prep gain or readout gq")
     _add_common(
         p, "sweep", "start", "stop", "points", "prep_gain", "readout_gq", "readout_gq_db",
-        "loss_stokes", "loss_spinwave", "output_loss", "seed",
+        "loss_stokes", "loss_spinwave", "output_loss",
     )
     p.set_defaults(func=_cmd_gain_sweep)
 
@@ -488,19 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("correlation", help="joint quadrature variance from parameters or from one R")
     _add_common(
         p, "prep_gain", "loss_stokes", "loss_spinwave", "from_ratio", "readout_gq",
-        "readout_gq_db", "seed",
+        "readout_gq_db",
     )
     p.set_defaults(func=_cmd_correlation)
 
     p = subs.add_parser("fringes", help="seeded interference fringe vs scan phase")
     _add_common(
         p, "seed_amplitude", "prep_gain", "readout_gq", "readout_gq_db", "loss_stokes",
-        "loss_spinwave", "output_loss", "points", "seed",
+        "loss_spinwave", "output_loss", "points",
     )
     p.set_defaults(func=_cmd_fringes)
 
     p = subs.add_parser("oracle-check", help="Gaussian engine vs Fock oracle battery")
-    _add_common(p, "truncation", "seed")
+    _add_common(p, "truncation")
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -5,13 +5,17 @@ fixed preparation stage and losses; the fitter recovers (mu, L1, L2) from
 the closed-form model and extrapolates to the infinite-gain joint
 quadrature variance, reported in dB relative to the uncorrelated value 2.
 
-The model is evaluated through model.closed_form_noise_reduction (single
-source of truth with the simulation pipeline).  Internally the optimizer
-works in t = arccosh(mu): the model is smooth in t at the mu = 1 boundary,
-whereas dR/dmu diverges there.  Multi-start Nelder-Mead with an L-BFGS-B
-polish (analytic gradient) runs inside the box t in [0, arccosh(mu_max)],
-losses in [0, 1]; every accepted refinement must not increase the
-objective.
+R is exactly linear in the three regressors of model.noise_reduction_regressors,
+R = alpha + beta/(1 + lambda^2) + gamma lambda/(1 + lambda^2), and
+(alpha, beta, gamma) invert to (mu, L1, L2) in closed form.  The fit
+therefore solves one weighted 3x3 linear least-squares problem; when its
+inverse lies inside the box mu in [1, mu_max], losses in [0, 1], it is the
+global optimum and no optimizer runs.  Otherwise the optimum sits on the
+box boundary, and a bounded L-BFGS-B polish with an analytic gradient runs
+from the clipped linear point and ``FitConfig.n_starts`` seeded random
+starts.  The polish works in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1),
+sqrt(1 - L2)), where R is smooth at mu = 1 and polynomial in s1, s2.
+Every fit must reach a projected gradient below GRAD_TOL.
 
 L1 and L2 become exactly interchangeable in the large-gain limit and
 nearly so at lambda close to 1, so the fit reports the objective for both
@@ -23,18 +27,17 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import qmc
 
 from .model import (
     closed_form_noise_reduction,
-    gain_ratio_from_quantum_gain,
     joint_quadrature_variance,
     linear_to_db,
+    noise_reduction_regressors,
 )
 
 #: measured R may exceed 1 slightly through measurement noise
@@ -71,6 +74,8 @@ class NoiseDataset:
         r = np.atleast_1d(np.asarray(self.noise_ratio, dtype=float))
         if gq.shape != r.shape or gq.ndim != 1 or gq.size == 0:
             raise ValueError("quantum_gain and noise_ratio must be matching 1-d arrays")
+        if not (np.all(np.isfinite(gq)) and np.all(np.isfinite(r))):
+            raise ValueError("quantum_gain and noise_ratio must be finite")
         if np.any(gq < 1.0):
             raise ValueError("quantum_gain values must be >= 1")
         if np.any(r <= 0.0):
@@ -85,8 +90,8 @@ class NoiseDataset:
             sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
             if sigma.shape != gq.shape:
                 raise ValueError("sigma must match the data length")
-            if np.any(sigma <= 0.0):
-                raise ValueError("sigma values must be positive")
+            if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+                raise ValueError("sigma values must be positive and finite")
         order = np.argsort(gq, kind="stable")
         gq, r = gq[order], r[order]
         if sigma is not None:
@@ -123,8 +128,9 @@ class NoiseDataset:
 class FitConfig:
     """Optimizer settings.
 
-    ``seed`` fixes the quasi-random start points (and, through
-    bootstrap_uncertainty, the resampling), making runs reproducible.
+    ``n_starts`` random starts, drawn from ``seed``, feed the boundary
+    polish; ``seed`` also fixes the bootstrap resampling, making runs
+    reproducible.
     """
 
     n_starts: int = 16
@@ -155,7 +161,6 @@ class FitResult:
     n_restarts_used: int
     projected_grad_norm: float
     dataset_label: str = ""
-    covariance_estimate: np.ndarray | None = None
 
     @property
     def nu_hat(self) -> float:
@@ -173,167 +178,112 @@ class BootstrapResult:
 
 
 # ---------------------------------------------------------------------------
-# model in internal coordinates
+# model in the fit coordinates x = (t, s1, s2)
 
 
-def _model(x: np.ndarray, gq: np.ndarray, pairing: str) -> np.ndarray:
-    t, l1, l2 = x
-    return np.atleast_1d(
-        closed_form_noise_reduction(math.cosh(t), l1, l2, gq, pairing=pairing)
-    )
+def _coefficients(x, pairing: str) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta, gamma) at x and their Jacobian d(alpha, beta, gamma)/dx.
 
-
-def _model_grad(x: np.ndarray, gq: np.ndarray, pairing: str) -> np.ndarray:
-    """d R / d (t, l1, l2), shape (3, n).  Smooth at t = 0."""
-    t, l1, l2 = x
-    lam = np.asarray(gain_ratio_from_quantum_gain(gq), dtype=float)
-    lam2 = lam * lam
-    denom = 1.0 + lam2
-    c2t, s2t = math.cosh(2.0 * t), math.sinh(2.0 * t)
-    t1 = max(1.0 - l1, 1e-300)
-    t2 = max(1.0 - l2, 1e-300)
-    s = math.sqrt(t1 * t2)
-    if pairing == "cascade":
-        q = (l1 + lam2 * l2) / denom
-        dq_dl1, dq_dl2 = 1.0 / denom, lam2 / denom
-    else:
-        q = (l2 + lam2 * l1) / denom
-        dq_dl1, dq_dl2 = lam2 / denom, 1.0 / denom
-    # R = c2t - q (c2t - 1) - 2 lam s s2t / denom
-    d_dt = 2.0 * s2t * (1.0 - q) - 4.0 * lam * s * c2t / denom
-    d_dl1 = -(c2t - 1.0) * dq_dl1 + lam * s2t * s / (t1 * denom)
-    d_dl2 = -(c2t - 1.0) * dq_dl2 + lam * s2t * s / (t2 * denom)
-    return np.vstack([d_dt, d_dl1, d_dl2])
-
-
-def _objective(x, gq, r, w, pairing):
-    res = _model(x, gq, pairing) - r
-    return float(np.sum(w * res * res))
-
-
-def _objective_and_grad(x, gq, r, w, pairing):
-    res = _model(x, gq, pairing) - r
-    grad_r = _model_grad(x, gq, pairing)
-    return float(np.sum(w * res * res)), 2.0 * (grad_r @ (w * res))
-
-
-def _projected_gradient_norm(x, bounds, fun, h: float = 1e-6) -> float:
-    """Finite-difference gradient, projected onto the feasible directions."""
-    g = np.empty(len(x))
-    for i in range(len(x)):
-        lo, hi = bounds[i]
-        hp = min(h, hi - x[i])
-        hm = min(h, x[i] - lo)
-        xp, xm = np.array(x), np.array(x)
-        xp[i] += hp
-        xm[i] -= hm
-        g[i] = (fun(xp) - fun(xm)) / (hp + hm) if hp + hm > 0 else 0.0
-    proj = np.array(g)
-    for i, (lo, hi) in enumerate(bounds):
-        if x[i] <= lo + 1e-12 and g[i] > 0:
-            proj[i] = 0.0
-        if x[i] >= hi - 1e-12 and g[i] < 0:
-            proj[i] = 0.0
-    return float(np.linalg.norm(proj))
-
-
-def _local_refine(x0, f_best, args, bounds):
-    """Nelder-Mead then gradient polish from x0; returns (x, f), accepting a
-    candidate only if it does not increase the objective."""
-    gq, r, w, pairing = args
-    x, f = np.array(x0, dtype=float), f_best
-    nm = optimize.minimize(
-        _objective,
-        x,
-        args=args,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
-    )
-    if nm.fun <= f:
-        x, f = np.clip(nm.x, [b[0] for b in bounds], [b[1] for b in bounds]), float(nm.fun)
-    lb = optimize.minimize(
-        _objective_and_grad,
-        x,
-        args=args,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=bounds,
-        options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 1000},
-    )
-    if lb.fun <= f:
-        x, f = np.clip(lb.x, [b[0] for b in bounds], [b[1] for b in bounds]), float(lb.fun)
-    return x, f
-
-
-def _sobol_sample(dim: int, n: int, seed: int) -> np.ndarray:
-    """First ``n`` points of a scrambled Sobol sequence.
-
-    Draws the next power of two and slices, which keeps the sequence's
-    balance properties for any requested count.
+    model.noise_reduction_coefficients with u = 2 sinh^2 t, 4 mu nu =
+    2 sinh 2t and T_i = s_i^2, written out here because mu = cosh t rounds
+    away t below ~1e-8, where R still moves at first order in t.
     """
-    m = math.ceil(math.log2(n)) if n > 1 else 0
-    return qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)[:n]
+    t, s1, s2 = x
+    if pairing == "swapped":
+        s1, s2 = s2, s1
+    u, du = 2.0 * math.sinh(t) ** 2, 2.0 * math.sinh(2.0 * t)
+    c, dc = -2.0 * math.sinh(2.0 * t), -4.0 * math.cosh(2.0 * t)
+    coef = np.array([1.0 + u * s2 * s2, u * (s1 * s1 - s2 * s2), c * s1 * s2])
+    jac = np.array(
+        [
+            [du * s2 * s2, 0.0, 2.0 * u * s2],
+            [du * (s1 * s1 - s2 * s2), 2.0 * u * s1, -2.0 * u * s2],
+            [dc * s1 * s2, c * s2, c * s1],
+        ]
+    )
+    if pairing == "swapped":
+        jac = jac[:, [0, 2, 1]]
+    return coef, jac
 
 
-def _fit_internal(data: NoiseDataset, config: FitConfig, extra_starts=()):
-    """Multi-start minimization; returns (x, objective, grad_norm, n_starts)."""
-    gq = data.quantum_gain
-    r = data.noise_ratio
-    w = data.weights
-    args = (gq, r, w, config.pairing)
-    t_max = math.acosh(config.mu_max)
-    bounds = [(0.0, t_max), (0.0, 1.0), (0.0, 1.0)]
-
-    unit = _sobol_sample(3, config.n_starts, config.seed)
-    starts = [np.array([u[0] * t_max, u[1], u[2]]) for u in unit]
-    starts.extend(np.asarray(x, dtype=float) for x in extra_starts)
-
-    best_x, best_f = None, np.inf
-    for x0 in starts:
-        x, f = _local_refine(x0, _objective(x0, *args), args, bounds)
-        if f < best_f:
-            best_x, best_f = x, f
-
-    # the loss orderings swap into each other's basins; polish from the
-    # mirrored point so the better-labelled minimum is not missed
-    mirrored = np.array([best_x[0], best_x[2], best_x[1]])
-    x, f = _local_refine(mirrored, _objective(mirrored, *args), args, bounds)
-    if f < best_f:
-        best_x, best_f = x, f
-
-    fun = lambda x: _objective(x, *args)
-    grad_norm = _projected_gradient_norm(best_x, bounds, fun)
-    for _ in range(3):
-        if grad_norm < GRAD_TOL:
-            break
-        best_x, best_f = _local_refine(best_x, best_f, args, bounds)
-        grad_norm = _projected_gradient_norm(best_x, bounds, fun)
-    if grad_norm >= GRAD_TOL:
-        raise UnstableFitError(
-            f"projected gradient norm {grad_norm:.2e} after refinement; fit did not converge"
-        )
-    return best_x, best_f, grad_norm, len(starts)
+def _objective(x, design, r, w, pairing: str) -> tuple[float, np.ndarray]:
+    """Weighted sum of squared residuals and its gradient in x."""
+    coef, jac = _coefficients(x, pairing)
+    res = design @ coef - r
+    return float(w @ (res * res)), 2.0 * jac.T @ (design.T @ (w * res))
 
 
-def _result_from_internal(x, f_best, grad_norm, n_starts, data, config) -> FitResult:
-    t, l1, l2 = x
-    mu = math.cosh(t)
-    gq = data.quantum_gain
-    w = data.weights
-    f_swapped = _objective(np.array([t, l2, l1]), gq, data.noise_ratio, w, config.pairing)
-    x_plus = joint_quadrature_variance(mu, l1, l2)
+def _polish(fun, x0, bounds) -> tuple[np.ndarray, float]:
+    """Bounded L-BFGS-B from x0 with the analytic gradient of ``fun``.
+
+    ftol = 0: L-BFGS-B measures the decrease relative to max(|f|, 1), and
+    f is O(n sigma^2), so any positive ftol stops in the flat valleys near
+    mu = 1 long before the gradient reaches GRAD_TOL.
+    """
+    res = optimize.minimize(
+        fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+        options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 1000},
+    )
+    lo, hi = zip(*bounds)
+    x = np.clip(res.x, lo, hi)
+    return x, fun(x)[0]
+
+
+def _best_polish(fun, starts, bounds) -> tuple[np.ndarray, float]:
+    """Lowest-objective polish over ``starts``; the earliest wins a tie."""
+    return min((_polish(fun, x0, bounds) for x0 in starts), key=lambda xf: xf[1])
+
+
+def _converged_gradient_norm(fun, x, bounds) -> float:
+    """Norm of the gradient without the components that push out of the box.
+
+    Raises:
+        UnstableFitError: the norm is not below GRAD_TOL.
+    """
+    g = fun(x)[1]
+    lo, hi = (np.array(b) for b in zip(*bounds))
+    g[((x <= lo + 1e-12) & (g > 0)) | ((x >= hi - 1e-12) & (g < 0))] = 0.0
+    norm = float(np.linalg.norm(g))
+    if not norm < GRAD_TOL:
+        raise UnstableFitError(f"projected gradient norm {norm:.2e} at the fit; it did not converge")
+    return norm
+
+
+def _linear_solution(design, r, w, pairing: str, bounds) -> tuple[np.ndarray, bool]:
+    """Weighted linear least squares for (alpha, beta, gamma), inverted to x.
+
+    Returns x clipped into the box and whether the inverse already lay
+    inside it, in which case x is the global optimum of the fit.
+    """
+    sw = np.sqrt(w)
+    alpha, beta, gamma = np.linalg.lstsq(design * sw[:, None], r * sw, rcond=None)[0]
+    p, q = alpha - 1.0, alpha - 1.0 + beta  # u T2 and u T1
+    gamma = min(gamma, 0.0)  # gamma > 0 has no preimage; 0 maps to mu = 1
+    if pairing == "swapped":
+        p, q = q, p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 2.0 / (gamma * gamma / (4.0 * p * q) - 1.0)
+        x = np.array([math.asinh(math.sqrt(u / 2.0)) if u >= 0 else 0.0, *np.sqrt([q / u, p / u])])
+    lo, hi = zip(*bounds)
+    inside = bool(p > 0 and q > 0 and gamma < 0 and np.all(x <= hi))
+    return np.clip(np.nan_to_num(x, nan=0.0), lo, hi), inside
+
+
+def _result(x, objective, objective_swapped, own_objective, n_polishes, grad_norm, data):
+    t, s1, s2 = x
+    l1, l2 = float(1.0 - s1 * s1), float(1.0 - s2 * s2)
+    x_plus = joint_quadrature_variance(math.cosh(t), l1, l2)
     return FitResult(
-        mu_hat=mu,
-        l1_hat=float(l1),
-        l2_hat=float(l2),
-        residual_rms=math.sqrt(f_best / data.n_points),
-        objective=f_best,
-        objective_swapped_losses=f_swapped,
-        loss_ordering_degenerate=bool(abs(f_best - f_swapped) < DEGENERACY_TOL),
+        mu_hat=math.cosh(t),
+        l1_hat=l1,
+        l2_hat=l2,
+        residual_rms=math.sqrt(own_objective / data.n_points),
+        objective=objective,
+        objective_swapped_losses=objective_swapped,
+        loss_ordering_degenerate=bool(abs(objective - objective_swapped) < DEGENERACY_TOL),
         correlation_x_plus=x_plus,
         correlation_db=float(linear_to_db(x_plus / 2.0)),
-        n_restarts_used=n_starts,
+        n_restarts_used=n_polishes,
         projected_grad_norm=grad_norm,
         dataset_label=data.label,
     )
@@ -341,6 +291,9 @@ def _result_from_internal(x, f_best, grad_norm, n_starts, data, config) -> FitRe
 
 def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResult:
     """Weighted least-squares fit of (mu, L1, L2) to one dataset.
+
+    The linear solve, or the boundary polish when its inverse leaves the
+    box; ``n_restarts_used`` is 0 or the number of polishes.
 
     Raises:
         InsufficientDataError: fewer than 4 points.
@@ -353,8 +306,18 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
         raise InsufficientDataError(
             f"need >= 4 points to fit 3 parameters, got {data.n_points}"
         )
-    x, f, grad_norm, n_starts = _fit_internal(data, config)
-    return _result_from_internal(x, f, grad_norm, n_starts, data, config)
+    bounds = [(0.0, math.acosh(config.mu_max)), (0.0, 1.0), (0.0, 1.0)]
+    args = (noise_reduction_regressors(data.quantum_gain), data.noise_ratio, data.weights)
+    fun = lambda x: _objective(x, *args, config.pairing)  # noqa: E731
+    x, inside = _linear_solution(*args, config.pairing, bounds)
+    if inside:
+        f, n_polishes = fun(x)[0], 0
+    else:
+        lo, hi = zip(*bounds)
+        starts = [x, *np.random.default_rng(config.seed).uniform(lo, hi, (config.n_starts, 3))]
+        (x, f), n_polishes = _best_polish(fun, starts, bounds), len(starts)
+    grad_norm = _converged_gradient_norm(fun, x, bounds)
+    return _result(x, f, fun(x[[0, 2, 1]])[0], f, n_polishes, grad_norm, data)
 
 
 def correlation_from_fit(fit: FitResult) -> tuple[float, float]:
@@ -362,17 +325,6 @@ def correlation_from_fit(fit: FitResult) -> tuple[float, float]:
     value relative to the uncorrelated 2."""
     x_plus = joint_quadrature_variance(fit.mu_hat, fit.l1_hat, fit.l2_hat)
     return x_plus, float(linear_to_db(x_plus / 2.0))
-
-
-def finite_lambda_correlation(r_measured: float, quantum_gain: float) -> float:
-    """Single-point estimate 2R of the joint quadrature variance, without
-    the infinite-gain extrapolation; an upper-bound-style estimate since R
-    still decreases toward the limit."""
-    if r_measured <= 0:
-        raise ValueError("r_measured must be positive")
-    if quantum_gain < 1.0:
-        raise ValueError("quantum_gain must be >= 1")
-    return 2.0 * float(r_measured)
 
 
 def bootstrap_uncertainty(
@@ -384,9 +336,9 @@ def bootstrap_uncertainty(
     """Residual-resampling bootstrap around an existing fit.
 
     Residuals of the fit are resampled with replacement onto the model
-    curve and each synthetic dataset is refit (warm-started at the fit).
-    Returns the empirical covariance of (mu, L1, L2) and a 95% percentile
-    interval for correlation_db.
+    curve and each synthetic dataset is refit.  Returns the empirical
+    covariance of (mu, L1, L2) and a 95% percentile interval for
+    correlation_db.
 
     Raises:
         UnstableFitError: more than 20% of the refits fail.
@@ -397,21 +349,15 @@ def bootstrap_uncertainty(
         config = FitConfig()
     rng = np.random.default_rng(config.seed + 0x5EED)
     gq = data.quantum_gain
-    model_r = _model(
-        np.array([math.acosh(fit.mu_hat), fit.l1_hat, fit.l2_hat]), gq, config.pairing
-    )
+    model_r = closed_form_noise_reduction(fit.mu_hat, fit.l1_hat, fit.l2_hat, gq, config.pairing)
     residuals = data.noise_ratio - model_r
-    warm = np.array([math.acosh(fit.mu_hat), fit.l1_hat, fit.l2_hat])
-    boot_config = replace(config, n_starts=2)
 
     params, corr_db = [], []
     failures = 0
     for _ in range(n_resamples):
         draw = residuals[rng.integers(0, data.n_points, size=data.n_points)]
         try:
-            resampled = NoiseDataset(gq, model_r + draw, data.sigma, data.label)
-            x, f, g, n = _fit_internal(resampled, boot_config, extra_starts=(warm,))
-            res = _result_from_internal(x, f, g, n, resampled, boot_config)
+            res = fit_dataset(NoiseDataset(gq, model_r + draw, data.sigma, data.label), config)
         except (ValueError, UnstableFitError):
             failures += 1
             continue
@@ -436,7 +382,9 @@ def fit_datasets_shared_loss(
 ) -> list[FitResult]:
     """Joint fit of several datasets sharing (L1, L2), one mu per dataset.
 
-    Returns one FitResult per dataset; the objective fields carry the total
+    The polish starts from each dataset's own linear solution, with the t
+    of every dataset's solution, and from its loss-mirrored twin.  Returns
+    one FitResult per dataset; the objective fields carry the total
     (summed) objective of the joint problem.
     """
     if config is None:
@@ -451,76 +399,34 @@ def fit_datasets_shared_loss(
         raise InsufficientDataError(
             f"need >= {n_par + 1} points to fit {n_par} parameters, got {n_total}"
         )
-    t_max = math.acosh(config.mu_max)
-    bounds = [(0.0, 1.0), (0.0, 1.0)] + [(0.0, t_max)] * len(datasets)
+    single = [(0.0, math.acosh(config.mu_max)), (0.0, 1.0), (0.0, 1.0)]
+    bounds = single[1:] + single[:1] * len(datasets)
+    terms = [
+        (noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
+        for d in datasets
+    ]
 
     def total_objective(z):
-        l1, l2 = z[0], z[1]
-        return sum(
-            _objective(np.array([t, l1, l2]), d.quantum_gain, d.noise_ratio, d.weights, config.pairing)
-            for t, d in zip(z[2:], datasets)
-        )
+        """z = (s1, s2, t of each dataset)."""
+        f, g = 0.0, np.zeros_like(z)
+        for j, term in enumerate(terms):
+            fj, gj = _objective(np.array([z[2 + j], z[0], z[1]]), *term, config.pairing)
+            f += fj
+            g[:2] += gj[1:]
+            g[2 + j] = gj[0]
+        return f, g
 
-    unit = _sobol_sample(n_par, config.n_starts, config.seed)
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
-    best_z, best_f = None, np.inf
-    for u in unit:
-        z0 = lows + u * (highs - lows)
-        res = optimize.minimize(
-            total_objective,
-            z0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 8000, "maxfev": 16000},
-        )
-        z, f = res.x, float(res.fun)
-        res = optimize.minimize(
-            total_objective, z, method="L-BFGS-B", bounds=bounds,
-            options={"ftol": 1e-16, "maxiter": 1000},
-        )
-        if res.fun <= f:
-            z, f = res.x, float(res.fun)
-        if f < best_f:
-            best_z, best_f = np.clip(z, lows, highs), f
-
-    mirrored = np.array(best_z)
-    mirrored[[0, 1]] = mirrored[[1, 0]]
-    res = optimize.minimize(
-        total_objective, mirrored, method="L-BFGS-B", bounds=bounds,
-        options={"ftol": 1e-16, "maxiter": 1000},
-    )
-    if res.fun < best_f:
-        best_z, best_f = np.clip(res.x, lows, highs), float(res.fun)
-
-    grad_norm = _projected_gradient_norm(best_z, bounds, total_objective)
-    if grad_norm >= GRAD_TOL:
-        raise UnstableFitError(
-            f"projected gradient norm {grad_norm:.2e}; joint fit did not converge"
-        )
-    l1, l2 = float(best_z[0]), float(best_z[1])
-    f_swapped = total_objective(np.concatenate([[l2, l1], best_z[2:]]))
+    linear = [_linear_solution(*term, config.pairing, single)[0] for term in terms]
+    ts = [x[0] for x in linear]
+    starts = [np.array([*s, *ts]) for x in linear for s in (x[1:], x[2:0:-1])]
+    z, f = _best_polish(total_objective, starts, bounds)
+    grad_norm = _converged_gradient_norm(total_objective, z, bounds)
+    f_swapped = total_objective(np.concatenate([z[1::-1], z[2:]]))[0]
     results = []
-    for t, d in zip(best_z[2:], datasets):
-        mu = math.cosh(float(t))
-        per_obj = _objective(np.array([t, l1, l2]), d.quantum_gain, d.noise_ratio, d.weights, config.pairing)
-        x_plus = joint_quadrature_variance(mu, l1, l2)
-        results.append(
-            FitResult(
-                mu_hat=mu,
-                l1_hat=l1,
-                l2_hat=l2,
-                residual_rms=math.sqrt(per_obj / d.n_points),
-                objective=best_f,
-                objective_swapped_losses=f_swapped,
-                loss_ordering_degenerate=bool(abs(best_f - f_swapped) < DEGENERACY_TOL),
-                correlation_x_plus=x_plus,
-                correlation_db=float(linear_to_db(x_plus / 2.0)),
-                n_restarts_used=config.n_starts,
-                projected_grad_norm=grad_norm,
-                dataset_label=d.label,
-            )
-        )
+    for t, d, term in zip(z[2:], datasets, terms):
+        x = np.array([t, z[0], z[1]])
+        own = _objective(x, *term, config.pairing)[0]
+        results.append(_result(x, f, f_swapped, own, len(starts), grad_norm, d))
     return results
 
 

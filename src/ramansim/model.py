@@ -112,7 +112,7 @@ def gain_ratio_from_quantum_gain(quantum_gain):
     it tends to 1 for large gain (infinity maps to exactly 1).
     """
     gq = np.asarray(quantum_gain, dtype=float)
-    if np.any(gq < 1.0):
+    if not np.all(gq >= 1.0):
         raise ValueError("quantum_gain must be >= 1")
     out = np.where(np.isinf(gq), 1.0, np.sqrt((gq - 1.0) / np.where(np.isinf(gq), 2.0, gq + 1.0)))
     return float(out) if np.isscalar(quantum_gain) or np.ndim(quantum_gain) == 0 else out
@@ -420,6 +420,42 @@ def noise_reduction_ratio(scenario: CascadeScenario) -> float:
 # closed forms
 
 
+def noise_reduction_regressors(quantum_gain) -> np.ndarray:
+    """Columns ``(1, 1/(1 + lambda^2), lambda/(1 + lambda^2))``, shape
+    ``(..., 3)``, in which R is exactly linear (see
+    :func:`noise_reduction_coefficients`); gq = infinity gives lambda = 1."""
+    lam = np.asarray(gain_ratio_from_quantum_gain(quantum_gain), dtype=float)
+    denom = 1.0 + lam * lam
+    return np.stack([np.ones_like(lam), 1.0 / denom, lam / denom], axis=-1)
+
+
+def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing: str = "cascade"):
+    """Coefficients (alpha, beta, gamma) of R on :func:`noise_reduction_regressors`.
+
+    With nu = sqrt(mu^2 - 1), u = 2 nu^2 and T_i = 1 - L_i:
+
+        alpha = 1 + u T2,  beta = u (L2 - L1),  gamma = -4 mu nu sqrt(T1 T2)
+
+    for the "cascade" pairing; "swapped" exchanges L1 and L2.  Scalar or
+    broadcastable array arguments are accepted.
+    """
+    if pairing not in PAIRINGS:
+        raise ValueError(f"pairing must be one of {PAIRINGS}")
+    mu = np.asarray(prep_gain, dtype=float)
+    l1 = np.asarray(loss_stokes, dtype=float)
+    l2 = np.asarray(loss_spinwave, dtype=float)
+    if not np.all(mu >= 1.0):
+        raise ValueError("prep_gain must be >= 1")
+    for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
+        if not np.all((l >= 0.0) & (l <= 1.0)):
+            raise ValueError(f"{name} must be within [0, 1]")
+    if pairing == "swapped":
+        l1, l2 = l2, l1
+    nu2 = mu * mu - 1.0
+    u = 2.0 * nu2
+    return 1.0 + u * (1.0 - l2), u * (l2 - l1), -4.0 * mu * np.sqrt(nu2 * (1.0 - l1) * (1.0 - l2))
+
+
 def closed_form_noise_reduction(
     prep_gain,
     loss_stokes,
@@ -441,32 +477,14 @@ def closed_form_noise_reduction(
     exactly (the two coincide when L1 = L2); the swapped variant is kept
     for comparison against data reduced under the other convention.
 
+    R is evaluated as alpha + beta/(1 + lambda^2) + gamma lambda/(1 + lambda^2)
+    through :func:`noise_reduction_coefficients` and
+    :func:`noise_reduction_regressors`, the linear form the fitter solves.
     Scalar or broadcastable array arguments are accepted.
     """
-    if pairing not in PAIRINGS:
-        raise ValueError(f"pairing must be one of {PAIRINGS}")
-    mu = np.asarray(prep_gain, dtype=float)
-    l1 = np.asarray(loss_stokes, dtype=float)
-    l2 = np.asarray(loss_spinwave, dtype=float)
-    if np.any(mu < 1.0):
-        raise ValueError("prep_gain must be >= 1")
-    for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
-        if np.any((l < 0.0) | (l > 1.0)):
-            raise ValueError(f"{name} must be within [0, 1]")
-    lam = np.asarray(gain_ratio_from_quantum_gain(quantum_gain), dtype=float)
-    nu2 = mu * mu - 1.0
-    nu = np.sqrt(nu2)
-    lam2 = lam * lam
-    if pairing == "cascade":
-        w = l1 + lam2 * l2
-    else:
-        w = l2 + lam2 * l1
-    r = (
-        mu * mu
-        + nu2
-        - 2.0 * nu2 * w / (1.0 + lam2)
-        - 4.0 * lam * mu * nu * np.sqrt((1.0 - l1) * (1.0 - l2)) / (1.0 + lam2)
-    )
+    alpha, beta, gamma = noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing)
+    x = noise_reduction_regressors(quantum_gain)
+    r = alpha * x[..., 0] + beta * x[..., 1] + gamma * x[..., 2]
     return float(r) if r.ndim == 0 else r
 
 
@@ -479,7 +497,7 @@ def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwav
     vacuum gives 2; values below 2 certify the correlation.
     """
     mu = float(prep_gain)
-    if mu < 1.0:
+    if not mu >= 1.0:
         raise ValueError("prep_gain must be >= 1")
     for name, l in (("loss_stokes", loss_stokes), ("loss_spinwave", loss_spinwave)):
         if not 0.0 <= l <= 1.0:
@@ -497,9 +515,9 @@ def correlation_estimate_from_ratio(noise_ratio: float, quantum_gain: float) -> 
     measured R at finite gain: 2R.  Because R decreases toward the
     lambda -> 1 limit (for equal losses, and generically near lambda = 1),
     this estimate is an upper bound on the true value."""
-    if noise_ratio <= 0:
+    if not noise_ratio > 0:
         raise ValueError("noise_ratio must be positive")
-    if quantum_gain < 1.0:
+    if not quantum_gain >= 1.0:
         raise ValueError("quantum_gain must be >= 1")
     return 2.0 * float(noise_ratio)
 

@@ -151,6 +151,22 @@ class TestFit:
     def test_bootstrap_count_validated(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), "--bootstrap", "10") == 2
 
+    def test_bootstrap_with_shared_loss_is_usage_error(self, sweep_csv, capsys):
+        assert run_cli("fit", str(sweep_csv), str(sweep_csv), "--shared-loss",
+                       "--bootstrap", "100") == 2
+        assert "shared-loss" in capsys.readouterr().err
+
+    def test_nan_cell_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        gq = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+        r = closed_form_noise_reduction(1.17, 0.1, 0.1, gq).astype(str)
+        r[3] = "nan"
+        path.write_text("gq_linear,R_linear\n" + "".join(f"{a},{b}\n" for a, b in zip(gq, r)))
+        assert run_cli("fit", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestCorrelation:
     def test_from_parameters(self, capsys):
@@ -256,6 +272,14 @@ class TestEntryPoints:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("noise-scan", "--no-such-flag")
+        assert exc.value.code == 2
+
+    # fringes is left out: argparse reads --seed there as an abbreviation of
+    # --seed-amplitude
+    @pytest.mark.parametrize("command", ["noise-scan", "gain-sweep", "correlation", "oracle-check"])
+    def test_seed_only_on_fit(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--seed", "1")
         assert exc.value.code == 2
 
     def test_module_invocation(self):

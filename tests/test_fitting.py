@@ -1,23 +1,30 @@
 """Unit tests for the noise-reduction least-squares fitting module."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ramansim import fitting
 from ramansim.fitting import (
     DegenerateDesignError,
     FitConfig,
     InsufficientDataError,
     NoiseDataset,
+    UnstableFitError,
     bootstrap_uncertainty,
     correlation_from_fit,
-    finite_lambda_correlation,
     fit_dataset,
     fit_datasets_shared_loss,
     load_noise_csv,
 )
-from ramansim.model import closed_form_noise_reduction, joint_quadrature_variance
+from ramansim.model import (
+    closed_form_noise_reduction,
+    joint_quadrature_variance,
+    noise_reduction_coefficients,
+    noise_reduction_regressors,
+)
 
 GQ_GRID = np.array([2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0])
 
@@ -29,6 +36,11 @@ def synthetic_dataset(mu, l1, l2, sigma_rel=None, seed=None, pairing="cascade", 
         sigma = sigma_rel * r
         r = r + np.random.default_rng(seed).normal(0.0, sigma)
     return NoiseDataset(GQ_GRID, r, sigma, label)
+
+
+def weighted_sse(data, mu, l1, l2, pairing="cascade"):
+    pred = closed_form_noise_reduction(mu, l1, l2, data.quantum_gain, pairing=pairing)
+    return float(np.sum(data.weights * (pred - data.noise_ratio) ** 2))
 
 
 def loss_recovery_error(fit, l1, l2):
@@ -70,11 +82,20 @@ class TestNoiseDataset:
             ([2.0, 4.0], [0.9, -0.1]),
             ([2.0, 4.0], [0.9, 1.2]),
             ([2.0, 2.0, 4.0], [0.9, 0.8, 0.7]),
+            ([2.0, np.nan], [0.9, 0.8]),
+            ([2.0, np.inf], [0.9, 0.8]),
+            ([2.0, 4.0], [0.9, np.nan]),
+            ([2.0, 4.0], [0.9, -np.inf]),
         ],
     )
     def test_validation(self, gq, r):
         with pytest.raises(ValueError):
             NoiseDataset(np.array(gq, dtype=float), np.array(r, dtype=float))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_sigma_validation(self, bad):
+        with pytest.raises(ValueError):
+            NoiseDataset(np.array([2.0, 4.0]), np.array([0.9, 0.8]), np.array([0.01, bad]))
 
     def test_constant_design_rejected(self):
         with pytest.raises(DegenerateDesignError):
@@ -88,6 +109,7 @@ class TestFitRoundTrip:
         assert abs(fit.mu_hat - 1.3) < 1e-6
         assert loss_recovery_error(fit, 0.05, 0.25) < 1e-6
         assert fit.projected_grad_norm < 1e-8
+        assert fit.n_restarts_used == 0  # the linear solve landed inside the box
         assert fit.dataset_label == "clean"
         # at finite gain the loss ordering is identifiable
         assert fit.objective_swapped_losses > fit.objective + 1e-6
@@ -109,9 +131,10 @@ class TestFitRoundTrip:
 
     def test_vacuum_dataset(self):
         data = NoiseDataset(GQ_GRID, np.ones(GQ_GRID.size))
-        fit = fit_dataset(data)
+        fit = fit_dataset(data, FitConfig(n_starts=4))
         assert fit.mu_hat == pytest.approx(1.0, abs=1e-6)
         assert fit.correlation_db == pytest.approx(0.0, abs=1e-5)
+        assert fit.n_restarts_used == 5  # boundary polish: 4 starts plus the linear point
 
     def test_swapped_pairing_round_trip(self):
         data = synthetic_dataset(1.4, 0.3, 0.08, pairing="swapped")
@@ -138,15 +161,71 @@ class TestFitRoundTrip:
         assert a.objective == b.objective
 
 
-class TestCorrelationHelpers:
-    def test_single_point_estimate(self):
-        assert finite_lambda_correlation(0.4, 32.0) == pytest.approx(0.8, abs=1e-14)
+class TestLinearAgainstPolish:
+    @pytest.mark.parametrize("pairing", ["cascade", "swapped"])
+    def test_fit_coordinates_match_model(self, pairing):
+        """The fitter's coefficient map in (t, s1, s2) against the model's in
+        (mu, L1, L2), and its Jacobian against central differences."""
+        rng = np.random.default_rng(4)
+        for x in rng.uniform([0.0, 0.0, 0.0], [2.0, 1.0, 1.0], (20, 3)):
+            coef, jac = fitting._coefficients(x, pairing)
+            mu, l1, l2 = math.cosh(x[0]), 1.0 - x[1] ** 2, 1.0 - x[2] ** 2
+            ref = noise_reduction_coefficients(mu, l1, l2, pairing)
+            assert coef == pytest.approx(np.array(ref), rel=1e-12, abs=1e-12)
+            h = 1e-6
+            for i in range(3):
+                step = np.eye(3)[i] * h
+                fd = (fitting._coefficients(x + step, pairing)[0]
+                      - fitting._coefficients(x - step, pairing)[0]) / (2 * h)
+                assert jac[:, i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            finite_lambda_correlation(0.0, 32.0)
-        with pytest.raises(ValueError):
-            finite_lambda_correlation(0.4, 0.5)
+    def test_interior_solve_not_above_polish_from_truth(self):
+        """The closed-form solve against the boundary path's bounded polish
+        started at the truth; both objectives through the closed form."""
+        bounds = [(0.0, math.acosh(FitConfig().mu_max)), (0.0, 1.0), (0.0, 1.0)]
+        design = noise_reduction_regressors(GQ_GRID)
+        interior = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            mu, l1, l2 = rng.uniform(1.1, 2.0), *rng.uniform(0.05, 0.6, 2)
+            pairing = ("cascade", "swapped")[seed % 2]
+            if np.max(closed_form_noise_reduction(mu, l1, l2, GQ_GRID, pairing=pairing)) > 1.0:
+                continue  # not a noise-reduction curve
+            data = synthetic_dataset(mu, l1, l2, sigma_rel=0.01, seed=seed, pairing=pairing)
+            fit = fit_dataset(data, FitConfig(pairing=pairing))
+            if fit.n_restarts_used:
+                continue
+            interior += 1
+            truth = np.array([math.acosh(mu), math.sqrt(1.0 - l1), math.sqrt(1.0 - l2)])
+            (t, s1, s2), _ = fitting._polish(
+                lambda x: fitting._objective(x, design, data.noise_ratio, data.weights, pairing),
+                truth,
+                bounds,
+            )
+            slow = weighted_sse(data, math.cosh(t), 1.0 - s1 * s1, 1.0 - s2 * s2, pairing)
+            fast = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat, pairing)
+            assert fast <= slow * (1.0 + 1e-12), (seed, fast, slow)
+        assert interior >= 50
+
+    def test_boundary_battery_not_above_truth(self):
+        """mu at or next to 1 with losses 0 or 1, where the linear solve mostly
+        leaves the box: the polish must still reach the truth's objective."""
+        battery = list(itertools.product(
+            (1.0, 1.001), (0.0, 1.0), (0.0, 1.0), ("cascade", "swapped"), (None, 1, 2)
+        ))
+        unstable = 0
+        for mu, l1, l2, pairing, noise_seed in battery:
+            sigma_rel = None if noise_seed is None else 0.01
+            data = synthetic_dataset(mu, l1, l2, sigma_rel, noise_seed, pairing)
+            try:
+                fit = fit_dataset(data, FitConfig(pairing=pairing))
+            except UnstableFitError:
+                unstable += 1
+                continue
+            got = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat, pairing)
+            truth = weighted_sse(data, mu, l1, l2, pairing)
+            assert got <= truth + 1e-12, (mu, l1, l2, pairing, noise_seed)
+        assert unstable <= 0.1 * len(battery)
 
 
 class TestBootstrap:

@@ -109,6 +109,10 @@ class TestGainRatio:
     def test_validation(self):
         with pytest.raises(ValueError):
             gain_ratio_from_quantum_gain(0.5)
+        with pytest.raises(ValueError):
+            gain_ratio_from_quantum_gain(np.nan)
+        with pytest.raises(ValueError):
+            gain_ratio_from_quantum_gain(np.array([2.0, np.nan]))
 
 
 class TestPhysicalParams:
@@ -303,6 +307,10 @@ class TestClosedForm:
             closed_form_noise_reduction(1.2, 1.1, 0.1, 32.0)
         with pytest.raises(ValueError):
             closed_form_noise_reduction(1.2, 0.1, 0.1, 32.0, pairing="other")
+        for args in [(np.nan, 0.1, 0.1, 32.0), (1.2, np.nan, 0.1, 32.0),
+                     (1.2, 0.1, np.nan, 32.0), (1.2, 0.1, 0.1, np.nan)]:
+            with pytest.raises(ValueError):
+                closed_form_noise_reduction(*args)
 
 
 class TestJointQuadrature:
@@ -324,6 +332,12 @@ class TestJointQuadrature:
         assert correlation_estimate_from_ratio(HEADLINE_R, 32.0) == pytest.approx(
             2.0 * HEADLINE_R, abs=1e-14
         )
+        assert correlation_estimate_from_ratio(0.4, 32.0) == pytest.approx(0.8, abs=1e-14)
+
+    @pytest.mark.parametrize("ratio,gq", [(0.0, 32.0), (np.nan, 32.0), (0.4, 0.5), (0.4, np.nan)])
+    def test_estimate_from_single_ratio_validation(self, ratio, gq):
+        with pytest.raises(ValueError):
+            correlation_estimate_from_ratio(ratio, gq)
 
 
 class TestSweeps:
