@@ -21,6 +21,7 @@ from ramansim.fitting import (
 )
 from ramansim.model import (
     closed_form_noise_reduction,
+    correlation_estimate_from_ratio,
     joint_quadrature_variance,
     noise_reduction_coefficients,
     noise_reduction_regressors,
@@ -226,6 +227,11 @@ class TestLinearAgainstPolish:
             truth = weighted_sse(data, mu, l1, l2, pairing)
             assert got <= truth + 1e-12, (mu, l1, l2, pairing, noise_seed)
         assert unstable <= 0.1 * len(battery)
+
+
+class TestCorrelationHelpers:
+    def test_single_point_estimate(self):
+        assert correlation_estimate_from_ratio(0.4, 32.0) == pytest.approx(0.8, abs=1e-14)
 
 
 class TestBootstrap:
