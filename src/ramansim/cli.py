@@ -239,6 +239,17 @@ def _cmd_noise_scan(args) -> int:
     return 0
 
 
+def _sweep_values(cfg: dict, start: float, stop: float) -> np.ndarray:
+    """The swept values from start/stop (defaults given) and points."""
+    start = start if cfg["start"] is None else cfg["start"]
+    stop = stop if cfg["stop"] is None else cfg["stop"]
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise UsageError("start and stop must be finite")
+    if not 1.0 <= start <= stop:
+        raise UsageError(f"{cfg['sweep']} sweep requires 1 <= start <= stop")
+    return np.linspace(start, stop, cfg["points"])
+
+
 def _cmd_gain_sweep(args) -> int:
     cfg = _resolve(args, "gain-sweep")
     sweep = cfg["sweep"]
@@ -248,22 +259,14 @@ def _cmd_gain_sweep(args) -> int:
         raise UsageError("points must be >= 1")
     channel = _channel(cfg)
     if sweep == "prep-gain":
-        start = 1.0 if cfg["start"] is None else cfg["start"]
-        stop = 2.0 if cfg["stop"] is None else cfg["stop"]
-        if start < 1.0 or stop < start:
-            raise UsageError("prep-gain sweep requires 1 <= start <= stop")
+        values = _sweep_values(cfg, 1.0, 2.0)
         readout = _resolve_readout(cfg)
-        values = np.linspace(start, stop, cfg["points"])
         trace = prep_gain_sweep(values, readout, channel)
         gq_col = np.full(values.size, readout.quantum_noise_gain)
     else:
-        start = 2.0 if cfg["start"] is None else cfg["start"]
-        stop = 64.0 if cfg["stop"] is None else cfg["stop"]
-        if start < 1.0 or stop < start:
-            raise UsageError("readout-gq sweep requires 1 <= start <= stop")
+        values = _sweep_values(cfg, 2.0, 64.0)
         if cfg["prep_gain"] < 1.0:
             raise UsageError("prep-gain must be >= 1")
-        values = np.linspace(start, stop, cfg["points"])
         trace = quantum_gain_sweep(values, AmplifierParams(cfg["prep_gain"]), channel)
         gq_col = values
     with _open_out(args.out) as fh:
@@ -437,67 +440,39 @@ def _cmd_oracle_check(args) -> int:
 # parser
 
 
-def _add_common(sub, *names):
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        conv = None
-        for schema in _SCHEMAS.values():
-            if name in schema:
-                conv = schema[name][0]
-                break
-        if conv is _parse_bool:
-            sub.add_argument(flag, action="store_const", const=True, default=None, dest=name)
-        else:
-            sub.add_argument(flag, type=conv, default=None, dest=name)
-    sub.add_argument("--config", default=None, help="flat key = value config file")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+_COMMANDS = {  # subcommand -> (help, handler); its flags are its _SCHEMAS keys
+    "noise-scan": ("cascade output variance vs scan phase", _cmd_noise_scan),
+    "gain-sweep": ("noise reduction R vs prep gain or readout gq", _cmd_gain_sweep),
+    "fit": ("fit (mu, L1, L2) to gain-sweep CSV data", _cmd_fit),
+    "correlation": ("joint quadrature variance from parameters or from one R", _cmd_correlation),
+    "fringes": ("seeded interference fringe vs scan phase", _cmd_fringes),
+    "oracle-check": ("Gaussian engine vs Fock oracle battery", _cmd_oracle_check),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a longer flag (--seed for
+    # --seed-amplitude) is an error, not that flag
     parser = argparse.ArgumentParser(
         prog="ramansim",
         description="Two-stage Raman amplifier noise simulator and fitter",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"ramansim {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("noise-scan", help="cascade output variance vs scan phase")
-    _add_common(
-        p, "prep_gain", "readout_gq", "readout_gq_db", "loss_stokes", "loss_spinwave",
-        "output_loss", "points",
-    )
-    p.set_defaults(func=_cmd_noise_scan)
-
-    p = subs.add_parser("gain-sweep", help="noise reduction R vs prep gain or readout gq")
-    _add_common(
-        p, "sweep", "start", "stop", "points", "prep_gain", "readout_gq", "readout_gq_db",
-        "loss_stokes", "loss_spinwave", "output_loss",
-    )
-    p.set_defaults(func=_cmd_gain_sweep)
-
-    p = subs.add_parser("fit", help="fit (mu, L1, L2) to gain-sweep CSV data")
-    p.add_argument("inputs", nargs="+", help="CSV files with gq_linear,R_linear columns")
-    _add_common(p, "shared_loss", "starts", "mu_max", "pairing", "bootstrap", "seed")
-    p.set_defaults(func=_cmd_fit)
-
-    p = subs.add_parser("correlation", help="joint quadrature variance from parameters or from one R")
-    _add_common(
-        p, "prep_gain", "loss_stokes", "loss_spinwave", "from_ratio", "readout_gq",
-        "readout_gq_db",
-    )
-    p.set_defaults(func=_cmd_correlation)
-
-    p = subs.add_parser("fringes", help="seeded interference fringe vs scan phase")
-    _add_common(
-        p, "seed_amplitude", "prep_gain", "readout_gq", "readout_gq_db", "loss_stokes",
-        "loss_spinwave", "output_loss", "points",
-    )
-    p.set_defaults(func=_cmd_fringes)
-
-    p = subs.add_parser("oracle-check", help="Gaussian engine vs Fock oracle battery")
-    _add_common(p, "truncation")
-    p.set_defaults(func=_cmd_oracle_check)
-
+    for command, (help_text, func) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_text, allow_abbrev=False)
+        if command == "fit":
+            p.add_argument("inputs", nargs="+", help="CSV files with gq_linear,R_linear columns")
+        for name, (conv, _) in _SCHEMAS[command].items():
+            flag = "--" + name.replace("_", "-")
+            if conv is _parse_bool:
+                p.add_argument(flag, action="store_const", const=True, default=None, dest=name)
+            else:
+                p.add_argument(flag, type=conv, default=None, dest=name)
+        p.add_argument("--config", default=None, help="flat key = value config file")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -41,6 +41,44 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_symplectic(s: np.ndarray) -> bool:
+    """S Omega S^T = Omega for every matrix of a ``(..., 2n, 2n)`` stack."""
+    omega = symplectic_form(s.shape[-1] // 2)
+    return np.allclose(s @ omega @ np.swapaxes(s, -1, -2), omega, atol=SYMPLECTIC_ATOL)
+
+
+def _squeezer_matrix(gain, pump_phase: float) -> np.ndarray:
+    """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``.
+
+    ``gain`` broadcasts; ``pump_phase`` is one scalar.  See
+    :func:`two_mode_squeezer` for the convention.
+    """
+    gain = np.asarray(gain, dtype=float)
+    g = np.sqrt(gain * gain - 1.0)
+    c, s = np.cos(pump_phase), np.sin(pump_phase)
+    mat = np.zeros(gain.shape + (4, 4))
+    mat[..., range(4), range(4)] = gain[..., None]
+    # X/Y coupling block of the conjugate term g e^{i theta} b^dag
+    mat[..., :2, 2:] = mat[..., 2:, :2] = g[..., None, None] * np.array([[c, s], [s, -c]])
+    return mat
+
+
+def _rotation_matrix(phi) -> np.ndarray:
+    """Phase-space rotation a -> e^{i phi} a, shape ``phi.shape + (2, 2)``."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+def _attenuate(mean: np.ndarray, cov: np.ndarray, loss: np.ndarray):
+    """Pure loss given per quadrature, ``loss`` of shape ``(..., 2n)``: the
+    mean scales by sqrt(1 - loss), cov by its outer product, and the lost
+    fraction of vacuum noise is added on the diagonal."""
+    scale = np.sqrt(1.0 - loss)
+    cov = cov * scale[..., :, None] * scale[..., None, :]
+    cov[..., range(loss.shape[-1]), range(loss.shape[-1])] += loss
+    return mean * scale, cov
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state of ``n_modes`` bosonic modes.
@@ -90,8 +128,7 @@ class SymplecticOp:
         s = np.asarray(self.matrix, dtype=float).copy()
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
             raise ValueError("symplectic matrix must be square with even dimension")
-        omega = symplectic_form(s.shape[0] // 2)
-        if not np.allclose(s @ omega @ s.T, omega, atol=SYMPLECTIC_ATOL):
+        if not _is_symplectic(s):
             raise ValueError("matrix is not symplectic")
         d = self.displacement
         d = np.zeros(s.shape[0]) if d is None else np.asarray(d, dtype=float).copy()
@@ -165,15 +202,9 @@ def two_mode_squeezer(
         n_modes = max(mode_a, mode_b) + 1
     elif max(mode_a, mode_b) >= n_modes:
         raise ValueError("mode index exceeds n_modes")
-    g = np.sqrt(gain * gain - 1.0)
-    c, s = np.cos(pump_phase), np.sin(pump_phase)
-    # X/Y coupling block of the conjugate term g e^{i theta} b^dag
-    cross = g * np.array([[c, s], [s, -c]])
+    idx = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
     mat = np.eye(2 * n_modes)
-    for m in (mode_a, mode_b):
-        mat[2 * m: 2 * m + 2, 2 * m: 2 * m + 2] = gain * np.eye(2)
-    mat[2 * mode_a: 2 * mode_a + 2, 2 * mode_b: 2 * mode_b + 2] = cross
-    mat[2 * mode_b: 2 * mode_b + 2, 2 * mode_a: 2 * mode_a + 2] = cross
+    mat[np.ix_(idx, idx)] = _squeezer_matrix(gain, pump_phase)
     return SymplecticOp(mat)
 
 
@@ -185,9 +216,8 @@ def phase_shift(mode: int, phi: float, n_modes: int | None = None) -> Symplectic
         n_modes = mode + 1
     elif mode >= n_modes:
         raise ValueError("mode index exceeds n_modes")
-    c, s = np.cos(phi), np.sin(phi)
     mat = np.eye(2 * n_modes)
-    mat[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2] = np.array([[c, -s], [s, c]])
+    mat[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2] = _rotation_matrix(phi)
     return SymplecticOp(mat)
 
 
@@ -223,12 +253,9 @@ def apply_loss(state: GaussianState, channel: LossChannel) -> GaussianState:
     off-diagonal blocks scaled by sqrt(T), mean scaled by sqrt(T)."""
     if channel.mode >= state.n_modes:
         raise ValueError("loss channel mode exceeds state n_modes")
-    t = channel.transmissivity
-    scale = np.ones(2 * state.n_modes)
-    scale[2 * channel.mode: 2 * channel.mode + 2] = np.sqrt(t)
-    cov = state.cov * np.outer(scale, scale)
-    cov = cov + np.diag(np.where(scale == 1.0, 0.0, channel.loss))
-    return GaussianState(state.mean * scale, cov)
+    loss = np.zeros(2 * state.n_modes)
+    loss[2 * channel.mode: 2 * channel.mode + 2] = channel.loss
+    return GaussianState(*_attenuate(state.mean, state.cov, loss))
 
 
 def homodyne_variance(state: GaussianState, mode: int, lo_phase: float = 0.0) -> float:

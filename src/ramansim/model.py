@@ -6,7 +6,9 @@ field (mode 0) and the collective atomic spin wave (mode 1).  Stage 1
 mode then suffers loss (L1 on the Stokes field, L2 on the spin wave); a
 relative phase phi is scanned on the Stokes arm; stage 2 ("readout", gains
 G/g) amplifies the pair and the Stokes output is measured by homodyne
-detection.
+detection.  One broadcasting kernel computes the output moments for arrays
+of scan phase, prep gain and readout gain; scans, sweeps and fringes are
+one call to it each, and build_cascade returns its state for one point.
 
 With the X = a + a^dag scaling, a single stage seeded by an uncorrelated
 (vacuum or coherent) Stokes input produces output variance 2G^2 - 1, the
@@ -20,23 +22,18 @@ All noise levels in dB are 10*log10 of the linear value, vacuum = 0 dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .gaussian import (
     GaussianState,
-    LossChannel,
-    apply_loss,
-    apply_symplectic,
-    displacement,
+    _attenuate,
+    _is_symplectic,
+    _rotation_matrix,
+    _squeezer_matrix,
     homodyne_variance,
-    mean_amplitude,
-    mean_photon_number,
-    phase_shift,
-    two_mode_squeezer,
-    vacuum,
 )
 
 #: scan_variable labels allowed on a NoiseTrace
@@ -277,35 +274,47 @@ class FringeTrace:
 # cascade pipeline
 
 
-def build_cascade(scenario: CascadeScenario) -> GaussianState:
-    """Run the full cascade and return the output two-mode Gaussian state.
+def _cascade_moments(scenario: CascadeScenario, scan_phase, prep_gain, readout_gain):
+    """Output mean ``(..., 4)`` and covariance ``(..., 4, 4)`` of the cascade.
 
-    Order of operations: vacuum -> coherent seed on the Stokes mode ->
-    prep squeezer -> Stokes loss -> spin-wave loss -> scan phase on the
-    Stokes arm -> readout squeezer -> output loss on the Stokes arm.
-    Loss ancillas are traced out implicitly by the channel update.
+    ``scan_phase``, ``prep_gain`` and ``readout_gain`` broadcast against
+    each other and replace the scenario's own values; pump phases, losses
+    and the seed come from ``scenario``.  Order of operations: vacuum ->
+    coherent seed on the Stokes mode -> prep squeezer -> Stokes and
+    spin-wave loss -> scan phase on the Stokes arm -> readout squeezer ->
+    output loss on the Stokes arm.  The caller validates the gains; the
+    three symplectic matrices are checked here, once for the whole batch.
     """
+    phi, mu, g = np.broadcast_arrays(scan_phase, prep_gain, readout_gain)
     ch = scenario.channel
-    state = vacuum(2)
-    if scenario.seed_amplitude != 0:
-        state = apply_symplectic(state, displacement(0, scenario.seed_amplitude, n_modes=2))
-    state = apply_symplectic(
-        state,
-        two_mode_squeezer(0, 1, scenario.prep.gain, scenario.prep.pump_phase, n_modes=2),
+    prep = _squeezer_matrix(mu, scenario.prep.pump_phase)
+    rot = np.broadcast_to(np.eye(4), prep.shape).copy()
+    rot[..., :2, :2] = _rotation_matrix(phi)
+    readout = _squeezer_matrix(g, scenario.readout.pump_phase)
+    if not _is_symplectic(np.stack([prep, rot, readout])):
+        raise ValueError("cascade matrices are not symplectic")
+    alpha = complex(scenario.seed_amplitude)
+    # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
+    seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
+    mean, cov = _attenuate(
+        prep @ seed, prep @ np.swapaxes(prep, -1, -2),
+        np.array([ch.loss_stokes, ch.loss_stokes, ch.loss_spinwave, ch.loss_spinwave]),
     )
-    if ch.loss_stokes > 0:
-        state = apply_loss(state, LossChannel(0, ch.loss_stokes))
-    if ch.loss_spinwave > 0:
-        state = apply_loss(state, LossChannel(1, ch.loss_spinwave))
-    if ch.scan_phase != 0:
-        state = apply_symplectic(state, phase_shift(0, ch.scan_phase, n_modes=2))
-    state = apply_symplectic(
-        state,
-        two_mode_squeezer(0, 1, scenario.readout.gain, scenario.readout.pump_phase, n_modes=2),
+    s = readout @ rot
+    mean, cov = _attenuate(
+        (s @ mean[..., None])[..., 0], s @ cov @ np.swapaxes(s, -1, -2),
+        np.array([ch.output_loss, ch.output_loss, 0.0, 0.0]),
     )
-    if ch.output_loss > 0:
-        state = apply_loss(state, LossChannel(0, ch.output_loss))
-    return state
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def build_cascade(scenario: CascadeScenario) -> GaussianState:
+    """Run the full cascade and return the output two-mode Gaussian state
+    (see :func:`_cascade_moments` for the order of operations).  Loss
+    ancillas are traced out implicitly by the channel update."""
+    return GaussianState(*_cascade_moments(
+        scenario, scenario.channel.scan_phase, scenario.prep.gain, scenario.readout.gain
+    ))
 
 
 def simulate_cascade_noise(scenario: CascadeScenario, lo_phase: float = 0.0) -> float:
@@ -318,31 +327,9 @@ def simulate_cascade_noise(scenario: CascadeScenario, lo_phase: float = 0.0) -> 
     return homodyne_variance(build_cascade(scenario), 0, lo_phase)
 
 
-def _phase_sweep_evaluator(scenario: CascadeScenario):
-    """Return var(phi) for the scenario with everything but the scan phase
-    frozen.  Identical to the full pipeline, with the phase-independent
-    front section precomputed once."""
-    ch = scenario.channel
-    pre = build_cascade(
-        replace(
-            scenario,
-            readout=AmplifierParams(1.0, scenario.readout.pump_phase),
-            channel=replace(ch, scan_phase=0.0, output_loss=0.0),
-        )
-    )
-    readout_op = two_mode_squeezer(
-        0, 1, scenario.readout.gain, scenario.readout.pump_phase, n_modes=2
-    )
-    out_loss = LossChannel(0, ch.output_loss) if ch.output_loss > 0 else None
-
-    def var_at(phi: float) -> float:
-        state = apply_symplectic(pre, phase_shift(0, phi, n_modes=2))
-        state = apply_symplectic(state, readout_op)
-        if out_loss is not None:
-            state = apply_loss(state, out_loss)
-        return homodyne_variance(state, 0)
-
-    return var_at
+def _stokes_variance(scenario: CascadeScenario, scan_phase, prep_gain, readout_gain):
+    """Stokes X variance of :func:`_cascade_moments`, shape ``(...)``."""
+    return _cascade_moments(scenario, scan_phase, prep_gain, readout_gain)[1][..., 0, 0]
 
 
 def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace:
@@ -354,9 +341,9 @@ def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    var_at = _phase_sweep_evaluator(scenario)
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    return NoiseTrace("phase", phis, np.array([var_at(p) for p in phis]))
+    var = _stokes_variance(scenario, phis, scenario.prep.gain, scenario.readout.gain)
+    return NoiseTrace("phase", phis, var)
 
 
 class HarmonicFitError(RuntimeError):
@@ -368,23 +355,27 @@ class HarmonicFitError(RuntimeError):
 _HARMONIC_RTOL = 1e-10
 
 
-def _first_harmonic_min(var_at) -> tuple[float, float]:
+def _first_harmonic_min(var_at):
     """(phi_min, minimum) of var_at(phi) = a + b*cos(phi) + c*sin(phi).
 
-    Five equally spaced samples fix harmonics 0-2 exactly; the minimum is
-    a - hypot(b, c) at atan2(-c, -b).  Raises HarmonicFitError when the
+    ``var_at`` is called once, on an array of five equally spaced phases,
+    and returns the samples along its last axis; the results have the shape
+    of the other axes.  Five samples fix harmonics 0-2 exactly; the minimum
+    is a - hypot(b, c) at atan2(-c, -b).  Raises HarmonicFitError when a
     second harmonic is above rounding level or a sample is not finite.
     """
-    v = np.array([var_at(p) for p in np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)])
-    coeffs = np.fft.rfft(v) / v.size
-    second, scale = 2.0 * abs(coeffs[2]), np.max(np.abs(v))
-    if not second <= _HARMONIC_RTOL * scale:
+    v = np.asarray(var_at(np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)), dtype=float)
+    coeffs = np.fft.rfft(v, axis=-1) / v.shape[-1]
+    second, scale = 2.0 * np.abs(coeffs[..., 2]), np.max(np.abs(v), axis=-1)
+    bad = ~(second <= _HARMONIC_RTOL * scale)
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
         raise HarmonicFitError(
-            f"phase trace is not a first harmonic: second harmonic {second:.3e}, "
-            f"samples up to {scale:.3e}"
+            f"phase trace is not a first harmonic: second harmonic {second.flat[i]:.3e}, "
+            f"samples up to {scale.flat[i]:.3e}"
         )
-    b, c = 2.0 * coeffs[1].real, -2.0 * coeffs[1].imag
-    return float(math.atan2(-c, -b) % (2.0 * np.pi)), float(coeffs[0].real - math.hypot(b, c))
+    b, c = 2.0 * coeffs[..., 1].real, -2.0 * coeffs[..., 1].imag
+    return np.arctan2(-c, -b) % (2.0 * np.pi), coeffs[..., 0].real - np.hypot(b, c)
 
 
 def min_noise_over_phase(scenario: CascadeScenario) -> tuple[float, float]:
@@ -398,15 +389,20 @@ def min_noise_over_phase(scenario: CascadeScenario) -> tuple[float, float]:
     trace is flat, the variance is the uncorrelated reference
     (:func:`reference_variance`) and the phase carries no information.
     """
-    return _first_harmonic_min(_phase_sweep_evaluator(scenario))
+    phi_min, var_min = _first_harmonic_min(
+        lambda phi: _stokes_variance(scenario, phi, scenario.prep.gain, scenario.readout.gain)
+    )
+    return float(phi_min), float(var_min)
 
 
 def reference_variance(scenario: CascadeScenario) -> float:
     """Uncorrelated-input reference: the readout stage driven by vacuum,
     measured through the same output loss (2G^2 - 1 when lossless)."""
-    base = scenario.readout.quantum_noise_gain
-    t_out = 1.0 - scenario.channel.output_loss
-    return t_out * base + scenario.channel.output_loss
+    return _reference_variance(scenario.readout.quantum_noise_gain, scenario.channel.output_loss)
+
+
+def _reference_variance(quantum_gain, output_loss: float):
+    return (1.0 - output_loss) * quantum_gain + output_loss
 
 
 def noise_reduction_ratio(scenario: CascadeScenario) -> float:
@@ -536,14 +532,12 @@ def prep_gain_sweep(
     The abscissa is the stage-1 amplitude gain mu, the monotone image
     cosh(rate*sqrt(P)) of pump power; the trace is labelled "pump_power".
     """
-    gains = np.atleast_1d(np.asarray(prep_gains, dtype=float))
-    if gains.size == 0:
-        raise ValueError("prep_gains must be non-empty")
-    ratios = [
-        noise_reduction_ratio(CascadeScenario(AmplifierParams(mu), readout, channel))
-        for mu in gains
-    ]
-    return NoiseTrace("pump_power", gains, np.array(ratios))
+    gains = _gain_array(prep_gains, "prep_gains")
+    base = CascadeScenario(AmplifierParams(1.0), readout, channel)
+    _, var_min = _first_harmonic_min(
+        lambda phi: _stokes_variance(base, phi, gains[:, None], readout.gain)
+    )
+    return NoiseTrace("pump_power", gains, var_min / reference_variance(base))
 
 
 def quantum_gain_sweep(
@@ -555,16 +549,22 @@ def quantum_gain_sweep(
 
     As the readout gain grows, R approaches half the joint quadrature
     variance of the prepared state (the lambda -> 1 limit)."""
-    gqs = np.atleast_1d(np.asarray(quantum_gains, dtype=float))
-    if gqs.size == 0:
-        raise ValueError("quantum_gains must be non-empty")
-    ratios = [
-        noise_reduction_ratio(
-            CascadeScenario(prep, AmplifierParams.from_quantum_gain(gq), channel)
-        )
-        for gq in gqs
-    ]
-    return NoiseTrace("quantum_gain", gqs, np.array(ratios))
+    gqs = _gain_array(quantum_gains, "quantum_gains")
+    base = CascadeScenario(prep, AmplifierParams(1.0), channel)
+    _, var_min = _first_harmonic_min(
+        lambda phi: _stokes_variance(base, phi, prep.gain, np.sqrt((gqs[:, None] + 1.0) / 2.0))
+    )
+    return NoiseTrace("quantum_gain", gqs, var_min / _reference_variance(gqs, channel.output_loss))
+
+
+def _gain_array(values, name: str) -> np.ndarray:
+    """A sweep's gains as a non-empty 1-d array of finite values >= 1."""
+    out = np.atleast_1d(np.asarray(values, dtype=float))
+    if out.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if not np.all(np.isfinite(out) & (out >= 1.0)):
+        raise ValueError(f"{name} must be finite and >= 1")
+    return out
 
 
 def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
@@ -583,14 +583,10 @@ def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    seed = np.empty_like(phis)
-    background = np.empty_like(phis)
-    for i, phi in enumerate(phis):
-        state = build_cascade(replace(scenario, channel=replace(scenario.channel, scan_phase=phi)))
-        coherent = abs(mean_amplitude(state, 0)) ** 2
-        seed[i] = coherent
-        background[i] = mean_photon_number(state, 0) - coherent
-    return FringeTrace(phis, seed, background)
+    mean, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
+    # |<a>|^2 = (<X>^2 + <Y>^2)/4; noise photons (V_XX + V_YY - 2)/4
+    seed = (mean[:, 0] ** 2 + mean[:, 1] ** 2) / 4.0
+    return FringeTrace(phis, seed, (cov[:, 0, 0] + cov[:, 1, 1] - 2.0) / 4.0)
 
 
 def fringe_visibility(scenario: CascadeScenario) -> float:

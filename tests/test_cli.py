@@ -5,12 +5,14 @@ covers the installed entry point.  The slow oracle battery is stubbed
 here and exercised for real by the acceptance suite.
 """
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ramansim
 import ramansim.cli as cli
 import ramansim.model as model
 from ramansim import __version__
@@ -100,11 +102,19 @@ class TestGainSweep:
         assert mu_hat == pytest.approx(1.3, abs=1e-5)
 
     def test_non_harmonic_trace_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            model, "_phase_sweep_evaluator", lambda sc: lambda phi: 2.0 + np.cos(2.0 * phi)
-        )
+        def second_harmonic(sc, phi, mu, g):
+            var = 2.0 + np.cos(2.0 * phi) + 0.0 * np.asarray(g)
+            return None, np.multiply.outer(var, np.eye(4))
+
+        monkeypatch.setattr(model, "_cascade_moments", second_harmonic)
         assert run_cli("gain-sweep", "--sweep", "readout-gq", "--points", "2") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [("--stop", "inf"), ("--start", "nan"), ("--start=-inf",)])
+    def test_non_finite_range_is_usage_error(self, bound, recwarn, capsys):
+        assert run_cli("gain-sweep", "--sweep", "readout-gq", *bound) == 2
+        assert "start and stop must be finite" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_sweep_name(self, capsys):
         assert run_cli("gain-sweep", "--sweep", "banana") == 2
@@ -274,19 +284,34 @@ class TestEntryPoints:
             run_cli("noise-scan", "--no-such-flag")
         assert exc.value.code == 2
 
-    # fringes is left out: argparse reads --seed there as an abbreviation of
-    # --seed-amplitude
-    @pytest.mark.parametrize("command", ["noise-scan", "gain-sweep", "correlation", "oracle-check"])
+    @pytest.mark.parametrize(
+        "command", ["noise-scan", "gain-sweep", "correlation", "oracle-check", "fringes"]
+    )
     def test_seed_only_on_fit(self, command):
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--seed", "1")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("noise-scan", "--prep", "1.2"), ("fit", "data.csv", "--start", "3")]
+    )
+    def test_flag_prefix_is_not_accepted(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
     def test_module_invocation(self):
+        # the child imports the same package as this test, also when that
+        # comes from pytest's pythonpath setting rather than the environment
+        src = os.path.dirname(os.path.dirname(ramansim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
         proc = subprocess.run(
             [sys.executable, "-m", "ramansim.cli", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout

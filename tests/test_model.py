@@ -15,6 +15,7 @@ from ramansim.model import (
     HarmonicFitError,
     NoiseTrace,
     PhysicalRamanParams,
+    _cascade_moments,
     _first_harmonic_min,
     build_cascade,
     closed_form_noise_reduction,
@@ -34,7 +35,16 @@ from ramansim.model import (
     reference_variance,
     simulate_cascade_noise,
 )
-from ramansim.gaussian import homodyne_variance
+from ramansim.gaussian import (
+    LossChannel,
+    apply_loss,
+    apply_symplectic,
+    displacement,
+    homodyne_variance,
+    phase_shift,
+    two_mode_squeezer,
+    vacuum,
+)
 
 # frozen reference values for the mu = 1.17, L1 = L2 = 0.1, gq = 32 scenario
 HEADLINE_R = 0.38552058689655255
@@ -183,6 +193,64 @@ class TestCascadePipeline:
         )
 
 
+def engine_chain(sc, phi, mu, gain):
+    """The cascade op by op through the public engine, the reference for
+    the broadcasting kernel."""
+    ch = sc.channel
+    state = apply_symplectic(vacuum(2), displacement(0, sc.seed_amplitude, n_modes=2))
+    state = apply_symplectic(state, two_mode_squeezer(0, 1, mu, sc.prep.pump_phase))
+    state = apply_loss(state, LossChannel(0, ch.loss_stokes))
+    state = apply_loss(state, LossChannel(1, ch.loss_spinwave))
+    state = apply_symplectic(state, phase_shift(0, phi, n_modes=2))
+    state = apply_symplectic(state, two_mode_squeezer(0, 1, gain, sc.readout.pump_phase))
+    return apply_loss(state, LossChannel(0, ch.output_loss))
+
+
+def random_scenario(rng):
+    """Pump phases on both stages, a coherent seed, gq up to 1e6; each loss
+    is exactly 0 or 1 in about one draw of seven each."""
+    l1, l2, out = np.clip(rng.uniform(-0.2, 1.2, size=3), 0.0, 1.0)
+    return CascadeScenario(
+        AmplifierParams(1.0 + 1.5 * rng.random(), rng.uniform(-np.pi, np.pi)),
+        AmplifierParams.from_quantum_gain(10.0 ** rng.uniform(0.0, 6.0),
+                                          rng.uniform(-np.pi, np.pi)),
+        ChannelParams(l1, l2, rng.uniform(0.0, 2.0 * np.pi), out),
+        seed_amplitude=complex(*rng.normal(size=2)),
+    )
+
+
+def assert_moments_close(mean, cov, state):
+    for got, ref in ((mean, state.mean), (cov, state.cov)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestCascadeKernel:
+    def test_matches_engine_op_chain(self):
+        rng = np.random.default_rng(4096)
+        for _ in range(250):
+            sc = random_scenario(rng)
+            mean, cov = _cascade_moments(
+                sc, sc.channel.scan_phase, sc.prep.gain, sc.readout.gain
+            )
+            assert mean.shape == (4,) and cov.shape == (4, 4)
+            assert_moments_close(mean, cov, engine_chain(
+                sc, sc.channel.scan_phase, sc.prep.gain, sc.readout.gain
+            ))
+
+    def test_batched_call_matches_point_by_point(self):
+        rng = np.random.default_rng(8192)
+        sc = random_scenario(rng)
+        gains = np.array([1.0, 1.3, 7.0, 700.0])
+        phis = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        mean, cov = _cascade_moments(sc, phis, sc.prep.gain, gains[:, None])
+        assert mean.shape == (4, 5, 4) and cov.shape == (4, 5, 4, 4)
+        for i, gain in enumerate(gains):
+            for j, phi in enumerate(phis):
+                assert_moments_close(
+                    mean[i, j], cov[i, j], engine_chain(sc, phi, sc.prep.gain, gain)
+                )
+
+
 class TestNoiseScan:
     def test_trace_shape_and_db(self):
         trace = noise_vs_phase(scenario(), 64)
@@ -255,7 +323,7 @@ class TestFirstHarmonicMin:
 
     def test_non_finite_sample_raises(self):
         with pytest.raises(HarmonicFitError):
-            _first_harmonic_min(lambda phi: np.nan if phi > 3.0 else 1.0)
+            _first_harmonic_min(lambda phi: np.where(phi > 3.0, np.nan, 1.0))
 
 
 class TestClosedForm:
@@ -351,6 +419,13 @@ class TestSweeps:
         assert trace.variance_linear == pytest.approx(
             closed_form_noise_reduction(mus, 0.1, 0.1, 32.0), abs=1e-9
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5])
+    def test_sweeps_reject_non_finite_or_below_one(self, bad):
+        with pytest.raises(ValueError):
+            prep_gain_sweep([1.2, bad], AmplifierParams(2.0), ChannelParams())
+        with pytest.raises(ValueError):
+            quantum_gain_sweep([4.0, bad], AmplifierParams(1.2), ChannelParams())
 
     def test_quantum_gain_sweep_monotone_for_equal_losses(self):
         gqs = np.linspace(1.5, 64.0, 12)
