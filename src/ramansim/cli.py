@@ -53,6 +53,11 @@ from .model import (
 )
 
 
+#: largest --points of the batched scans (noise-scan, gain-sweep, fringes):
+#: the cascade kernel holds every point's matrices at once, up to ~8 KB each
+MAX_POINTS = 4096
+
+
 class UsageError(Exception):
     """Bad flag/config values; mapped to exit code 2."""
 
@@ -191,6 +196,11 @@ def _check_range(cfg: dict, key: str, lo: float, hi: float) -> float:
     return v
 
 
+def _check_points(cfg: dict, lo: int) -> None:
+    if not lo <= cfg["points"] <= MAX_POINTS:
+        raise UsageError(f"points must be within [{lo}, {MAX_POINTS}]")
+
+
 def _channel(cfg: dict) -> ChannelParams:
     return ChannelParams(
         loss_stokes=_check_range(cfg, "loss_stokes", 0.0, 1.0),
@@ -222,8 +232,7 @@ def _cmd_noise_scan(args) -> int:
     cfg = _resolve(args, "noise-scan")
     if cfg["prep_gain"] < 1.0:
         raise UsageError("prep-gain must be >= 1")
-    if cfg["points"] < 2:
-        raise UsageError("points must be >= 2")
+    _check_points(cfg, 2)
     scenario = CascadeScenario(
         AmplifierParams(cfg["prep_gain"]), _resolve_readout(cfg), _channel(cfg)
     )
@@ -255,8 +264,7 @@ def _cmd_gain_sweep(args) -> int:
     sweep = cfg["sweep"]
     if sweep not in ("prep-gain", "readout-gq"):
         raise UsageError("sweep must be 'prep-gain' or 'readout-gq'")
-    if cfg["points"] < 1:
-        raise UsageError("points must be >= 1")
+    _check_points(cfg, 1)
     channel = _channel(cfg)
     if sweep == "prep-gain":
         values = _sweep_values(cfg, 1.0, 2.0)
@@ -402,8 +410,7 @@ def _cmd_fringes(args) -> int:
         )
     if cfg["prep_gain"] < 1.0:
         raise UsageError("prep-gain must be >= 1")
-    if cfg["points"] < 2:
-        raise UsageError("points must be >= 2")
+    _check_points(cfg, 2)
     scenario = CascadeScenario(
         AmplifierParams(cfg["prep_gain"]),
         _resolve_readout(cfg),

@@ -2,15 +2,18 @@
 
 Brute-force reference implementation of the same squeezer/loss/phase
 circuits as the Gaussian engine, in a number basis truncated at
-``n_max`` photons per mode.  Pure states are complex amplitude tensors of
-shape (n_max+1,)*n_modes; loss converts to a density operator and is
-applied through an explicit Kraus decomposition.
+``n_max`` photons per mode.  Every state is pure: a complex amplitude
+tensor of shape (n_max+1,)*n_modes.  A lossy mode stays pure through its
+purification: pure loss L is a beam splitter of transmission 1 - L onto a
+vacuum environment mode appended as the last axis, so a state carries the
+environment modes of its losses after the modes of its circuit.
 
-The two-mode squeezer is the exponential of its anti-Hermitian generator
-K = r (e^{i theta} a^dag b^dag - e^{-i theta} a b), evaluated with
-scipy.sparse.linalg.expm_multiply; for density operators exp(K) is built
-once per (r, theta, n_max) as dense blocks over the invariant subspaces of
-K and cached, because it is reused across the cross-check battery.
+The two-mode squeezer K = r (e^{i theta} a^dag b^dag - e^{-i theta} a b)
+conserves n_a - n_b and the beam splitter K = theta (a^dag b - a b^dag)
+conserves n_a + n_b, so exp(K) of either is a set of small dense blocks
+over the invariant subspaces of K.  The blocks are built once per
+coupling and truncation and cached, because the cross-check battery
+reuses them; one helper applies them to any two axes of a state.
 
 Truncation adequacy is policed, not assumed: every builder and squeezer
 application checks the population at the truncation edge and raises
@@ -26,32 +29,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import comb
 
 #: maximum tolerated population at the truncation edge
 EDGE_TOL = 1e-8
 #: maximum tolerated relative amplitude of the highest retained TMSV term
 TAIL_TOL = 1e-6
-#: tolerated norm / trace drift through a unitary application
+#: tolerated norm drift through a unitary application
 NORM_TOL = 1e-8
 
 
 class TruncationError(RuntimeError):
     """The requested operation is not representable at this truncation."""
-
-
-def _destroy(dim: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
-
-
-def _embed(op: sp.spmatrix, mode: int, n_modes: int, dim: int) -> sp.csr_matrix:
-    """Lift a single-mode operator to the n-mode product space (mode 0 is
-    the slowest, i.e. leftmost, tensor factor)."""
-    out = sp.identity(dim ** mode, format="csr")
-    out = sp.kron(out, op, format="csr")
-    out = sp.kron(out, sp.identity(dim ** (n_modes - mode - 1), format="csr"), format="csr")
-    return out.tocsr()
 
 
 @dataclass(frozen=True)
@@ -78,35 +66,6 @@ class FockState:
     @property
     def n_modes(self) -> int:
         return self.amps.ndim
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Mixed state: matrix on the product space, plus truncation metadata."""
-
-    n_max: int
-    n_modes: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = (self.n_max + 1) ** self.n_modes
-        if self.n_max < 1 or self.n_modes < 1:
-            raise ValueError("n_max and n_modes must be >= 1")
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape}, expected {(d, d)}")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr} deviates from 1 beyond 1e-9")
-        if not np.allclose(mat, mat.conj().T, atol=1e-10):
-            raise ValueError("density matrix must be Hermitian")
-        mat = mat / tr
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -143,22 +102,13 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
     return FockState(n_max, amps)
 
 
-def to_density(state: FockState) -> DensityOperator:
-    flat = state.amps.reshape(-1)
-    return DensityOperator(state.n_max, state.n_modes, np.outer(flat, flat.conj()))
-
-
-def edge_population(state: FockState | DensityOperator) -> float:
+def edge_population(state: FockState) -> float:
     """Total population on basis states with any mode at n = n_max."""
-    if isinstance(state, FockState):
-        interior = state.amps[(slice(0, state.n_max),) * state.n_modes]
-        return float(max(0.0, 1.0 - np.linalg.norm(interior) ** 2))
-    diag = state.matrix.diagonal().real.reshape((state.dim,) * state.n_modes)
-    interior = diag[(slice(0, state.n_max),) * state.n_modes]
-    return float(max(0.0, diag.sum() - interior.sum()))
+    interior = state.amps[(slice(0, state.n_max),) * state.n_modes]
+    return float(max(0.0, 1.0 - np.linalg.norm(interior) ** 2))
 
 
-def _check_edge(state: FockState | DensityOperator) -> None:
+def _check_edge(state: FockState) -> None:
     pop = edge_population(state)
     if pop >= EDGE_TOL:
         raise TruncationError(
@@ -167,19 +117,16 @@ def _check_edge(state: FockState | DensityOperator) -> None:
         )
 
 
-def _squeeze_generator(r: float, theta: float, dim: int, modes: tuple[int, int], n_modes: int) -> sp.csr_matrix:
-    a = _embed(_destroy(dim), modes[0], n_modes, dim)
-    b = _embed(_destroy(dim), modes[1], n_modes, dim)
-    ab = (a @ b).tocsr()
-    return (r * (np.exp(1j * theta) * ab.conj().T - np.exp(-1j * theta) * ab)).tocsr()
-
-
-@lru_cache(maxsize=4)
-def _squeeze_blocks(r: float, theta: float, dim: int, modes: tuple[int, int], n_modes: int):
-    """exp(K) as (indices, dense block) pairs over the connected components
-    of the sparsity graph of K (the squeezer conserves n_a - n_b); cached
-    because the battery reuses few (r, n_max) pairs."""
-    k = _squeeze_generator(r, theta, dim, modes, n_modes)
+@lru_cache(maxsize=8)
+def _pair_blocks(coupling: complex, dim: int, squeeze: bool):
+    """exp(K) for K = g P^dag - g* P on two modes (the first is the slower
+    index), with P = a b for the squeezer and P = a b^dag for the beam
+    splitter, as (indices, dense block) pairs over the connected components
+    of the sparsity graph of K, which are its conserved-number subspaces;
+    cached because the battery reuses few couplings."""
+    a = sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+    p = sp.kron(a, a if squeeze else a.T, format="csr")
+    k = (coupling * p.conj().T - np.conj(coupling) * p).tocsr()
     labels = connected_components(k != 0, directed=False)[1]
     blocks = []
     for label in range(labels.max() + 1):
@@ -190,6 +137,27 @@ def _squeeze_blocks(r: float, theta: float, dim: int, modes: tuple[int, int], n_
     return tuple(blocks)
 
 
+def _apply_pair(amps: np.ndarray, blocks, axes: tuple[int, int]) -> np.ndarray:
+    """exp(K) from its blocks on two axes of an amplitude tensor: the axes
+    are moved to the front, and each block acts on its rows."""
+    t = np.moveaxis(amps, axes, (0, 1))
+    rows = t.reshape(t.shape[0] * t.shape[1], -1)
+    out = np.empty_like(rows)
+    for idx, u in blocks:
+        out[idx] = u @ rows[idx]
+    return np.moveaxis(out.reshape(t.shape), (0, 1), axes)
+
+
+def _unitary_result(n_max: int, amps: np.ndarray, what: str) -> FockState:
+    """Normalise the freshly computed output of a unitary in place and wrap
+    it, refusing norm drift."""
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise RuntimeError(f"{what} drifted the norm to {norm}")
+    amps /= norm
+    return FockState(n_max, amps)
+
+
 def _validate_modes(modes: tuple[int, int], n_modes: int) -> None:
     if len(modes) != 2 or modes[0] == modes[1]:
         raise ValueError("modes must be two distinct indices")
@@ -198,135 +166,90 @@ def _validate_modes(modes: tuple[int, int], n_modes: int) -> None:
 
 
 def apply_two_mode_squeeze(
-    state: FockState | DensityOperator,
+    state: FockState,
     r: float,
     theta: float = 0.0,
     modes: tuple[int, int] = (0, 1),
-):
+) -> FockState:
     """Apply exp(r (e^{i theta} a^dag b^dag - h.c.)) to a state.
 
-    Norm (trace) preservation is verified to 1e-8 and the edge population
-    of the result must stay below 1e-8, otherwise TruncationError.
+    Norm preservation is verified to 1e-8 and the edge population of the
+    result must stay below 1e-8, otherwise TruncationError.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     modes = tuple(modes)
     _validate_modes(modes, state.n_modes)
-    if isinstance(state, FockState):
-        k = _squeeze_generator(r, theta, state.dim, modes, state.n_modes)
-        flat = expm_multiply(k, state.amps.reshape(-1))
-        norm = np.linalg.norm(flat)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise RuntimeError(f"squeezer application drifted the norm to {norm}")
-        out = FockState(state.n_max, (flat / norm).reshape(state.amps.shape))
-        _check_edge(out)
-        return out
-    blocks = _squeeze_blocks(float(r), float(theta), state.dim, modes, state.n_modes)
-    mat = np.empty_like(state.matrix)
-    for idx, u in blocks:
-        mat[idx] = u @ state.matrix[idx]
-    for idx, u in blocks:
-        mat[:, idx] = mat[:, idx] @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > NORM_TOL:
-        raise RuntimeError(f"squeezer application drifted the trace to {tr}")
-    out = DensityOperator(state.n_max, state.n_modes, mat / tr)
+    blocks = _pair_blocks(complex(r * np.exp(1j * theta)), state.dim, True)
+    out = _unitary_result(
+        state.n_max, _apply_pair(state.amps, blocks, modes), "squeezer application"
+    )
     _check_edge(out)
     return out
 
 
-def apply_phase_rotation(state: FockState | DensityOperator, mode: int, phi: float):
+def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
     """Apply e^{i phi n} on one mode."""
-    if isinstance(state, FockState):
-        if not 0 <= mode < state.n_modes:
-            raise ValueError("mode index out of range")
-        phases = np.exp(1j * phi * np.arange(state.dim))
-        shape = [1] * state.n_modes
-        shape[mode] = state.dim
-        return FockState(state.n_max, state.amps * phases.reshape(shape))
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index out of range")
-    d, m = state.dim, state.n_modes
-    phases = np.exp(1j * phi * np.arange(d))
-    tensor = state.matrix.reshape((d,) * (2 * m)).copy()
-    shape = [1] * (2 * m)
-    shape[mode] = d
-    tensor *= phases.reshape(shape)
-    shape = [1] * (2 * m)
-    shape[m + mode] = d
-    tensor *= phases.conj().reshape(shape)
-    return DensityOperator(state.n_max, m, tensor.reshape(state.matrix.shape))
+    phases = np.exp(1j * phi * np.arange(state.dim))
+    shape = [1] * state.n_modes
+    shape[mode] = state.dim
+    return FockState(state.n_max, state.amps * phases.reshape(shape))
 
 
-def apply_loss_kraus(rho: DensityOperator, mode: int, loss: float) -> DensityOperator:
-    """Pure-loss channel through its Kraus operators
-    E_k = sum_n sqrt(C(n, k) T^{n-k} L^k) |n-k><n|.
-
-    The truncated Kraus set still resolves the identity exactly
-    (sum_k E_k^dag E_k = 1), so the trace is preserved to rounding.
+def apply_loss(state: FockState, mode: int, loss: float) -> FockState:
+    """Pure-loss channel as a beam splitter of angle arcsin(sqrt(loss))
+    between the mode and a vacuum environment mode appended as the last
+    axis.  The splitter conserves the photon number of the pair, so a
+    vacuum environment never reaches beyond the mode's own truncation.
     """
     if not 0.0 <= loss <= 1.0:
         raise ValueError("loss must be within [0, 1]")
-    if not 0 <= mode < rho.n_modes:
-        raise ValueError("mode index out of range")
-    if loss == 0.0:
-        return rho
-    d, m = rho.dim, rho.n_modes
-    t = 1.0 - loss
-    tensor = rho.matrix.reshape((d,) * (2 * m))
-    out = np.zeros_like(tensor)
-    ax_row, ax_col = mode, m + mode
-    for k in range(d):
-        j = np.arange(d - k)
-        w = np.sqrt(comb(j + k, k) * t ** j * loss ** k)
-        w_row = w.reshape([w.size if ax == ax_row else 1 for ax in range(2 * m)])
-        w_col = w.reshape([w.size if ax == ax_col else 1 for ax in range(2 * m)])
-        src = [slice(None)] * (2 * m)
-        dst = [slice(None)] * (2 * m)
-        src[ax_row] = src[ax_col] = slice(k, d)
-        dst[ax_row] = dst[ax_col] = slice(0, d - k)
-        out[tuple(dst)] += (w_row * w_col) * tensor[tuple(src)]
-    mat = out.reshape(rho.matrix.shape)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > NORM_TOL:
-        raise RuntimeError(f"loss channel drifted the trace to {tr}")
-    return DensityOperator(rho.n_max, m, mat / tr)
-
-
-def _quadrature_op(dim: int, mode: int, n_modes: int, lo_phase: float) -> sp.csr_matrix:
-    a = _embed(_destroy(dim), mode, n_modes, dim)
-    return (np.exp(-1j * lo_phase) * a + np.exp(1j * lo_phase) * a.conj().T).tocsr()
-
-
-def quadrature_variance(state: FockState | DensityOperator, mode: int, lo_phase: float = 0.0) -> float:
-    """Variance of X_phi = e^{-i phi} a + e^{i phi} a^dag on one mode."""
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index out of range")
-    x = _quadrature_op(state.dim, mode, state.n_modes, lo_phase)
-    if isinstance(state, FockState):
-        flat = state.amps.reshape(-1)
-        xv = x @ flat
-        m1 = np.vdot(flat, xv).real
-        m2 = np.vdot(xv, xv).real
-        return float(m2 - m1 * m1)
-    a = x @ state.matrix
-    m1 = np.trace(a).real
-    m2 = np.trace(x @ a).real
+    if loss == 0.0:
+        return state
+    d = state.dim
+    moved = np.moveaxis(state.amps, mode, 0)
+    padded = np.zeros((d, d) + moved.shape[1:], dtype=complex)
+    padded[:, 0] = moved
+    blocks = _pair_blocks(complex(np.arcsin(np.sqrt(loss))), d, False)
+    out = np.moveaxis(_apply_pair(padded, blocks, (0, 1)), (0, 1), (mode, -1))
+    return _unitary_result(state.n_max, out, "loss channel")
+
+
+def _mode_moments(state: FockState, mode: int):
+    """Populations p_n, <a> and <a^2> of one mode, from the overlaps of the
+    rows psi_n of the amplitude tensor at n photons in that mode."""
+    rows = np.moveaxis(state.amps, mode, 0).reshape(state.dim, -1)
+    bra = rows.conj()
+    n = np.arange(state.dim, dtype=float)
+    pop = np.einsum("ij,ij->i", bra, rows).real
+    a1 = np.sqrt(n[1:]) @ np.einsum("ij,ij->i", bra[:-1], rows[1:])
+    a2 = np.sqrt(n[1:-1] * n[2:]) @ np.einsum("ij,ij->i", bra[:-2], rows[2:])
+    return pop, a1, a2
+
+
+def quadrature_variance(state: FockState, mode: int, lo_phase: float = 0.0) -> float:
+    """Variance of X_phi = e^{-i phi} a + e^{i phi} a^dag on one mode, with
+    <X^2> = |X psi|^2 for X truncated at n_max, where a a^dag vanishes on
+    |n_max>."""
+    if not 0 <= mode < state.n_modes:
+        raise ValueError("mode index out of range")
+    pop, a1, a2 = _mode_moments(state, mode)
+    n = np.arange(state.dim)
+    m1 = 2.0 * (np.exp(-1j * lo_phase) * a1).real
+    m2 = (2 * n + 1) @ pop - state.dim * pop[-1] + 2.0 * (np.exp(-2j * lo_phase) * a2).real
     return float(m2 - m1 * m1)
 
 
-def mean_photon_number(state: FockState | DensityOperator, mode: int) -> float:
+def mean_photon_number(state: FockState, mode: int) -> float:
     """<n> of one mode."""
     if not 0 <= mode < state.n_modes:
         raise ValueError("mode index out of range")
-    d, m = state.dim, state.n_modes
-    n_diag = np.arange(d, dtype=float)
-    shape = [d if ax == mode else 1 for ax in range(m)]
-    if isinstance(state, FockState):
-        return float(np.sum(np.abs(state.amps) ** 2 * n_diag.reshape(shape)))
-    diag = state.matrix.diagonal().real.reshape((d,) * m)
-    return float(np.sum(diag * n_diag.reshape(shape)))
+    pop = _mode_moments(state, mode)[0]
+    return float(np.arange(state.dim) @ pop)
 
 
 def overlap(state_a: FockState, state_b: FockState) -> complex:

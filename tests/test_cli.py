@@ -69,6 +69,12 @@ class TestNoiseScan:
         assert run_cli(*argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_points_limit(self, capsys):
+        assert run_cli("noise-scan", "--points", str(cli.MAX_POINTS)) == 0
+        assert len(data_rows(capsys.readouterr().out)) == cli.MAX_POINTS + 1
+        assert run_cli("noise-scan", "--points", str(cli.MAX_POINTS + 1)) == 2
+        assert "points must be within" in capsys.readouterr().err
+
 
 class TestGainSweep:
     def test_single_point_unprepared_row(self, capsys):
@@ -115,6 +121,10 @@ class TestGainSweep:
         assert run_cli("gain-sweep", "--sweep", "readout-gq", *bound) == 2
         assert "start and stop must be finite" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_points_above_limit_is_usage_error(self, capsys):
+        assert run_cli("gain-sweep", "--points", str(cli.MAX_POINTS + 1)) == 2
+        assert "points must be within" in capsys.readouterr().err
 
     def test_bad_sweep_name(self, capsys):
         assert run_cli("gain-sweep", "--sweep", "banana") == 2
@@ -211,6 +221,10 @@ class TestFringes:
         assert run_cli("fringes", "--seed-amplitude", "0") == 2
         assert "noise-scan" in capsys.readouterr().err
 
+    def test_points_above_limit_is_usage_error(self, capsys):
+        assert run_cli("fringes", "--points", str(cli.MAX_POINTS + 1)) == 2
+        assert "points must be within" in capsys.readouterr().err
+
     def test_no_prep_flat_intensity(self, capsys):
         assert run_cli("fringes", "--prep-gain", "1", "--points", "8") == 0
         rows = data_rows(capsys.readouterr().out)[1:]
@@ -220,7 +234,7 @@ class TestFringes:
 
 class TestOracleCheck:
     def test_passing_battery(self, monkeypatch, capsys):
-        stub = BatteryResult([("a", 1e-9), ("b", 3e-8)], 1e-6, 0.1)
+        stub = BatteryResult([("a", 1e-9), ("b", 3e-8)], 0.1)
         monkeypatch.setattr(cli, "run_battery", lambda n_max: stub)
         assert run_cli("oracle-check") == 0
         out = capsys.readouterr().out
@@ -228,7 +242,7 @@ class TestOracleCheck:
         assert "# status = PASS" in out
 
     def test_failing_battery(self, monkeypatch, capsys):
-        stub = BatteryResult([("bad", 5e-4)], 1e-6, 0.1)
+        stub = BatteryResult([("bad", 5e-4)], 0.1)
         monkeypatch.setattr(cli, "run_battery", lambda n_max: stub)
         assert run_cli("oracle-check") == 3
         assert "# status = FAIL" in capsys.readouterr().out

@@ -84,6 +84,17 @@ class TestVarianceDeviation:
         circuit = (Squeeze(0.5), Loss(0, 0.5), Loss(1, 0.1), Rotate(0, np.pi / 2), Squeeze(0.5))
         assert variance_deviation(circuit) < AGREEMENT_TOL
 
+    def test_pump_phase_sign_convention(self):
+        # the standard battery keeps theta = 0; flipping the sign of the
+        # pump phase in either engine makes this circuit deviate by ~1.9
+        circuit = (
+            Squeeze(0.5, theta=0.3),
+            Loss(1, 0.1),
+            Rotate(0, np.pi / 2),
+            Squeeze(0.5, theta=1.1),
+        )
+        assert variance_deviation(circuit, n_max=30) < AGREEMENT_TOL
+
 
 class TestAdaptiveTruncation:
     def test_doubles_until_adequate(self):

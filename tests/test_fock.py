@@ -4,22 +4,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import comb
 
 from ramansim.fock import (
-    DensityOperator,
     FockState,
     TruncationError,
-    _squeeze_blocks,
-    _squeeze_generator,
-    apply_loss_kraus,
+    _apply_pair,
+    _pair_blocks,
+    apply_loss,
     apply_phase_rotation,
     apply_two_mode_squeeze,
     edge_population,
     mean_photon_number,
     overlap,
     quadrature_variance,
-    to_density,
     two_mode_squeezed_vacuum,
     vacuum_state,
 )
@@ -27,6 +27,38 @@ from ramansim.fock import (
 R = 0.5
 ARM_VAR = math.cosh(2 * R)  # 1.5430806348152437
 MEAN_PHOTON = math.sinh(R) ** 2  # 0.2715403174076218
+
+
+def random_state(n_modes, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(dim,) * n_modes) + 1j * rng.normal(size=(dim,) * n_modes)
+    return FockState(dim - 1, amps / np.linalg.norm(amps))
+
+
+def embed(op, mode, n_modes):
+    """A single-mode operator on the n-mode product space (mode 0 is the
+    slowest tensor factor)."""
+    dim = op.shape[0]
+    left = sp.identity(dim**mode, format="csr")
+    right = sp.identity(dim ** (n_modes - mode - 1), format="csr")
+    return sp.kron(sp.kron(left, op), right, format="csr")
+
+
+def destroy(dim):
+    return sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+
+
+def kraus_loss(rho, mode, n_modes, loss):
+    """Pure loss through its Kraus operators
+    E_k = sum_n sqrt(C(n, k) T^{n-k} L^k) |n-k><n| on one mode of rho."""
+    dim = round(rho.shape[0] ** (1.0 / n_modes))
+    out = np.zeros_like(rho)
+    for k in range(dim):
+        n = np.arange(k, dim)
+        w = np.sqrt(comb(n, k) * (1.0 - loss) ** (n - k) * loss**k)
+        e = embed(sp.csr_matrix((w, (n - k, n)), shape=(dim, dim)), mode, n_modes)
+        out += e @ rho @ e.conj().T
+    return out
 
 
 class TestVacuum:
@@ -83,23 +115,19 @@ class TestSqueezeOperation:
         with pytest.raises(TruncationError):
             apply_two_mode_squeeze(state, 0.6)
 
-    def test_density_path_matches_pure_path(self):
-        pure = apply_two_mode_squeeze(vacuum_state(2, 25), R, theta=0.2)
-        mixed = apply_two_mode_squeeze(to_density(vacuum_state(2, 25)), R, theta=0.2)
-        for mode in (0, 1):
-            for lo_phase in (0.0, np.pi / 2):
-                assert quadrature_variance(mixed, mode, lo_phase) == pytest.approx(
-                    quadrature_variance(pure, mode, lo_phase), abs=1e-9
-                )
-
     @pytest.mark.parametrize("dim, modes, n_modes", [(12, (0, 1), 2), (5, (2, 0), 3)])
     def test_blocks_match_generator_exponential(self, dim, modes, n_modes):
-        k = _squeeze_generator(0.6, 0.4, dim, modes, n_modes)
-        reference = expm_multiply(k, np.eye(k.shape[0], dtype=complex))
-        u = np.zeros_like(reference)
-        for idx, block in _squeeze_blocks(0.6, 0.4, dim, modes, n_modes):
-            u[np.ix_(idx, idx)] = block
-        assert np.max(np.abs(u - reference)) < 1e-12
+        """The block squeezer on two modes of a random state against
+        expm_multiply of the generator embedded in the full product space."""
+        a = embed(destroy(dim), modes[0], n_modes)
+        b = embed(destroy(dim), modes[1], n_modes)
+        ab = a @ b
+        k = 0.6 * (np.exp(0.4j) * ab.conj().T - np.exp(-0.4j) * ab)
+        state = random_state(n_modes, dim)
+        reference = expm_multiply(k, state.amps.reshape(-1)).reshape(state.amps.shape)
+        blocks = _pair_blocks(complex(0.6 * np.exp(0.4j)), dim, True)
+        out = _apply_pair(state.amps, blocks, modes)
+        assert np.max(np.abs(out - reference)) < 1e-12
 
     def test_unitarity(self):
         state = apply_two_mode_squeeze(vacuum_state(2, 30), 0.6)
@@ -121,14 +149,6 @@ class TestPhaseRotation:
         rotated = apply_phase_rotation(state, 0, 1.3)
         assert quadrature_variance(rotated, 0) == pytest.approx(ARM_VAR, abs=1e-10)
 
-    def test_density_path_matches_pure_path(self):
-        pure = apply_phase_rotation(two_mode_squeezed_vacuum(R, n_max=20), 1, 0.4)
-        mixed = apply_phase_rotation(to_density(two_mode_squeezed_vacuum(R, n_max=20)), 1, 0.4)
-        for lo_phase in (0.0, 1.1):
-            assert quadrature_variance(mixed, 1, lo_phase) == pytest.approx(
-                quadrature_variance(pure, 1, lo_phase), abs=1e-10
-            )
-
     def test_full_turn_identity(self):
         state = two_mode_squeezed_vacuum(R, n_max=20)
         rotated = apply_phase_rotation(state, 0, 2 * np.pi)
@@ -137,39 +157,53 @@ class TestPhaseRotation:
 
 class TestLossChannel:
     def test_trace_exactly_preserved(self):
-        rho = to_density(two_mode_squeezed_vacuum(R, n_max=25))
-        out = apply_loss_kraus(rho, 0, 0.37)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+        state = two_mode_squeezed_vacuum(R, n_max=25)
+        out = apply_loss(state, 0, 0.37)
+        assert np.vdot(out.amps, out.amps).real == pytest.approx(1.0, abs=1e-12)
 
     def test_half_loss_variance(self):
-        rho = to_density(two_mode_squeezed_vacuum(R, n_max=30))
-        out = apply_loss_kraus(rho, 0, 0.5)
+        state = two_mode_squeezed_vacuum(R, n_max=30)
+        out = apply_loss(state, 0, 0.5)
         assert quadrature_variance(out, 0) == pytest.approx(
             0.5 * ARM_VAR + 0.5, abs=1e-9
         )
         assert quadrature_variance(out, 1) == pytest.approx(ARM_VAR, abs=1e-9)
 
     def test_full_loss_resets_mode(self):
-        rho = to_density(two_mode_squeezed_vacuum(R, n_max=20))
-        out = apply_loss_kraus(rho, 1, 1.0)
+        state = two_mode_squeezed_vacuum(R, n_max=20)
+        out = apply_loss(state, 1, 1.0)
         assert mean_photon_number(out, 1) == pytest.approx(0.0, abs=1e-12)
         assert quadrature_variance(out, 1, 0.9) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_loss_identity(self):
-        rho = to_density(two_mode_squeezed_vacuum(R, n_max=20))
-        out = apply_loss_kraus(rho, 0, 0.0)
-        assert np.allclose(out.matrix, rho.matrix, atol=1e-13)
+        state = two_mode_squeezed_vacuum(R, n_max=20)
+        out = apply_loss(state, 0, 0.0)
+        assert np.allclose(out.amps, state.amps, atol=1e-13)
 
     def test_mean_photon_scales_with_transmission(self):
-        rho = to_density(two_mode_squeezed_vacuum(R, n_max=25))
-        out = apply_loss_kraus(rho, 0, 0.3)
+        state = two_mode_squeezed_vacuum(R, n_max=25)
+        out = apply_loss(state, 0, 0.3)
         assert mean_photon_number(out, 0) == pytest.approx(0.7 * MEAN_PHOTON, abs=1e-10)
 
     @pytest.mark.parametrize("loss", [-0.01, 1.01])
     def test_loss_range_validation(self, loss):
-        rho = to_density(vacuum_state(1, 4))
+        state = vacuum_state(1, 4)
         with pytest.raises(ValueError):
-            apply_loss_kraus(rho, 0, loss)
+            apply_loss(state, 0, loss)
+
+    @pytest.mark.parametrize("n_max", [1, 4, 8])
+    @pytest.mark.parametrize("mode", [0, 1])
+    @pytest.mark.parametrize("loss", [0.1, 0.5, 1.0])
+    def test_reduced_state_matches_kraus_sum(self, n_max, mode, loss):
+        """Tracing the environment out of the beam-splitter purification
+        leaves the Kraus sum over E_k rho E_k^dag."""
+        state = random_state(2, n_max + 1, seed=n_max)
+        flat = state.amps.reshape(-1)
+        reference = kraus_loss(np.outer(flat, flat.conj()), mode, 2, loss)
+        out = apply_loss(state, mode, loss)
+        assert out.n_modes == 3
+        system = out.amps.reshape(-1, n_max + 1)  # environment is the last axis
+        assert np.max(np.abs(system @ system.conj().T - reference)) < 1e-12
 
 
 class TestValidation:
@@ -178,16 +212,6 @@ class TestValidation:
         amps[0] = 0.5
         with pytest.raises(ValueError):
             FockState(4, amps)
-
-    def test_density_trace_enforced(self):
-        with pytest.raises(ValueError):
-            DensityOperator(3, 1, 0.5 * np.eye(4, dtype=complex))
-
-    def test_density_hermiticity_enforced(self):
-        mat = np.eye(4, dtype=complex) / 4.0
-        mat[0, 1] = 0.2
-        with pytest.raises(ValueError):
-            DensityOperator(3, 1, mat)
 
     def test_edge_population_of_small_state(self):
         assert edge_population(vacuum_state(2, 3)) == pytest.approx(0.0, abs=1e-14)
