@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .crosscheck import AGREEMENT_TOL, run_battery
+from .crosscheck import AGREEMENT_TOL, N_MAX_LIMIT, run_battery
 from .fitting import (
     DegenerateDesignError,
     FitConfig,
@@ -382,19 +382,13 @@ def _cmd_correlation(args) -> int:
             if gq is None and gq_db is None:
                 raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
             readout = _resolve_readout(cfg)
-            if not from_ratio > 0:
-                raise UsageError("from-ratio must be positive")
             x_plus = correlation_estimate_from_ratio(from_ratio, readout.quantum_noise_gain)
             fh.write("estimate: finite-gain single point (2R, upper-bound-style)\n")
         else:
             if cfg["prep_gain"] is None:
                 raise UsageError("give --prep-gain (with losses) or --from-ratio")
-            if cfg["prep_gain"] < 1.0:
-                raise UsageError("prep-gain must be >= 1")
             x_plus = joint_quadrature_variance(
-                cfg["prep_gain"],
-                _check_range(cfg, "loss_stokes", 0.0, 1.0),
-                _check_range(cfg, "loss_spinwave", 0.0, 1.0),
+                cfg["prep_gain"], cfg["loss_stokes"], cfg["loss_spinwave"]
             )
             fh.write("estimate: infinite-gain joint quadrature variance\n")
         fh.write(f"x_plus = {_fmt(x_plus)}\n")
@@ -429,8 +423,8 @@ def _cmd_fringes(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _resolve(args, "oracle-check")
-    if cfg["truncation"] < 2:
-        raise UsageError("truncation must be >= 2")
+    if not 2 <= cfg["truncation"] <= N_MAX_LIMIT:
+        raise UsageError(f"truncation must be within [2, {N_MAX_LIMIT}]")
     result = run_battery(n_max=cfg["truncation"])
     with _open_out(args.out) as fh:
         _echo_config(fh, "oracle-check", cfg)

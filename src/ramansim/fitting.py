@@ -141,8 +141,8 @@ class FitConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.mu_max <= 1.0:
-            raise ValueError("mu_max must be > 1")
+        if not 1.0 < self.mu_max < math.inf:
+            raise ValueError("mu_max must be finite and > 1")
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,32 @@
-"""Truncated Fock-space oracle.
+"""Truncated Fock-space oracle on the charge-zero sector.
 
-Brute-force reference implementation of the same squeezer/loss/phase
-circuits as the Gaussian engine, in a number basis truncated at
-``n_max`` photons per mode.  Every state is pure: a complex amplitude
-tensor of shape (n_max+1,)*n_modes.  A lossy mode stays pure through its
-purification: pure loss L is a beam splitter of transmission 1 - L onto a
-vacuum environment mode appended as the last axis, so a state carries the
-environment modes of its losses after the modes of its circuit.
-
-The two-mode squeezer K = r (e^{i theta} a^dag b^dag - e^{-i theta} a b)
-conserves n_a - n_b and the beam splitter K = theta (a^dag b - a b^dag)
-conserves n_a + n_b, so exp(K) of either is a set of small dense blocks
-over the invariant subspaces of K.  The blocks are built once per
-coupling and truncation and cached, because the cross-check battery
-reuses them; one helper applies them to any two axes of a state.
+Brute-force reference for the Gaussian engine's two-mode squeezer, loss and
+phase circuits, in a number basis truncated at ``n_max`` photons per mode.
+States are pure: loss on mode a (index 0) or b (index 1) is a beam splitter
+onto a vacuum environment mode of that arm, e_a or e_b.  With charge +1 on
+a and e_a and -1 on b and e_b, every operation conserves
+Q = n_a - n_b + n_ea - n_eb, which is 0 from vacuum, so a state is stored as
+psi[n_a, n_ea, n_eb] with n_b = n_a + n_ea - n_eb implied (U(1)-symmetric
+storage; Singh, Pfeifer and Vidal, PRB 83, 115125, 2011).  An environment
+axis has length 1 until its loss is applied.  Each unitary acts on 1-D
+chains of the store along which its generator is tridiagonal; exp of a
+chain comes from a real symmetric tridiagonal eigensystem and a diagonal
+phase gauge, cached per coupling and truncation.
 
 Truncation adequacy is policed, not assumed: every builder and squeezer
-application checks the population at the truncation edge and raises
-TruncationError instead of returning silently wrong numbers.
+application checks the population at the truncation edge of all four
+modes and raises TruncationError instead of returning silently wrong
+numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import eigh_tridiagonal
 
 #: maximum tolerated population at the truncation edge
 EDGE_TOL = 1e-8
@@ -42,9 +40,23 @@ class TruncationError(RuntimeError):
     """The requested operation is not representable at this truncation."""
 
 
+@lru_cache(maxsize=16)
+def _sector(n_max: int, shape: tuple[int, int, int]):
+    """For a store of this shape: the implied n_b clipped into [0, n_max],
+    the mask of entries whose n_b leaves [0, n_max] (outside the sector),
+    and the mask of entries with any of the four modes at n_max."""
+    n_a, n_ea, n_eb = np.ogrid[: shape[0], : shape[1], : shape[2]]
+    n_b = n_a + n_ea - n_eb
+    outside = (n_b < 0) | (n_b > n_max)
+    edge = ~outside & ((n_a == n_max) | (n_ea == n_max) | (n_eb == n_max) | (n_b == n_max))
+    return np.clip(n_b, 0, n_max), outside, edge
+
+
 @dataclass(frozen=True)
 class FockState:
-    """Pure state: amplitude tensor of shape (n_max+1,)*n_modes."""
+    """Pure two-mode state on the Q = 0 sector: amplitudes psi[n_a, n_ea, n_eb]
+    of shape (n_max+1, 1 or n_max+1, 1 or n_max+1), zero wherever the
+    implied n_b = n_a + n_ea - n_eb leaves [0, n_max]."""
 
     n_max: int
     amps: np.ndarray
@@ -54,9 +66,11 @@ class FockState:
         d = self.n_max + 1
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if amps.shape != (d,) * amps.ndim or amps.ndim < 1:
+        if amps.ndim != 3 or amps.shape[0] != d or not {amps.shape[1], amps.shape[2]} <= {1, d}:
             raise ValueError(f"amps shape {amps.shape} inconsistent with n_max {self.n_max}")
-        norm = np.linalg.norm(amps)
+        if np.any(amps[_sector(self.n_max, amps.shape)[1]]):
+            raise ValueError("amplitudes outside the Q = 0 sector (n_b out of range)")
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
         amps = amps / norm
@@ -64,20 +78,16 @@ class FockState:
         object.__setattr__(self, "amps", amps)
 
     @property
-    def n_modes(self) -> int:
-        return self.amps.ndim
-
-    @property
     def dim(self) -> int:
         return self.n_max + 1
 
 
 def vacuum_state(n_modes: int, n_max: int) -> FockState:
-    """All modes in |0>."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    amps = np.zeros((n_max + 1,) * n_modes, dtype=complex)
-    amps[(0,) * n_modes] = 1.0
+    """Both modes in |0>; the store holds two-mode circuits only."""
+    if n_modes != 2:
+        raise ValueError("the charge-sector store holds two-mode circuits: n_modes must be 2")
+    amps = np.zeros((n_max + 1, 1, 1), dtype=complex)
+    amps[0, 0, 0] = 1.0
     return FockState(n_max, amps)
 
 
@@ -94,75 +104,64 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
         raise TruncationError(
             f"TMSV r={r} tail amplitude {tail:.2e} at n_max={n_max} exceeds {TAIL_TOL}"
         )
-    d = n_max + 1
-    amps = np.zeros((d, d), dtype=complex)
-    coeff = (np.exp(1j * theta) * np.tanh(r)) ** np.arange(d) / np.cosh(r)
-    amps[np.arange(d), np.arange(d)] = coeff
-    amps /= np.linalg.norm(amps)
-    return FockState(n_max, amps)
+    coeff = (np.exp(1j * theta) * np.tanh(r)) ** np.arange(n_max + 1) / np.cosh(r)
+    return FockState(n_max, (coeff / np.linalg.norm(coeff))[:, None, None])
 
 
 def edge_population(state: FockState) -> float:
-    """Total population on basis states with any mode at n = n_max."""
-    interior = state.amps[(slice(0, state.n_max),) * state.n_modes]
-    return float(max(0.0, 1.0 - np.linalg.norm(interior) ** 2))
+    """Total population on basis states with any mode, the implied n_b and
+    the environments included, at n = n_max."""
+    edge = state.amps[_sector(state.n_max, state.amps.shape)[2]]
+    return float(np.vdot(edge, edge).real)
 
 
-def _check_edge(state: FockState) -> None:
-    pop = edge_population(state)
-    if pop >= EDGE_TOL:
-        raise TruncationError(
-            f"edge population {pop:.2e} at n_max={state.n_max} exceeds {EDGE_TOL}; "
-            "increase the truncation"
-        )
+def _chain_exp(coupling: complex, weights: np.ndarray, first_column: bool = False):
+    """exp(K) for the chain generator K[k+1, k] = g w_k, K[k, k+1] = -g* w_k
+    (only exp(K) e_0 with ``first_column``).  K = i D T D^dag with T the real
+    symmetric tridiagonal matrix of off-diagonal |g| w and
+    D = diag(e^{i k alpha}), alpha = arg g - pi/2, so
+    exp(K) = D V e^{i Lambda} V^T D^dag from the eigensystem of T."""
+    lam, v = eigh_tridiagonal(np.zeros(len(weights) + 1), abs(coupling) * weights)
+    gauge = np.exp(1j * (np.angle(coupling) - np.pi / 2.0) * np.arange(len(lam)))
+    right = v[0] * gauge[0].conj() if first_column else v.T * gauge.conj()
+    return (gauge[:, None] * v * np.exp(1j * lam)) @ right
 
 
 @lru_cache(maxsize=8)
-def _pair_blocks(coupling: complex, dim: int, squeeze: bool):
-    """exp(K) for K = g P^dag - g* P on two modes (the first is the slower
-    index), with P = a b for the squeezer and P = a b^dag for the beam
-    splitter, as (indices, dense block) pairs over the connected components
-    of the sparsity graph of K, which are its conserved-number subspaces;
-    cached because the battery reuses few couplings."""
-    a = sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
-    p = sp.kron(a, a if squeeze else a.T, format="csr")
-    k = (coupling * p.conj().T - np.conj(coupling) * p).tocsr()
-    labels = connected_components(k != 0, directed=False)[1]
+def _squeeze_blocks(coupling: complex, n_max: int) -> tuple:
+    """exp(K) of the squeezer on each chain of fixed c = n_b - n_a, indexed
+    by c + n_max: the chain runs over n_a in [max(0, -c), n_max - max(0, c)]
+    and K raises n_a and n_b with weight sqrt((n_a + 1)(n_b + 1))."""
     blocks = []
-    for label in range(labels.max() + 1):
-        idx = np.flatnonzero(labels == label)
-        u = expm(k[idx][:, idx].toarray())
-        u.setflags(write=False)
-        blocks.append((idx, u))
+    for c in range(-n_max, n_max + 1):
+        n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
+        blocks.append(_chain_exp(coupling, np.sqrt((n_a + 1.0) * (n_a + 1.0 + c))))
+        blocks[-1].setflags(write=False)
     return tuple(blocks)
 
 
-def _apply_pair(amps: np.ndarray, blocks, axes: tuple[int, int]) -> np.ndarray:
-    """exp(K) from its blocks on two axes of an amplitude tensor: the axes
-    are moved to the front, and each block acts on its rows."""
-    t = np.moveaxis(amps, axes, (0, 1))
-    rows = t.reshape(t.shape[0] * t.shape[1], -1)
-    out = np.empty_like(rows)
-    for idx, u in blocks:
-        out[idx] = u @ rows[idx]
-    return np.moveaxis(out.reshape(t.shape), (0, 1), axes)
+@lru_cache(maxsize=8)
+def _splitter_columns(theta: float, n_max: int) -> np.ndarray:
+    """Amplitude [s, k] of k photons in a vacuum environment after the
+    splitter theta (m^dag e - m e^dag) acts on s photons in mode m: exp(K) e_0
+    on the chain n_m + n_e = s ordered by n_e, along which K raises n_e with
+    weight -theta sqrt((n_e + 1)(s - n_e)).  Rows s > n_max stay zero."""
+    out = np.zeros((2 * n_max + 1, n_max + 1), dtype=complex)
+    for s in range(n_max + 1):
+        n_e = np.arange(s, dtype=float)
+        out[s, : s + 1] = _chain_exp(-theta, np.sqrt((n_e + 1.0) * (s - n_e)), first_column=True)
+    out.setflags(write=False)
+    return out
 
 
 def _unitary_result(n_max: int, amps: np.ndarray, what: str) -> FockState:
     """Normalise the freshly computed output of a unitary in place and wrap
     it, refusing norm drift."""
-    norm = np.linalg.norm(amps)
+    norm = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm - 1.0) > NORM_TOL:
         raise RuntimeError(f"{what} drifted the norm to {norm}")
     amps /= norm
     return FockState(n_max, amps)
-
-
-def _validate_modes(modes: tuple[int, int], n_modes: int) -> None:
-    if len(modes) != 2 or modes[0] == modes[1]:
-        raise ValueError("modes must be two distinct indices")
-    if min(modes) < 0 or max(modes) >= n_modes:
-        raise ValueError("mode index out of range")
 
 
 def apply_two_mode_squeeze(
@@ -171,89 +170,93 @@ def apply_two_mode_squeeze(
     theta: float = 0.0,
     modes: tuple[int, int] = (0, 1),
 ) -> FockState:
-    """Apply exp(r (e^{i theta} a^dag b^dag - h.c.)) to a state.
-
-    Norm preservation is verified to 1e-8 and the edge population of the
-    result must stay below 1e-8, otherwise TruncationError.
-    """
+    """Apply exp(r (e^{i theta} a^dag b^dag - h.c.)), symmetric in the two
+    modes, so ``modes`` is (0, 1) or (1, 0).  The chains run along n_a; the
+    (n_ea, n_eb) columns sharing c = n_ea - n_eb lie on one diagonal of the
+    environment plane, a strided slice, and share a block.  Norm
+    preservation is verified to 1e-8 and the edge population of the result
+    must stay below 1e-8, otherwise TruncationError."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    modes = tuple(modes)
-    _validate_modes(modes, state.n_modes)
-    blocks = _pair_blocks(complex(r * np.exp(1j * theta)), state.dim, True)
-    out = _unitary_result(
-        state.n_max, _apply_pair(state.amps, blocks, modes), "squeezer application"
-    )
-    _check_edge(out)
+    if sorted(modes) != [0, 1]:
+        raise ValueError("modes must be two distinct indices in {0, 1}")
+    blocks = _squeeze_blocks(complex(r * np.exp(1j * theta)), state.n_max)
+    d, n_ea, n_eb = state.amps.shape
+    flat = state.amps.reshape(d, n_ea * n_eb)
+    out = np.zeros_like(flat)
+    for c in range(1 - n_eb, n_ea):
+        first, last = max(0, -c), min(n_eb - 1, n_ea - 1 - c)  # n_eb along the diagonal
+        cols = slice(c * n_eb + first * (n_eb + 1), c * n_eb + last * (n_eb + 1) + 1, n_eb + 1)
+        rows = slice(max(0, -c), d - max(0, c))
+        out[rows, cols] = blocks[c + d - 1] @ flat[rows, cols]
+    out = _unitary_result(state.n_max, out.reshape(d, n_ea, n_eb), "squeezer application")
+    pop = edge_population(out)
+    if pop >= EDGE_TOL:
+        raise TruncationError(
+            f"edge population {pop:.2e} at n_max={state.n_max} exceeds {EDGE_TOL}; "
+            "increase the truncation"
+        )
     return out
 
 
 def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
-    """Apply e^{i phi n} on one mode."""
-    if not 0 <= mode < state.n_modes:
+    """Apply e^{i phi n} on one mode; on b, n_b = n_a + n_ea - n_eb."""
+    if mode not in (0, 1):
         raise ValueError("mode index out of range")
-    phases = np.exp(1j * phi * np.arange(state.dim))
-    shape = [1] * state.n_modes
-    shape[mode] = state.dim
-    return FockState(state.n_max, state.amps * phases.reshape(shape))
+    d, n_ea, n_eb = state.amps.shape
+    phases = np.exp(1j * phi * np.arange(d))[:, None, None]
+    if mode == 1:
+        phases = phases * np.exp(1j * phi * np.arange(n_ea))[:, None]
+        phases = phases * np.exp(-1j * phi * np.arange(n_eb))
+    return FockState(state.n_max, state.amps * phases)
 
 
 def apply_loss(state: FockState, mode: int, loss: float) -> FockState:
     """Pure-loss channel as a beam splitter of angle arcsin(sqrt(loss))
-    between the mode and a vacuum environment mode appended as the last
-    axis.  The splitter conserves the photon number of the pair, so a
-    vacuum environment never reaches beyond the mode's own truncation.
-    """
+    between the mode and its vacuum environment, whose axis this adds to the
+    store.  The environment enters each chain n_m + n_e = s at n_e = 0, so
+    only the first column of a chain's block is needed; after that it is no
+    longer vacuum, so a mode takes one nonzero loss."""
     if not 0.0 <= loss <= 1.0:
         raise ValueError("loss must be within [0, 1]")
-    if not 0 <= mode < state.n_modes:
+    if mode not in (0, 1):
         raise ValueError("mode index out of range")
     if loss == 0.0:
         return state
-    d = state.dim
-    moved = np.moveaxis(state.amps, mode, 0)
-    padded = np.zeros((d, d) + moved.shape[1:], dtype=complex)
-    padded[:, 0] = moved
-    blocks = _pair_blocks(complex(np.arcsin(np.sqrt(loss))), d, False)
-    out = np.moveaxis(_apply_pair(padded, blocks, (0, 1)), (0, 1), (mode, -1))
+    d, n_ea, n_eb = state.amps.shape
+    if (n_ea, n_eb)[mode] != 1:
+        raise ValueError(f"mode {mode} already carries a loss; the store holds one per mode")
+    col = _splitter_columns(float(np.arcsin(np.sqrt(loss))), state.n_max)
+    s = np.add.outer(np.arange(d), np.arange(d if mode == 0 else n_ea))  # n_m + n_e
+    if mode == 0:  # out[n_a, n_ea, :] = col[s, n_ea] psi[s, 0, :]
+        out = col[s, np.arange(d)][:, :, None] * state.amps[np.minimum(s, d - 1), 0, :]
+    else:  # out[n_a, n_ea, n_eb] = col[s, n_eb] psi[n_a, n_ea, 0], with s = n_b
+        out = col[s] * state.amps[:, :, :1]
     return _unitary_result(state.n_max, out, "loss channel")
 
 
-def _mode_moments(state: FockState, mode: int):
-    """Populations p_n, <a> and <a^2> of one mode, from the overlaps of the
-    rows psi_n of the amplitude tensor at n photons in that mode."""
-    rows = np.moveaxis(state.amps, mode, 0).reshape(state.dim, -1)
-    bra = rows.conj()
-    n = np.arange(state.dim, dtype=float)
-    pop = np.einsum("ij,ij->i", bra, rows).real
-    a1 = np.sqrt(n[1:]) @ np.einsum("ij,ij->i", bra[:-1], rows[1:])
-    a2 = np.sqrt(n[1:-1] * n[2:]) @ np.einsum("ij,ij->i", bra[:-2], rows[2:])
-    return pop, a1, a2
-
-
-def quadrature_variance(state: FockState, mode: int, lo_phase: float = 0.0) -> float:
-    """Variance of X_phi = e^{-i phi} a + e^{i phi} a^dag on one mode, with
-    <X^2> = |X psi|^2 for X truncated at n_max, where a a^dag vanishes on
-    |n_max>."""
-    if not 0 <= mode < state.n_modes:
+def _populations(state: FockState, mode: int) -> np.ndarray:
+    """Photon-number populations p_n of one mode."""
+    if mode not in (0, 1):
         raise ValueError("mode index out of range")
-    pop, a1, a2 = _mode_moments(state, mode)
-    n = np.arange(state.dim)
-    m1 = 2.0 * (np.exp(-1j * lo_phase) * a1).real
-    m2 = (2 * n + 1) @ pop - state.dim * pop[-1] + 2.0 * (np.exp(-2j * lo_phase) * a2).real
-    return float(m2 - m1 * m1)
+    p = state.amps.real**2 + state.amps.imag**2
+    if mode == 0:
+        return p.sum(axis=(1, 2))
+    n_b = _sector(state.n_max, p.shape)[0]
+    return np.bincount(n_b.ravel(), weights=p.ravel(), minlength=state.dim)
+
+
+def quadrature_variance(state: FockState, mode: int) -> float:
+    """Variance of X_phi = e^{-i phi} a + e^{i phi} a^dag on one mode.
+
+    On the Q = 0 sector <a> and <a^2> vanish, so the variance is the same at
+    every phi: <X^2> = |X psi|^2 = sum (2n + 1) p_n - (n_max + 1) p_{n_max},
+    for X truncated at n_max, where a a^dag vanishes on |n_max>.
+    """
+    pop = _populations(state, mode)
+    return float((2 * np.arange(state.dim) + 1) @ pop - state.dim * pop[-1])
 
 
 def mean_photon_number(state: FockState, mode: int) -> float:
     """<n> of one mode."""
-    if not 0 <= mode < state.n_modes:
-        raise ValueError("mode index out of range")
-    pop = _mode_moments(state, mode)[0]
-    return float(np.arange(state.dim) @ pop)
-
-
-def overlap(state_a: FockState, state_b: FockState) -> complex:
-    """<a|b> for two pure states on the same space."""
-    if state_a.n_max != state_b.n_max or state_a.n_modes != state_b.n_modes:
-        raise ValueError("states live on different spaces")
-    return complex(np.vdot(state_a.amps.reshape(-1), state_b.amps.reshape(-1)))
+    return float(np.arange(state.dim) @ _populations(state, mode))

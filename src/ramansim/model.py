@@ -491,19 +491,27 @@ def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwav
     This is the infinite-readout-gain limit of 2R: the readout stage at
     lambda -> 1 measures exactly this joint quadrature.  Uncorrelated
     vacuum gives 2; values below 2 certify the correlation.
+
+    X+/2 = mu^2 + nu^2 - nu^2 (L1 + L2) - 2 mu nu sqrt(T1 T2) is summed from
+    non-negative terms, nu^2 (sqrt T1 - sqrt T2)^2 +
+    [1/(mu + nu) + 2 nu (L1 + L2 - L1 L2)/(1 + sqrt(T1 T2))]/(mu + nu), which
+    keep their precision at large gain, where the direct form cancels to 0.
     """
     mu = float(prep_gain)
     if not mu >= 1.0:
         raise ValueError("prep_gain must be >= 1")
-    for name, l in (("loss_stokes", loss_stokes), ("loss_spinwave", loss_spinwave)):
+    l1, l2 = loss_stokes, loss_spinwave
+    for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
         if not 0.0 <= l <= 1.0:
             raise ValueError(f"{name} must be within [0, 1]")
-    nu2 = mu * mu - 1.0
-    nu = math.sqrt(nu2)
-    t1t2 = (1.0 - loss_stokes) * (1.0 - loss_spinwave)
-    return 2.0 * (
-        mu * mu + nu2 - nu2 * (loss_stokes + loss_spinwave) - 2.0 * mu * nu * math.sqrt(t1t2)
-    )
+    nu = math.sqrt((mu - 1.0) * (mu + 1.0))
+    s = mu + nu
+    x_plus = 2.0 * nu * nu * (math.sqrt(1.0 - l1) - math.sqrt(1.0 - l2)) ** 2 + 2.0 * (
+        1.0 / s + 2.0 * nu * (l1 + l2 - l1 * l2) / (1.0 + math.sqrt((1.0 - l1) * (1.0 - l2)))
+    ) / s
+    if not math.isfinite(x_plus):
+        raise ValueError(f"prep_gain {mu:g} is out of range: X+ overflows")
+    return x_plus
 
 
 def correlation_estimate_from_ratio(noise_ratio: float, quantum_gain: float) -> float:
@@ -511,8 +519,8 @@ def correlation_estimate_from_ratio(noise_ratio: float, quantum_gain: float) -> 
     measured R at finite gain: 2R.  Because R decreases toward the
     lambda -> 1 limit (for equal losses, and generically near lambda = 1),
     this estimate is an upper bound on the true value."""
-    if not noise_ratio > 0:
-        raise ValueError("noise_ratio must be positive")
+    if not 0 < noise_ratio < math.inf:
+        raise ValueError("noise_ratio must be positive and finite")
     if not quantum_gain >= 1.0:
         raise ValueError("quantum_gain must be >= 1")
     return 2.0 * float(noise_ratio)

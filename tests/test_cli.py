@@ -16,7 +16,7 @@ import ramansim
 import ramansim.cli as cli
 import ramansim.model as model
 from ramansim import __version__
-from ramansim.crosscheck import BatteryResult
+from ramansim.crosscheck import N_MAX_LIMIT, BatteryResult
 from ramansim.fitting import load_noise_csv
 from ramansim.fock import TruncationError
 from ramansim.model import closed_form_noise_reduction
@@ -171,6 +171,13 @@ class TestFit:
     def test_bootstrap_count_validated(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), "--bootstrap", "10") == 2
 
+    @pytest.mark.parametrize("mu_max", ["nan", "inf"])
+    def test_non_finite_mu_max_exits_2(self, sweep_csv, capsys, mu_max):
+        assert run_cli("fit", str(sweep_csv), "--mu-max", mu_max) == 2
+        err = capsys.readouterr().err
+        assert "mu_max" in err
+        assert "Traceback" not in err
+
     def test_bootstrap_with_shared_loss_is_usage_error(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), str(sweep_csv), "--shared-loss",
                        "--bootstrap", "100") == 2
@@ -206,6 +213,24 @@ class TestCorrelation:
     def test_needs_one_mode(self, capsys):
         assert run_cli("correlation") == 2
         assert run_cli("correlation", "--from-ratio", "0.4") == 2
+
+    @pytest.mark.parametrize("ratio", ["inf", "nan", "0", "-0.4"])
+    def test_ratio_must_be_positive_and_finite(self, capsys, ratio):
+        assert run_cli("correlation", "--from-ratio", ratio, "--readout-gq", "3") == 2
+        assert "x_plus" not in capsys.readouterr().out
+
+    def test_large_prep_gain_keeps_precision(self, capsys):
+        # X+ = 2/(mu + nu)^2 when lossless; the direct form cancels to 0
+        assert run_cli("correlation", "--prep-gain", "1e10") == 0
+        out = capsys.readouterr().out
+        x_plus = float(out.split("x_plus = ")[1].split("\n")[0])
+        assert x_plus == pytest.approx(5e-21, rel=1e-9)
+
+    def test_overflowing_prep_gain_is_range_error(self, capsys):
+        assert run_cli("correlation", "--prep-gain", "1e200") == 2
+        captured = capsys.readouterr()
+        assert "out of range" in captured.err
+        assert "x_plus" not in captured.out
 
 
 class TestFringes:
@@ -257,6 +282,15 @@ class TestOracleCheck:
 
     def test_truncation_flag_validated(self, capsys):
         assert run_cli("oracle-check", "--truncation", "1") == 2
+
+    def test_truncation_capped_at_doubling_limit(self, monkeypatch, capsys):
+        seen = []
+        stub = BatteryResult([("a", 1e-9)], 0.1)
+        monkeypatch.setattr(cli, "run_battery", lambda n_max: seen.append(n_max) or stub)
+        assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT)) == 0
+        assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT + 1)) == 2
+        assert seen == [N_MAX_LIMIT]
+        assert str(N_MAX_LIMIT) in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -12,10 +12,12 @@ import pytest
 import ramansim.crosscheck as crosscheck
 from ramansim.crosscheck import (
     AGREEMENT_TOL,
+    N_MAX_LIMIT,
     BatteryResult,
     Loss,
     Rotate,
     Squeeze,
+    paper_battery,
     run_battery,
     run_fock,
     run_gaussian,
@@ -58,6 +60,33 @@ class TestStandardBattery:
             phases.update(op.phi for op in circuit if isinstance(op, Rotate))
         assert (0.1, 0.5) in losses and (0.5, 0.1) in losses
         assert phases == {0.0, np.pi / 2.0, np.pi}
+
+
+class TestPaperBattery:
+    def test_operating_point(self):
+        battery = paper_battery()
+        names = [name for name, _ in battery]
+        assert len(set(names)) == len(names)
+        losses, pump_phases = set(), set()
+        for _, (prep, loss_a, loss_b, rotate, readout) in battery:
+            assert math.cosh(prep.r) == pytest.approx(1.17, abs=1e-12)
+            assert math.cosh(2.0 * readout.r) == pytest.approx(32.0, abs=1e-9)
+            assert rotate == Rotate(0, np.pi)
+            losses.add((loss_a.loss, loss_b.loss))
+            pump_phases.update((prep.theta, readout.theta))
+        assert (0.1, 0.1) in losses
+        assert any(l1 != l2 for l1, l2 in losses)
+        assert any(theta != 0.0 for theta in pump_phases)
+
+    def test_doubling_settles_at_cap_and_agrees(self):
+        for name, circuit in paper_battery():
+            state = run_fock(circuit)
+            assert state.n_max == N_MAX_LIMIT, name
+            gauss = run_gaussian(circuit)
+            for mode in (0, 1):
+                fv = crosscheck.fock.quadrature_variance(state, mode)
+                for phase in (0.0, np.pi / 2.0):
+                    assert abs(homodyne_variance(gauss, mode, phase) - fv) < AGREEMENT_TOL, name
 
 
 class TestRunGaussian:

@@ -103,6 +103,13 @@ class TestNoiseDataset:
             NoiseDataset(np.array([8.0, 8.0, 8.0]), np.array([0.5, 0.5, 0.5]))
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("mu_max", [1.0, np.nan, np.inf])
+    def test_mu_max_finite_above_one(self, mu_max):
+        with pytest.raises(ValueError, match="mu_max"):
+            FitConfig(mu_max=mu_max)
+
+
 class TestFitRoundTrip:
     def test_noiseless_recovery_unequal_losses(self):
         data = synthetic_dataset(1.3, 0.05, 0.25, label="clean")

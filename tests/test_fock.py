@@ -1,24 +1,31 @@
-"""Unit tests for the truncated Fock-space oracle."""
+"""Unit tests for the truncated Fock-space oracle.
+
+The oracle stores a two-mode state on the Q = 0 charge sector as
+psi[n_a, n_ea, n_eb] with n_b implied; the references here scatter that
+store into a dense 4-mode tensor psi[n_a, n_b, n_ea, n_eb] and act with
+dense generators on the full product space.
+"""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import comb
 
+import ramansim.fock as fock
 from ramansim.fock import (
     FockState,
     TruncationError,
-    _apply_pair,
-    _pair_blocks,
+    _splitter_columns,
+    _squeeze_blocks,
     apply_loss,
     apply_phase_rotation,
     apply_two_mode_squeeze,
     edge_population,
     mean_photon_number,
-    overlap,
     quadrature_variance,
     two_mode_squeezed_vacuum,
     vacuum_state,
@@ -28,14 +35,38 @@ R = 0.5
 ARM_VAR = math.cosh(2 * R)  # 1.5430806348152437
 MEAN_PHOTON = math.sinh(R) ** 2  # 0.2715403174076218
 
+# dense axes: a, b, e_a, e_b
+A, B, EA, EB = range(4)
 
-def random_state(n_modes, dim, seed=0):
+
+def implied_n_b(shape):
+    n_a, n_ea, n_eb = np.ogrid[: shape[0], : shape[1], : shape[2]]
+    return n_a + n_ea - n_eb
+
+
+def random_state(dim, envs=(False, False), seed=0):
+    """A random store on the Q = 0 sector; ``envs`` says which of e_a, e_b
+    carry an axis."""
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(dim,) * n_modes) + 1j * rng.normal(size=(dim,) * n_modes)
+    shape = (dim, dim if envs[0] else 1, dim if envs[1] else 1)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    n_b = implied_n_b(shape)
+    amps[(n_b < 0) | (n_b >= dim)] = 0.0
     return FockState(dim - 1, amps / np.linalg.norm(amps))
 
 
-def embed(op, mode, n_modes):
+def dense(state):
+    """The store scattered into psi[n_a, n_b, n_ea, n_eb] of shape (d,)*4."""
+    d = state.dim
+    out = np.zeros((d,) * 4, dtype=complex)
+    n_a, n_ea, n_eb = np.indices(state.amps.shape)
+    n_b = n_a + n_ea - n_eb
+    inside = (n_b >= 0) & (n_b < d)
+    out[n_a[inside], n_b[inside], n_ea[inside], n_eb[inside]] = state.amps[inside]
+    return out
+
+
+def embed(op, mode, n_modes=4):
     """A single-mode operator on the n-mode product space (mode 0 is the
     slowest tensor factor)."""
     dim = op.shape[0]
@@ -46,6 +77,24 @@ def embed(op, mode, n_modes):
 
 def destroy(dim):
     return sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+
+
+def squeeze_generator(dim, coupling, m1=A, m2=B):
+    ab = embed(destroy(dim), m1) @ embed(destroy(dim), m2)
+    return coupling * ab.conj().T - np.conj(coupling) * ab
+
+
+def splitter_generator(dim, theta, mode, env):
+    """theta (m^dag e - m e^dag)."""
+    m, e = embed(destroy(dim), mode), embed(destroy(dim), env)
+    return theta * (m.conj().T @ e - m @ e.conj().T)
+
+
+def reduced(psi):
+    """rho of (a, b) with the environments traced out."""
+    d = psi.shape[0]
+    system = psi.reshape(d * d, -1)
+    return system @ system.conj().T
 
 
 def kraus_loss(rho, mode, n_modes, loss):
@@ -64,17 +113,23 @@ def kraus_loss(rho, mode, n_modes, loss):
 class TestVacuum:
     def test_shape_and_amplitudes(self):
         state = vacuum_state(2, 5)
-        assert state.amps.shape == (6, 6)
-        assert state.amps[0, 0] == 1.0
+        assert state.amps.shape == (6, 1, 1)
+        assert state.amps[0, 0, 0] == 1.0
         assert np.count_nonzero(state.amps) == 1
 
     @pytest.mark.parametrize("lo_phase", [0.0, 0.8, np.pi / 2])
     def test_unit_quadrature_variance(self, lo_phase):
-        state = vacuum_state(1, 6)
-        assert quadrature_variance(state, 0, lo_phase) == pytest.approx(1.0, abs=1e-12)
+        # X_phi of a mode is X_0 of the mode rotated by -phi
+        for mode in (0, 1):
+            state = apply_phase_rotation(vacuum_state(2, 6), mode, -lo_phase)
+            assert quadrature_variance(state, mode) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_photons(self):
         assert mean_photon_number(vacuum_state(2, 4), 1) == pytest.approx(0.0, abs=1e-14)
+
+    def test_two_modes_only(self):
+        with pytest.raises(ValueError):
+            vacuum_state(3, 4)
 
 
 class TestTwoModeSqueezedVacuum:
@@ -82,14 +137,15 @@ class TestTwoModeSqueezedVacuum:
         state = two_mode_squeezed_vacuum(R, n_max=40)
         n = np.arange(41)
         expected = np.tanh(R) ** n / np.cosh(R)
-        assert np.allclose(np.diagonal(state.amps), expected, atol=1e-12)
-        off_diag = state.amps - np.diag(np.diagonal(state.amps))
+        psi = dense(state)[:, :, 0, 0]
+        assert np.allclose(np.diagonal(psi), expected, atol=1e-12)
+        off_diag = psi - np.diag(np.diagonal(psi))
         assert np.max(np.abs(off_diag)) == 0.0
 
     def test_matches_generator_exponential(self):
         direct = two_mode_squeezed_vacuum(R, theta=0.3, n_max=40)
         evolved = apply_two_mode_squeeze(vacuum_state(2, 40), R, theta=0.3)
-        assert abs(overlap(direct, evolved)) == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.vdot(direct.amps, evolved.amps)) == pytest.approx(1.0, abs=1e-10)
 
     def test_arm_variance_and_photon_number(self):
         state = two_mode_squeezed_vacuum(R, n_max=40)
@@ -108,6 +164,35 @@ class TestTwoModeSqueezedVacuum:
             two_mode_squeezed_vacuum(-0.1)
 
 
+def chain_generator(coupling, weights):
+    m = len(weights) + 1
+    k = np.zeros((m, m), dtype=complex)
+    k[np.arange(1, m), np.arange(m - 1)] = coupling * weights
+    k[np.arange(m - 1), np.arange(1, m)] = -np.conj(coupling) * weights
+    return k
+
+
+class TestChainBlocks:
+    @pytest.mark.parametrize(
+        "n_max, coupling", [(8, 0.6 * np.exp(0.4j)), (40, 2.08)], ids=["n8", "n40"]
+    )
+    def test_squeezer_blocks_match_expm(self, n_max, coupling):
+        blocks = _squeeze_blocks(complex(coupling), n_max)
+        for c in range(-n_max, n_max + 1):
+            n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
+            k = chain_generator(coupling, np.sqrt((n_a + 1) * (n_a + 1 + c)))
+            assert np.max(np.abs(blocks[c + n_max] - expm(k))) < 1e-12
+
+    @pytest.mark.parametrize("n_max, theta", [(8, 0.3), (40, np.pi / 2)], ids=["n8", "n40"])
+    def test_splitter_columns_match_expm(self, n_max, theta):
+        cols = _splitter_columns(theta, n_max)
+        for s in range(n_max + 1):
+            n_e = np.arange(s, dtype=float)
+            k = chain_generator(-theta, np.sqrt((n_e + 1) * (s - n_e)))
+            assert np.max(np.abs(cols[s, : s + 1] - expm(k)[:, 0])) < 1e-12
+            assert not np.any(cols[s, s + 1 :])
+
+
 class TestSqueezeOperation:
     def test_edge_policing_on_repeated_squeezing(self):
         state = vacuum_state(2, 16)
@@ -115,19 +200,31 @@ class TestSqueezeOperation:
         with pytest.raises(TruncationError):
             apply_two_mode_squeeze(state, 0.6)
 
-    @pytest.mark.parametrize("dim, modes, n_modes", [(12, (0, 1), 2), (5, (2, 0), 3)])
-    def test_blocks_match_generator_exponential(self, dim, modes, n_modes):
-        """The block squeezer on two modes of a random state against
-        expm_multiply of the generator embedded in the full product space."""
-        a = embed(destroy(dim), modes[0], n_modes)
-        b = embed(destroy(dim), modes[1], n_modes)
-        ab = a @ b
-        k = 0.6 * (np.exp(0.4j) * ab.conj().T - np.exp(-0.4j) * ab)
-        state = random_state(n_modes, dim)
-        reference = expm_multiply(k, state.amps.reshape(-1)).reshape(state.amps.shape)
-        blocks = _pair_blocks(complex(0.6 * np.exp(0.4j)), dim, True)
-        out = _apply_pair(state.amps, blocks, modes)
-        assert np.max(np.abs(out - reference)) < 1e-12
+    @pytest.mark.parametrize(
+        "n_max, envs",
+        [(8, (True, True)), (6, (False, True)), (6, (True, False))],
+        ids=["n8-both-envs", "n6-env-b", "n6-env-a"],
+    )
+    def test_chains_match_dense_generator(self, n_max, envs, monkeypatch):
+        """The chain squeezer on a random Q = 0 store against expm_multiply
+        of the generator on the dense 4-mode product space; the edge
+        check is lifted because a random state fills the edge."""
+        monkeypatch.setattr(fock, "EDGE_TOL", np.inf)
+        dim = n_max + 1
+        coupling = 0.6 * np.exp(0.4j)
+        state = random_state(dim, envs)
+        reference = expm_multiply(
+            squeeze_generator(dim, coupling), dense(state).reshape(-1)
+        ).reshape((dim,) * 4)
+        out = apply_two_mode_squeeze(state, abs(coupling), np.angle(coupling))
+        assert np.max(np.abs(dense(out) - reference)) < 1e-12
+
+    def test_symmetric_in_modes(self):
+        forward = apply_two_mode_squeeze(vacuum_state(2, 20), 0.4, 0.2, (0, 1))
+        backward = apply_two_mode_squeeze(vacuum_state(2, 20), 0.4, 0.2, (1, 0))
+        assert np.array_equal(forward.amps, backward.amps)
+        with pytest.raises(ValueError):
+            apply_two_mode_squeeze(vacuum_state(2, 20), 0.4, 0.2, (0, 0))
 
     def test_unitarity(self):
         state = apply_two_mode_squeeze(vacuum_state(2, 30), 0.6)
@@ -138,11 +235,17 @@ class TestPhaseRotation:
     def test_pure_phases(self):
         state = two_mode_squeezed_vacuum(R, n_max=20)
         rotated = apply_phase_rotation(state, 0, 0.7)
-        n = np.arange(21)
-        expected = state.amps * np.exp(1j * 0.7 * n)[:, None]
+        n = np.arange(21)[:, None, None]
+        expected = state.amps * np.exp(1j * 0.7 * n)
         assert np.allclose(rotated.amps, expected, atol=1e-12) or np.allclose(
-            rotated.amps, state.amps * np.exp(-1j * 0.7 * n)[:, None], atol=1e-12
+            rotated.amps, state.amps * np.exp(-1j * 0.7 * n), atol=1e-12
         )
+
+    def test_mode_b_phase_follows_implied_number(self):
+        state = random_state(7, (True, True), seed=3)
+        rotated = apply_phase_rotation(state, 1, 0.9)
+        n_b = np.arange(7)[None, :, None, None]
+        assert np.max(np.abs(dense(rotated) - dense(state) * np.exp(0.9j * n_b))) < 1e-13
 
     def test_thermal_arm_invariant(self):
         state = two_mode_squeezed_vacuum(R, n_max=30)
@@ -173,7 +276,7 @@ class TestLossChannel:
         state = two_mode_squeezed_vacuum(R, n_max=20)
         out = apply_loss(state, 1, 1.0)
         assert mean_photon_number(out, 1) == pytest.approx(0.0, abs=1e-12)
-        assert quadrature_variance(out, 1, 0.9) == pytest.approx(1.0, abs=1e-10)
+        assert quadrature_variance(out, 1) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_loss_identity(self):
         state = two_mode_squeezed_vacuum(R, n_max=20)
@@ -187,29 +290,86 @@ class TestLossChannel:
 
     @pytest.mark.parametrize("loss", [-0.01, 1.01])
     def test_loss_range_validation(self, loss):
-        state = vacuum_state(1, 4)
+        state = vacuum_state(2, 4)
         with pytest.raises(ValueError):
             apply_loss(state, 0, loss)
+
+    def test_one_loss_per_mode(self):
+        state = apply_loss(two_mode_squeezed_vacuum(R, n_max=20), 0, 0.2)
+        with pytest.raises(ValueError):
+            apply_loss(state, 0, 0.2)
 
     @pytest.mark.parametrize("n_max", [1, 4, 8])
     @pytest.mark.parametrize("mode", [0, 1])
     @pytest.mark.parametrize("loss", [0.1, 0.5, 1.0])
     def test_reduced_state_matches_kraus_sum(self, n_max, mode, loss):
-        """Tracing the environment out of the beam-splitter purification
-        leaves the Kraus sum over E_k rho E_k^dag."""
-        state = random_state(2, n_max + 1, seed=n_max)
-        flat = state.amps.reshape(-1)
-        reference = kraus_loss(np.outer(flat, flat.conj()), mode, 2, loss)
+        """Tracing the environments out of the beam-splitter purification
+        leaves the Kraus sum over E_k rho E_k^dag; the input carries the
+        other arm's environment, so its (a, b) state is mixed."""
+        envs = (mode == 1, mode == 0)
+        state = random_state(n_max + 1, envs, seed=n_max)
+        reference = kraus_loss(reduced(dense(state)), mode, 2, loss)
         out = apply_loss(state, mode, loss)
-        assert out.n_modes == 3
-        system = out.amps.reshape(-1, n_max + 1)  # environment is the last axis
-        assert np.max(np.abs(system @ system.conj().T - reference)) < 1e-12
+        assert out.amps.shape == (n_max + 1,) * 3
+        assert np.max(np.abs(reduced(dense(out)) - reference)) < 1e-12
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize(
+        "order",
+        [("sq", "la", "lb", "rot_a", "sq2"), ("sq", "lb", "rot_b", "la", "sq2")],
+        ids=["battery-order", "b-first"],
+    )
+    def test_circuit_matches_dense_contraction(self, order):
+        """A lossy circuit through the store against the same circuit as
+        dense generators on the 4-mode product space at n_max 8."""
+        n_max, dim = 8, 9
+        number = destroy(dim).T @ destroy(dim)
+        steps = {
+            "sq": (
+                lambda s: apply_two_mode_squeeze(s, 0.2, 0.3),
+                squeeze_generator(dim, 0.2 * np.exp(0.3j)),
+            ),
+            "sq2": (
+                lambda s: apply_two_mode_squeeze(s, 0.15, -0.5, (1, 0)),
+                squeeze_generator(dim, 0.15 * np.exp(-0.5j)),
+            ),
+            "la": (
+                lambda s: apply_loss(s, 0, 0.3),
+                splitter_generator(dim, np.arcsin(np.sqrt(0.3)), A, EA),
+            ),
+            "lb": (
+                lambda s: apply_loss(s, 1, 0.6),
+                splitter_generator(dim, np.arcsin(np.sqrt(0.6)), B, EB),
+            ),
+            "rot_a": (lambda s: apply_phase_rotation(s, 0, 1.1), 1.1j * embed(number, A)),
+            "rot_b": (lambda s: apply_phase_rotation(s, 1, -0.7), -0.7j * embed(number, B)),
+        }
+        state = vacuum_state(2, n_max)
+        psi = dense(state).reshape(-1)
+        for name in order:
+            op, generator = steps[name]
+            state = op(state)
+            psi = expm_multiply(generator, psi)
+        assert np.max(np.abs(dense(state).reshape(-1) - psi)) < 1e-12
+        for mode in (0, 1):
+            other = tuple(ax for ax in range(4) if ax != mode)
+            pop = np.sum(np.abs(psi.reshape((dim,) * 4)) ** 2, axis=other)
+            n = np.arange(dim)
+            expected = (2 * n + 1) @ pop - dim * pop[-1]
+            assert quadrature_variance(state, mode) == pytest.approx(expected, abs=1e-12)
 
 
 class TestValidation:
     def test_norm_enforced(self):
-        amps = np.zeros(5, dtype=complex)
+        amps = np.zeros((5, 1, 1), dtype=complex)
         amps[0] = 0.5
+        with pytest.raises(ValueError):
+            FockState(4, amps)
+
+    def test_sector_enforced(self):
+        amps = np.zeros((5, 5, 5), dtype=complex)
+        amps[0, 0, 1] = 1.0  # n_b = -1
         with pytest.raises(ValueError):
             FockState(4, amps)
 
@@ -217,3 +377,8 @@ class TestValidation:
         assert edge_population(vacuum_state(2, 3)) == pytest.approx(0.0, abs=1e-14)
         state = two_mode_squeezed_vacuum(0.3, n_max=25)
         assert edge_population(state) < 1e-12
+
+    def test_edge_population_counts_implied_mode(self):
+        amps = np.zeros((5, 5, 5), dtype=complex)
+        amps[1, 3, 0] = 1.0  # n_a = 1, n_ea = 3, n_eb = 0: only n_b = 4 is at the edge
+        assert edge_population(FockState(4, amps)) == pytest.approx(1.0, abs=1e-15)

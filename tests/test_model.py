@@ -402,7 +402,32 @@ class TestJointQuadrature:
         )
         assert correlation_estimate_from_ratio(0.4, 32.0) == pytest.approx(0.8, abs=1e-14)
 
-    @pytest.mark.parametrize("ratio,gq", [(0.0, 32.0), (np.nan, 32.0), (0.4, 0.5), (0.4, np.nan)])
+    def test_stable_form_matches_direct_form(self):
+        rng = np.random.default_rng(7)
+        for mu, l1, l2 in zip(1.0 + 9.0 * rng.random(2000), rng.random(2000), rng.random(2000)):
+            nu2 = mu * mu - 1.0
+            direct = 2.0 * (
+                mu * mu + nu2 - nu2 * (l1 + l2)
+                - 2.0 * mu * math.sqrt(nu2 * (1.0 - l1) * (1.0 - l2))
+            )
+            assert joint_quadrature_variance(mu, l1, l2) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [1e4, 1e10, 1e100])
+    def test_large_gain_lossless_limit(self, mu):
+        nu = math.sqrt((mu - 1.0) * (mu + 1.0))
+        assert joint_quadrature_variance(mu, 0.0, 0.0) == pytest.approx(
+            2.0 / (mu + nu) ** 2, rel=1e-12
+        )
+        # equal losses L leave X+ -> 2 L at large gain
+        assert joint_quadrature_variance(mu, 0.1, 0.1) == pytest.approx(0.2, rel=1e-3)
+
+    def test_overflow_is_range_error(self):
+        with pytest.raises(ValueError, match="out of range"):
+            joint_quadrature_variance(1e200, 0.1, 0.1)
+
+    @pytest.mark.parametrize(
+        "ratio,gq", [(0.0, 32.0), (np.nan, 32.0), (np.inf, 32.0), (0.4, 0.5), (0.4, np.nan)]
+    )
     def test_estimate_from_single_ratio_validation(self, ratio, gq):
         with pytest.raises(ValueError):
             correlation_estimate_from_ratio(ratio, gq)
