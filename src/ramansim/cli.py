@@ -285,22 +285,17 @@ def _cmd_gain_sweep(args) -> int:
     return 0
 
 
+#: FitResult fields in the fit report; fit --out has all but the last
+_FIT_FIELDS = (
+    "mu_hat", "nu_hat", "l1_hat", "l2_hat", "residual_rms", "objective",
+    "objective_swapped_losses", "loss_ordering_degenerate", "correlation_x_plus",
+    "correlation_db", "n_restarts_used", "projected_grad_norm",
+)
+
+
 def _report_fit(fh, fit, boot=None) -> None:
     fh.write(f"dataset: {fit.dataset_label}\n")
-    for name in (
-        "mu_hat",
-        "nu_hat",
-        "l1_hat",
-        "l2_hat",
-        "residual_rms",
-        "objective",
-        "objective_swapped_losses",
-        "loss_ordering_degenerate",
-        "correlation_x_plus",
-        "correlation_db",
-        "n_restarts_used",
-        "projected_grad_norm",
-    ):
+    for name in _FIT_FIELDS:
         fh.write(f"{name}: {_fmt(getattr(fit, name))}\n")
     if boot is not None:
         lo, hi = boot.correlation_db_ci
@@ -339,58 +334,34 @@ def _cmd_fit(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             _echo_config(fh, "fit", cfg)
-            fh.write(
-                "label,mu_hat,nu_hat,l1_hat,l2_hat,residual_rms,objective,"
-                "objective_swapped_losses,loss_ordering_degenerate,"
-                "correlation_x_plus,correlation_db,n_restarts_used,"
-                "correlation_db_ci_lo,correlation_db_ci_hi\n"
-            )
+            fields = _FIT_FIELDS[:-1]
+            ci_names = ("correlation_db_ci_lo", "correlation_db_ci_hi")
+            fh.write(",".join(("label",) + fields + ci_names) + "\n")
             for f, b in zip(fits, boots):
-                ci_lo = _fmt(b.correlation_db_ci[0]) if b else ""
-                ci_hi = _fmt(b.correlation_db_ci[1]) if b else ""
-                fh.write(
-                    ",".join(
-                        [
-                            f.dataset_label,
-                            _fmt(f.mu_hat),
-                            _fmt(f.nu_hat),
-                            _fmt(f.l1_hat),
-                            _fmt(f.l2_hat),
-                            _fmt(f.residual_rms),
-                            _fmt(f.objective),
-                            _fmt(f.objective_swapped_losses),
-                            _fmt(f.loss_ordering_degenerate),
-                            _fmt(f.correlation_x_plus),
-                            _fmt(f.correlation_db),
-                            _fmt(f.n_restarts_used),
-                            ci_lo,
-                            ci_hi,
-                        ]
-                    )
-                    + "\n"
-                )
+                ci = [_fmt(v) for v in b.correlation_db_ci] if b else ["", ""]
+                cells = [f.dataset_label] + [_fmt(getattr(f, n)) for n in fields] + ci
+                fh.write(",".join(cells) + "\n")
     return 0
 
 
 def _cmd_correlation(args) -> int:
     cfg = _resolve(args, "correlation")
-    from_ratio = cfg["from_ratio"]
+    if cfg["from_ratio"] is not None:
+        if cfg["readout_gq"] is None and cfg["readout_gq_db"] is None:
+            raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
+        readout = _resolve_readout(cfg)
+        x_plus = correlation_estimate_from_ratio(cfg["from_ratio"], readout.quantum_noise_gain)
+        estimate = "finite-gain single point (2R, upper-bound-style)"
+    else:
+        if cfg["prep_gain"] is None:
+            raise UsageError("give --prep-gain (with losses) or --from-ratio")
+        x_plus = joint_quadrature_variance(
+            cfg["prep_gain"], cfg["loss_stokes"], cfg["loss_spinwave"]
+        )
+        estimate = "infinite-gain joint quadrature variance"
     with _open_out(args.out) as fh:
         _echo_config(fh, "correlation", cfg)
-        if from_ratio is not None:
-            gq, gq_db = cfg["readout_gq"], cfg["readout_gq_db"]
-            if gq is None and gq_db is None:
-                raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
-            readout = _resolve_readout(cfg)
-            x_plus = correlation_estimate_from_ratio(from_ratio, readout.quantum_noise_gain)
-            fh.write("estimate: finite-gain single point (2R, upper-bound-style)\n")
-        else:
-            if cfg["prep_gain"] is None:
-                raise UsageError("give --prep-gain (with losses) or --from-ratio")
-            x_plus = joint_quadrature_variance(
-                cfg["prep_gain"], cfg["loss_stokes"], cfg["loss_spinwave"]
-            )
-            fh.write("estimate: infinite-gain joint quadrature variance\n")
+        fh.write(f"estimate: {estimate}\n")
         fh.write(f"x_plus = {_fmt(x_plus)}\n")
         fh.write(f"correlation_db = {_fmt(linear_to_db(x_plus / 2.0))}\n")
     return 0

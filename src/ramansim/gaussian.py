@@ -18,6 +18,7 @@ updates, so everything here is plain NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,10 +42,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _symplectic_check(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Omega and the bound of :func:`_is_symplectic`, per mode count."""
+    omega = _readonly(symplectic_form(n_modes))
+    return omega, _readonly(SYMPLECTIC_ATOL + 1e-5 * np.abs(omega))
+
+
 def _is_symplectic(s: np.ndarray) -> bool:
-    """S Omega S^T = Omega for every matrix of a ``(..., 2n, 2n)`` stack."""
-    omega = symplectic_form(s.shape[-1] // 2)
-    return np.allclose(s @ omega @ np.swapaxes(s, -1, -2), omega, atol=SYMPLECTIC_ATOL)
+    """S Omega S^T = Omega for every matrix of a ``(..., 2n, 2n)`` stack:
+    ``np.allclose(S Omega S^T, Omega, atol=SYMPLECTIC_ATOL)`` written out."""
+    omega, bound = _symplectic_check(s.shape[-1] // 2)
+    return bool(np.all(np.abs(s @ omega @ np.swapaxes(s, -1, -2) - omega) <= bound))
 
 
 def _squeezer_matrix(gain, pump_phase: float) -> np.ndarray:

@@ -6,9 +6,10 @@ field (mode 0) and the collective atomic spin wave (mode 1).  Stage 1
 mode then suffers loss (L1 on the Stokes field, L2 on the spin wave); a
 relative phase phi is scanned on the Stokes arm; stage 2 ("readout", gains
 G/g) amplifies the pair and the Stokes output is measured by homodyne
-detection.  One broadcasting kernel computes the output moments for arrays
-of scan phase, prep gain and readout gain; scans, sweeps and fringes are
-one call to it each, and build_cascade returns its state for one point.
+detection.  One broadcasting kernel maps arrays of scan phase, prep gain
+and readout gain to output moments for scans, fringes and build_cascade;
+the phase minimum and the sweeps read the harmonics in phi of the output
+variance from the inter-stage covariance instead.
 
 With the X = a + a^dag scaling, a single stage seeded by an uncorrelated
 (vacuum or coherent) Stokes input produces output variance 2G^2 - 1, the
@@ -274,36 +275,52 @@ class FringeTrace:
 # cascade pipeline
 
 
+def _stage_squeezer(gain, pump_phase: float, name: str) -> np.ndarray:
+    """One stage's squeezer, checked symplectic.  A gain too large for that at
+    working precision is a range error naming ``name``; overflow is silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _squeezer_matrix(gain, pump_phase)
+        if _is_symplectic(s):
+            return s
+    raise ValueError(f"{name} {np.max(gain):g} is out of range: its squeezer is not "
+                     "symplectic to working precision")
+
+
+def _interstage_moments(scenario: CascadeScenario, prep_gain):
+    """Mean ``(..., 4)`` and covariance ``(..., 4, 4)`` between the stages.
+
+    vacuum -> coherent seed on the Stokes mode -> prep squeezer -> Stokes
+    and spin-wave loss, none of which depends on the scan phase.
+    ``prep_gain`` broadcasts and replaces the scenario's; the caller validates it.
+    """
+    ch = scenario.channel
+    prep = _stage_squeezer(prep_gain, scenario.prep.pump_phase, "prep_gain")
+    alpha = complex(scenario.seed_amplitude)
+    # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
+    seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
+    return _attenuate(
+        prep @ seed, prep @ np.swapaxes(prep, -1, -2),
+        np.array([ch.loss_stokes, ch.loss_stokes, ch.loss_spinwave, ch.loss_spinwave]),
+    )
+
+
 def _cascade_moments(scenario: CascadeScenario, scan_phase, prep_gain, readout_gain):
     """Output mean ``(..., 4)`` and covariance ``(..., 4, 4)`` of the cascade.
 
     ``scan_phase``, ``prep_gain`` and ``readout_gain`` broadcast against
     each other and replace the scenario's own values; pump phases, losses
-    and the seed come from ``scenario``.  Order of operations: vacuum ->
-    coherent seed on the Stokes mode -> prep squeezer -> Stokes and
-    spin-wave loss -> scan phase on the Stokes arm -> readout squeezer ->
-    output loss on the Stokes arm.  The caller validates the gains; the
-    three symplectic matrices are checked here, once for the whole batch.
+    and the seed come from ``scenario``.  After :func:`_interstage_moments`:
+    scan phase on the Stokes arm -> readout squeezer -> output loss on the
+    Stokes arm.  The caller validates the gains.
     """
-    phi, mu, g = np.broadcast_arrays(scan_phase, prep_gain, readout_gain)
-    ch = scenario.channel
-    prep = _squeezer_matrix(mu, scenario.prep.pump_phase)
-    rot = np.broadcast_to(np.eye(4), prep.shape).copy()
-    rot[..., :2, :2] = _rotation_matrix(phi)
-    readout = _squeezer_matrix(g, scenario.readout.pump_phase)
-    if not _is_symplectic(np.stack([prep, rot, readout])):
-        raise ValueError("cascade matrices are not symplectic")
-    alpha = complex(scenario.seed_amplitude)
-    # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
-    seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
-    mean, cov = _attenuate(
-        prep @ seed, prep @ np.swapaxes(prep, -1, -2),
-        np.array([ch.loss_stokes, ch.loss_stokes, ch.loss_spinwave, ch.loss_spinwave]),
-    )
-    s = readout @ rot
+    mean, cov = _interstage_moments(scenario, prep_gain)
+    rot = np.broadcast_to(np.eye(4), np.shape(scan_phase) + (4, 4)).copy()
+    rot[..., :2, :2] = _rotation_matrix(scan_phase)
+    s = _stage_squeezer(readout_gain, scenario.readout.pump_phase, "readout gain") @ rot
+    out = scenario.channel.output_loss
     mean, cov = _attenuate(
         (s @ mean[..., None])[..., 0], s @ cov @ np.swapaxes(s, -1, -2),
-        np.array([ch.output_loss, ch.output_loss, 0.0, 0.0]),
+        np.array([out, out, 0.0, 0.0]),
     )
     return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
@@ -327,11 +344,6 @@ def simulate_cascade_noise(scenario: CascadeScenario, lo_phase: float = 0.0) -> 
     return homodyne_variance(build_cascade(scenario), 0, lo_phase)
 
 
-def _stokes_variance(scenario: CascadeScenario, scan_phase, prep_gain, readout_gain):
-    """Stokes X variance of :func:`_cascade_moments`, shape ``(...)``."""
-    return _cascade_moments(scenario, scan_phase, prep_gain, readout_gain)[1][..., 0, 0]
-
-
 def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace:
     """Sample the cascade output variance over phi in [0, 2*pi).
 
@@ -342,40 +354,49 @@ def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    var = _stokes_variance(scenario, phis, scenario.prep.gain, scenario.readout.gain)
-    return NoiseTrace("phase", phis, var)
+    _, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
+    return NoiseTrace("phase", phis, cov[:, 0, 0])
 
 
 class HarmonicFitError(RuntimeError):
     """A phase trace that must be a first harmonic in phi is not one."""
 
 
-#: second harmonic, relative to the largest sample, accepted as rounding (the
+#: second harmonic, relative to the mean level, accepted as rounding (the
 #: cascade leaves ~1e-16); it moves the minimum far less than the 1e-8 contract
 _HARMONIC_RTOL = 1e-10
 
 
-def _first_harmonic_min(var_at):
-    """(phi_min, minimum) of var_at(phi) = a + b*cos(phi) + c*sin(phi).
+def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
+    """(phi_min, minimum) of the output Stokes X variance over phi; the
+    gains broadcast.  With C the inter-stage covariance, (p, q) the Stokes
+    row of the readout squeezer in Stokes and spin-wave halves, and T, L the
+    output transmission and loss, V(phi) = a + b cos(phi) + c sin(phi) with
 
-    ``var_at`` is called once, on an array of five equally spaced phases,
-    and returns the samples along its last axis; the results have the shape
-    of the other axes.  Five samples fix harmonics 0-2 exactly; the minimum
-    is a - hypot(b, c) at atan2(-c, -b).  Raises HarmonicFitError when a
-    second harmonic is above rounding level or a sample is not finite.
+        a = T (tr(C_aa) |p|^2 / 2 + q^T C_bb q) + L,
+        b - i c = 2T (p0 - i p1) (C_ab q)_0 + 2T (p1 + i p0) (C_ab q)_1
+
+    (the cross term 2 p^T R(phi) C_ab q); the minimum is a - hypot(b, c) at
+    atan2(-c, -b).  An anisotropic C_aa adds the second harmonic
+    T |p|^2 hypot((C00 - C11)/2, C01); above _HARMONIC_RTOL * a, or with a
+    coefficient not finite, this raises HarmonicFitError.
     """
-    v = np.asarray(var_at(np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)), dtype=float)
-    coeffs = np.fft.rfft(v, axis=-1) / v.shape[-1]
-    second, scale = 2.0 * np.abs(coeffs[..., 2]), np.max(np.abs(v), axis=-1)
-    bad = ~(second <= _HARMONIC_RTOL * scale)
-    if np.any(bad):
-        i = np.flatnonzero(bad)[0]
-        raise HarmonicFitError(
-            f"phase trace is not a first harmonic: second harmonic {second.flat[i]:.3e}, "
-            f"samples up to {scale.flat[i]:.3e}"
-        )
-    b, c = 2.0 * coeffs[..., 1].real, -2.0 * coeffs[..., 1].imag
-    return np.arctan2(-c, -b) % (2.0 * np.pi), coeffs[..., 0].real - np.hypot(b, c)
+    _, cov = _interstage_moments(scenario, prep_gain)
+    row = _stage_squeezer(readout_gain, scenario.readout.pump_phase, "readout gain")[..., 0, :]
+    p0, p1, q = row[..., 0], row[..., 1], row[..., 2:]
+    t, loss = 1.0 - scenario.channel.output_loss, scenario.channel.output_loss
+    c00, c01, c11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
+    p_sq = p0 * p0 + p1 * p1
+    w = (cov[..., :2, 2:] @ q[..., None])[..., 0]
+    qcq = (q[..., None, :] @ cov[..., 2:, 2:] @ q[..., None])[..., 0, 0]
+    a = t * (0.5 * (c00 + c11) * p_sq + qcq) + loss
+    z = 2.0 * t * ((p0 - 1j * p1) * w[..., 0] + (p1 + 1j * p0) * w[..., 1])
+    b, c = z.real, -z.imag
+    second = t * p_sq * np.hypot(0.5 * (c00 - c11), c01)
+    if not np.all((second <= _HARMONIC_RTOL * a) & np.isfinite(a) & np.isfinite(z)):
+        raise HarmonicFitError(f"phase trace is not a first harmonic: second harmonic up "
+                               f"to {np.max(second):.3e}, mean level from {np.min(a):.3e}")
+    return np.arctan2(-c, -b) % (2.0 * np.pi), a - np.hypot(b, c)
 
 
 def min_noise_over_phase(scenario: CascadeScenario) -> tuple[float, float]:
@@ -384,14 +405,13 @@ def min_noise_over_phase(scenario: CascadeScenario) -> tuple[float, float]:
 
     The Stokes block between the stages is isotropic whatever the pump
     phases, losses, output loss and seed, so the output variance is a first
-    harmonic in phi: five samples fix its minimum, and a trace that is not
-    one raises :class:`HarmonicFitError`.  For a prep gain of exactly 1 the
-    trace is flat, the variance is the uncorrelated reference
+    harmonic in phi whose coefficients come from the inter-stage
+    covariance (:func:`_harmonic_min`); a trace that is not one raises
+    :class:`HarmonicFitError`.  For a prep gain of exactly 1 the trace is
+    flat, the variance is the uncorrelated reference
     (:func:`reference_variance`) and the phase carries no information.
     """
-    phi_min, var_min = _first_harmonic_min(
-        lambda phi: _stokes_variance(scenario, phi, scenario.prep.gain, scenario.readout.gain)
-    )
+    phi_min, var_min = _harmonic_min(scenario, scenario.prep.gain, scenario.readout.gain)
     return float(phi_min), float(var_min)
 
 
@@ -542,9 +562,7 @@ def prep_gain_sweep(
     """
     gains = _gain_array(prep_gains, "prep_gains")
     base = CascadeScenario(AmplifierParams(1.0), readout, channel)
-    _, var_min = _first_harmonic_min(
-        lambda phi: _stokes_variance(base, phi, gains[:, None], readout.gain)
-    )
+    _, var_min = _harmonic_min(base, gains, readout.gain)
     return NoiseTrace("pump_power", gains, var_min / reference_variance(base))
 
 
@@ -559,9 +577,7 @@ def quantum_gain_sweep(
     variance of the prepared state (the lambda -> 1 limit)."""
     gqs = _gain_array(quantum_gains, "quantum_gains")
     base = CascadeScenario(prep, AmplifierParams(1.0), channel)
-    _, var_min = _first_harmonic_min(
-        lambda phi: _stokes_variance(base, phi, prep.gain, np.sqrt((gqs[:, None] + 1.0) / 2.0))
-    )
+    _, var_min = _harmonic_min(base, prep.gain, np.sqrt((gqs + 1.0) / 2.0))
     return NoiseTrace("quantum_gain", gqs, var_min / _reference_variance(gqs, channel.output_loss))
 
 

@@ -69,6 +69,20 @@ class TestNoiseScan:
         assert run_cli(*argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--readout-gq", "1e300", "readout gain"),
+            ("--prep-gain", "1e200", "prep_gain"),
+            ("--prep-gain", "1e6", "prep_gain"),
+        ],
+    )
+    def test_huge_gain_is_range_error(self, flag, value, name, recwarn, capsys):
+        assert run_cli("noise-scan", flag, value, "--points", "4") == 2
+        err = capsys.readouterr().err
+        assert f"error: {name} " in err and "is out of range" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_points_limit(self, capsys):
         assert run_cli("noise-scan", "--points", str(cli.MAX_POINTS)) == 0
         assert len(data_rows(capsys.readouterr().out)) == cli.MAX_POINTS + 1
@@ -108,11 +122,11 @@ class TestGainSweep:
         assert mu_hat == pytest.approx(1.3, abs=1e-5)
 
     def test_non_harmonic_trace_exit_code(self, monkeypatch, capsys):
-        def second_harmonic(sc, phi, mu, g):
-            var = 2.0 + np.cos(2.0 * phi) + 0.0 * np.asarray(g)
-            return None, np.multiply.outer(var, np.eye(4))
+        # an anisotropic Stokes block between the stages adds cos(2 phi)
+        def anisotropic(sc, mu):
+            return None, np.diag([3.0, 1.0, 1.0, 1.0])
 
-        monkeypatch.setattr(model, "_cascade_moments", second_harmonic)
+        monkeypatch.setattr(model, "_interstage_moments", anisotropic)
         assert run_cli("gain-sweep", "--sweep", "readout-gq", "--points", "2") == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -225,6 +239,13 @@ class TestCorrelation:
         out = capsys.readouterr().out
         x_plus = float(out.split("x_plus = ")[1].split("\n")[0])
         assert x_plus == pytest.approx(5e-21, rel=1e-9)
+
+    def test_rejected_run_leaves_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "corr.txt"
+        assert run_cli("correlation", "--from-ratio", "inf", "--readout-gq", "3",
+                       "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_prep_gain_is_range_error(self, capsys):
         assert run_cli("correlation", "--prep-gain", "1e200") == 2

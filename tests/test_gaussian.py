@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramansim.gaussian import (
+    SYMPLECTIC_ATOL,
     GaussianState,
     LossChannel,
     SymplecticOp,
@@ -16,6 +17,7 @@ from ramansim.gaussian import (
     mean_amplitude,
     mean_photon_number,
     phase_shift,
+    _is_symplectic,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezer,
@@ -69,6 +71,48 @@ class TestSymplecticForm:
     def test_antisymmetric(self):
         omega = symplectic_form(3)
         assert np.array_equal(omega, -omega.T)
+
+    def test_check_matches_allclose(self):
+        """_is_symplectic against the np.allclose predicate it writes out,
+        on symplectic, perturbed and non-finite stacks of 2 and 3 modes."""
+        rng = np.random.default_rng(31)
+
+        def random_symplectic(n_modes):
+            s = np.eye(2 * n_modes)
+            for _ in range(3):
+                a, b = rng.choice(n_modes, size=2, replace=False)
+                s = two_mode_squeezer(a, b, 1.0 + 3.0 * rng.random(), rng.uniform(-np.pi, np.pi),
+                                      n_modes=n_modes).matrix @ s
+                s = phase_shift(a, rng.uniform(-np.pi, np.pi), n_modes=n_modes).matrix @ s
+            return s
+
+        def reference(stack):
+            omega = symplectic_form(stack.shape[-1] // 2)
+            return np.allclose(stack @ omega @ np.swapaxes(stack, -1, -2), omega,
+                               atol=SYMPLECTIC_ATOL)
+
+        outcomes = set()
+        for n_modes in (2, 3):
+            for _ in range(200):
+                stack = np.stack([random_symplectic(n_modes) for _ in range(3)])
+                kind = rng.integers(4)
+                entry = (rng.integers(3), rng.integers(2 * n_modes), rng.integers(2 * n_modes))
+                if kind == 1:
+                    stack[entry] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -3.0)
+                elif kind == 2:
+                    stack[entry] = rng.choice([np.nan, np.inf, -np.inf])
+                elif kind == 3:
+                    # (1 + eps) S moves only the +-1 entries of S Omega S^T,
+                    # where the relative term of the bound decides
+                    stack[rng.integers(3)] *= 1.0 + 10.0 ** rng.uniform(-12.0, -4.0)
+                with np.errstate(invalid="ignore"):
+                    expected = reference(stack)
+                    assert _is_symplectic(stack) == expected
+                    for s in stack:
+                        assert _is_symplectic(s) == reference(s)
+                outcomes.add((int(kind), bool(expected)))
+        assert {(0, True), (1, True), (1, False), (2, False), (3, True), (3, False)} <= outcomes
+        assert symplectic_form(2).flags.writeable
 
 
 class TestTwoModeSqueezer:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import ramansim.model as model
 from ramansim.model import (
     AmplifierParams,
     CascadeScenario,
@@ -16,7 +17,7 @@ from ramansim.model import (
     NoiseTrace,
     PhysicalRamanParams,
     _cascade_moments,
-    _first_harmonic_min,
+    _harmonic_min,
     build_cascade,
     closed_form_noise_reduction,
     correlation_estimate_from_ratio,
@@ -311,19 +312,88 @@ class TestNoiseScan:
         assert var_min == pytest.approx(1.0, abs=1e-9)
 
 
+def interstage_covariance(stokes_block, cross_block, spinwave_block):
+    """A 4x4 covariance from its Stokes, cross and spin-wave 2x2 blocks."""
+    cross = np.asarray(cross_block, dtype=float)
+    return np.block([[np.asarray(stokes_block, dtype=float), cross],
+                     [cross.T, np.asarray(spinwave_block, dtype=float)]])
+
+
 class TestFirstHarmonicMin:
-    def test_recovers_minimum_and_phase(self):
-        phi_min, var_min = _first_harmonic_min(lambda phi: 5.0 + 3.0 * np.cos(phi - 1.0))
+    """_harmonic_min on a prescribed inter-stage covariance.  The readout
+    row is (sqrt 2, 0, 1, 0), so with C_aa = I and C_bb = 3 I the trace is
+    V = 5 + 2 sqrt 2 (w0 cos(phi) - w1 sin(phi)) for the cross column w."""
+
+    READOUT = CascadeScenario(AmplifierParams(1.0), AmplifierParams(math.sqrt(2.0)))
+
+    def harmonic_min(self, monkeypatch, cov):
+        monkeypatch.setattr(model, "_interstage_moments", lambda sc, mu: (None, cov))
+        return _harmonic_min(self.READOUT, 1.0, self.READOUT.readout.gain)
+
+    def test_recovers_minimum_and_phase(self, monkeypatch):
+        # 5 + 3 cos(phi - 1)
+        w = 1.5 / math.sqrt(2.0) * np.array([math.cos(1.0), -math.sin(1.0)])
+        cov = interstage_covariance(np.eye(2), [[w[0], 0.0], [w[1], 0.0]], 3.0 * np.eye(2))
+        phi_min, var_min = self.harmonic_min(monkeypatch, cov)
         assert var_min == pytest.approx(2.0, abs=1e-12)
         assert phi_min == pytest.approx(1.0 + np.pi, abs=1e-12)
 
-    def test_second_harmonic_raises(self):
+    def test_second_harmonic_raises(self, monkeypatch):
+        # an anisotropic Stokes block: 5 + 3 cos(phi) + 1e-6 cos(2 phi)
+        w = 1.5 / math.sqrt(2.0)
+        cov = interstage_covariance(np.diag([1.0 + 5e-7, 1.0 - 5e-7]),
+                                    [[w, 0.0], [0.0, 0.0]], 3.0 * np.eye(2))
         with pytest.raises(HarmonicFitError, match="not a first harmonic"):
-            _first_harmonic_min(lambda phi: 5.0 + 3.0 * np.cos(phi) + 1e-6 * np.cos(2.0 * phi))
+            self.harmonic_min(monkeypatch, cov)
 
-    def test_non_finite_sample_raises(self):
+    def test_non_finite_sample_raises(self, monkeypatch):
+        cov = interstage_covariance(np.eye(2), [[np.nan, 0.0], [0.0, 0.0]], np.eye(2))
         with pytest.raises(HarmonicFitError):
-            _first_harmonic_min(lambda phi: np.where(phi > 3.0, np.nan, 1.0))
+            self.harmonic_min(monkeypatch, cov)
+
+
+def five_sample_min(sc):
+    """The phase minimum from five samples of the full cascade kernel and
+    their DFT: the slow path that _harmonic_min replaces.  Returns
+    (phi_min, minimum, hypot(b, c), a)."""
+    phis = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+    v = _cascade_moments(sc, phis, sc.prep.gain, sc.readout.gain)[1][:, 0, 0]
+    coeffs = np.fft.rfft(v) / 5.0
+    assert 2.0 * abs(coeffs[2]) <= 1e-10 * np.max(np.abs(v))
+    a, b, c = coeffs[0].real, 2.0 * coeffs[1].real, -2.0 * coeffs[1].imag
+    return math.atan2(-c, -b) % (2.0 * np.pi), a - math.hypot(b, c), math.hypot(b, c), a
+
+
+class TestHarmonicAgainstSampledKernel:
+    def test_random_scenarios(self):
+        rng = np.random.default_rng(7301)
+        phases_compared = 0
+        for _ in range(250):
+            sc = random_scenario(rng)
+            phi_ref, var_ref, amplitude, mean_level = five_sample_min(sc)
+            phi_min, var_min = min_noise_over_phase(sc)
+            assert var_min == pytest.approx(var_ref, rel=1e-12)
+            if amplitude > 1e-6 * mean_level:
+                phases_compared += 1
+                assert abs(np.angle(np.exp(1j * (phi_min - phi_ref)))) <= 1e-9
+        assert phases_compared >= 150
+
+    def test_sweeps_match_point_by_point(self):
+        rng = np.random.default_rng(7302)
+        for _ in range(10):
+            sc = random_scenario(rng)
+            mus = 1.0 + 1.5 * rng.random(6)
+            trace = prep_gain_sweep(mus, sc.readout, sc.channel)
+            for mu, r in zip(mus, trace.variance_linear):
+                point = CascadeScenario(AmplifierParams(mu), sc.readout, sc.channel)
+                assert r == pytest.approx(noise_reduction_ratio(point), rel=1e-12)
+            gqs = 10.0 ** rng.uniform(0.0, 6.0, size=6)
+            trace = quantum_gain_sweep(gqs, sc.prep, sc.channel)
+            for gq, r in zip(gqs, trace.variance_linear):
+                point = CascadeScenario(
+                    sc.prep, AmplifierParams.from_quantum_gain(gq), sc.channel
+                )
+                assert r == pytest.approx(noise_reduction_ratio(point), rel=1e-12)
 
 
 class TestClosedForm:
