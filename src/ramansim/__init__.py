@@ -26,7 +26,6 @@ from .model import (
     ChannelParams,
     FringeTrace,
     NoiseTrace,
-    PhysicalRamanParams,
     build_cascade,
     closed_form_noise_reduction,
     fringe_scan,
@@ -38,7 +37,6 @@ from .model import (
     noise_vs_phase,
     prep_gain_sweep,
     quantum_gain_sweep,
-    simulate_cascade_noise,
 )
 
 __all__ = [
@@ -54,14 +52,12 @@ __all__ = [
     "homodyne_variance",
     "symplectic_eigenvalues",
     "AmplifierParams",
-    "PhysicalRamanParams",
     "ChannelParams",
     "CascadeScenario",
     "NoiseTrace",
     "FringeTrace",
     "gain_ratio_from_quantum_gain",
     "build_cascade",
-    "simulate_cascade_noise",
     "noise_vs_phase",
     "min_noise_over_phase",
     "noise_reduction_ratio",

@@ -24,23 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .crosscheck import AGREEMENT_TOL, N_MAX_LIMIT, run_battery
-from .fitting import (
-    DegenerateDesignError,
-    FitConfig,
-    InsufficientDataError,
-    UnstableFitError,
-    bootstrap_uncertainty,
-    fit_dataset,
-    fit_datasets_shared_loss,
-    load_noise_csv,
-)
-from .fock import TruncationError
+from .gaussian import NumericalError
 from .model import (
     AmplifierParams,
     CascadeScenario,
     ChannelParams,
-    HarmonicFitError,
     correlation_estimate_from_ratio,
     fringe_scan,
     fringe_visibility,
@@ -178,22 +166,26 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return merged
 
 
+def _stage(key: str, build, value) -> AmplifierParams:
+    """The amplifier stage ``build(value)``; a value the model rejects is a
+    usage error that names the config key it came from."""
+    try:
+        return build(value)
+    except ValueError as exc:
+        raise UsageError(f"{key}: {exc}") from None
+
+
 def _resolve_readout(cfg: dict) -> AmplifierParams:
     gq, gq_db = cfg.get("readout_gq"), cfg.get("readout_gq_db")
     if gq is not None and gq_db is not None:
         raise UsageError("give either readout-gq or readout-gq-db, not both")
     if gq is None:
         gq = 10.0 ** ((15.0 if gq_db is None else gq_db) / 10.0)
-    if gq < 1.0:
-        raise UsageError("readout-gq must be >= 1")
-    return AmplifierParams.from_quantum_gain(gq)
+    return _stage("readout_gq", AmplifierParams.from_quantum_gain, gq)
 
 
-def _check_range(cfg: dict, key: str, lo: float, hi: float) -> float:
-    v = cfg[key]
-    if not lo <= v <= hi:
-        raise UsageError(f"{key.replace('_', '-')} must be within [{_fmt(lo)}, {_fmt(hi)}]")
-    return v
+def _prep(cfg: dict) -> AmplifierParams:
+    return _stage("prep_gain", AmplifierParams, cfg["prep_gain"])
 
 
 def _check_points(cfg: dict, lo: int) -> None:
@@ -203,9 +195,9 @@ def _check_points(cfg: dict, lo: int) -> None:
 
 def _channel(cfg: dict) -> ChannelParams:
     return ChannelParams(
-        loss_stokes=_check_range(cfg, "loss_stokes", 0.0, 1.0),
-        loss_spinwave=_check_range(cfg, "loss_spinwave", 0.0, 1.0),
-        output_loss=_check_range(cfg, "output_loss", 0.0, 1.0),
+        loss_stokes=cfg["loss_stokes"],
+        loss_spinwave=cfg["loss_spinwave"],
+        output_loss=cfg["output_loss"],
     )
 
 
@@ -230,12 +222,8 @@ def _echo_config(fh, command: str, cfg: dict) -> None:
 
 def _cmd_noise_scan(args) -> int:
     cfg = _resolve(args, "noise-scan")
-    if cfg["prep_gain"] < 1.0:
-        raise UsageError("prep-gain must be >= 1")
     _check_points(cfg, 2)
-    scenario = CascadeScenario(
-        AmplifierParams(cfg["prep_gain"]), _resolve_readout(cfg), _channel(cfg)
-    )
+    scenario = CascadeScenario(_prep(cfg), _resolve_readout(cfg), _channel(cfg))
     trace = noise_vs_phase(scenario, cfg["points"])
     ref = reference_variance(scenario)
     with _open_out(args.out) as fh:
@@ -271,14 +259,14 @@ def _cmd_gain_sweep(args) -> int:
         readout = _resolve_readout(cfg)
         trace = prep_gain_sweep(values, readout, channel)
         gq_col = np.full(values.size, readout.quantum_noise_gain)
+        ignored = ("prep_gain",)
     else:
         values = _sweep_values(cfg, 2.0, 64.0)
-        if cfg["prep_gain"] < 1.0:
-            raise UsageError("prep-gain must be >= 1")
-        trace = quantum_gain_sweep(values, AmplifierParams(cfg["prep_gain"]), channel)
+        trace = quantum_gain_sweep(values, _prep(cfg), channel)
         gq_col = values
+        ignored = ("readout_gq", "readout_gq_db")
     with _open_out(args.out) as fh:
-        _echo_config(fh, "gain-sweep", cfg)
+        _echo_config(fh, "gain-sweep", {k: v for k, v in cfg.items() if k not in ignored})
         fh.write("sweep_value,gq_linear,R_linear,R_db\n")
         for x, gq, r, rdb in zip(trace.values, gq_col, trace.variance_linear, trace.variance_db):
             fh.write(f"{_fmt(x)},{_fmt(gq)},{_fmt(r)},{_fmt(rdb)}\n")
@@ -308,11 +296,15 @@ def _report_fit(fh, fit, boot=None) -> None:
 
 
 def _cmd_fit(args) -> int:
+    from .fitting import (
+        FitConfig,
+        bootstrap_uncertainty,
+        fit_dataset,
+        fit_datasets_shared_loss,
+        load_noise_csv,
+    )
+
     cfg = _resolve(args, "fit")
-    if cfg["pairing"] not in ("cascade", "swapped"):
-        raise UsageError("pairing must be 'cascade' or 'swapped'")
-    if cfg["starts"] < 1:
-        raise UsageError("starts must be >= 1")
     if cfg["bootstrap"] != 0 and cfg["bootstrap"] < 100:
         raise UsageError("bootstrap must be 0 (off) or >= 100 resamples")
     if cfg["bootstrap"] and cfg["shared_loss"]:
@@ -373,11 +365,9 @@ def _cmd_fringes(args) -> int:
         raise UsageError(
             "fringes needs a nonzero seed-amplitude; for vacuum input use noise-scan"
         )
-    if cfg["prep_gain"] < 1.0:
-        raise UsageError("prep-gain must be >= 1")
     _check_points(cfg, 2)
     scenario = CascadeScenario(
-        AmplifierParams(cfg["prep_gain"]),
+        _prep(cfg),
         _resolve_readout(cfg),
         _channel(cfg),
         seed_amplitude=complex(cfg["seed_amplitude"]),
@@ -393,6 +383,8 @@ def _cmd_fringes(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from .crosscheck import AGREEMENT_TOL, N_MAX_LIMIT, run_battery
+
     cfg = _resolve(args, "oracle-check")
     if not 2 <= cfg["truncation"] <= N_MAX_LIMIT:
         raise UsageError(f"truncation must be within [2, {N_MAX_LIMIT}]")
@@ -453,19 +445,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InsufficientDataError, DegenerateDesignError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TruncationError, UnstableFitError, HarmonicFitError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

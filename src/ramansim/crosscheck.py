@@ -62,27 +62,27 @@ class Rotate:
 Circuit = tuple
 
 
-def run_gaussian(circuit, n_modes: int = 2) -> GaussianState:
-    """Execute a circuit on the covariance-matrix engine."""
-    state = vacuum(n_modes)
+def run_gaussian(circuit) -> GaussianState:
+    """Execute a two-mode circuit on the covariance-matrix engine."""
+    state = vacuum(2)
     for op in circuit:
         if isinstance(op, Squeeze):
             state = apply_symplectic(
                 state,
-                two_mode_squeezer(op.modes[0], op.modes[1], np.cosh(op.r), op.theta, n_modes),
+                two_mode_squeezer(op.modes[0], op.modes[1], np.cosh(op.r), op.theta, n_modes=2),
             )
         elif isinstance(op, Loss):
             if op.loss > 0:
                 state = apply_loss(state, LossChannel(op.mode, op.loss))
         elif isinstance(op, Rotate):
-            state = apply_symplectic(state, phase_shift(op.mode, op.phi, n_modes))
+            state = apply_symplectic(state, phase_shift(op.mode, op.phi, n_modes=2))
         else:
             raise TypeError(f"unknown circuit op {op!r}")
     return state
 
 
-def _run_fock_once(circuit, n_modes: int, n_max: int):
-    state = fock.vacuum_state(n_modes, n_max)
+def _run_fock_once(circuit, n_max: int):
+    state = fock.vacuum_state(n_max=n_max)
     for op in circuit:
         if isinstance(op, Squeeze):
             state = fock.apply_two_mode_squeeze(state, op.r, op.theta, op.modes)
@@ -95,7 +95,7 @@ def _run_fock_once(circuit, n_modes: int, n_max: int):
     return state
 
 
-def run_fock(circuit, n_modes: int = 2, n_max: int = 40) -> fock.FockState:
+def run_fock(circuit, n_max: int = 40) -> fock.FockState:
     """Execute a two-mode circuit on the Fock oracle, doubling the
     truncation until every step keeps the edge population below tolerance.
     Each mode takes at most one nonzero loss (see ``fock.apply_loss``).
@@ -106,21 +106,21 @@ def run_fock(circuit, n_modes: int = 2, n_max: int = 40) -> fock.FockState:
     n = n_max
     while True:
         try:
-            return _run_fock_once(circuit, n_modes, n)
+            return _run_fock_once(circuit, n)
         except TruncationError:
             if 2 * n > N_MAX_LIMIT:
                 raise
             n *= 2
 
 
-def variance_deviation(circuit, n_modes: int = 2, n_max: int = 40) -> float:
+def variance_deviation(circuit, n_max: int = 40) -> float:
     """Max |Gaussian - Fock| homodyne variance over modes and phases.  The
     Fock variance of each mode is phase independent on the oracle's Q = 0
     sector, so it is read once per mode and compared at every phase."""
-    g = run_gaussian(circuit, n_modes)
-    f = run_fock(circuit, n_modes, n_max)
+    g = run_gaussian(circuit)
+    f = run_fock(circuit, n_max)
     worst = 0.0
-    for mode in range(n_modes):
+    for mode in range(2):
         fv = fock.quadrature_variance(f, mode)
         for phase in _CHECK_PHASES:
             worst = max(worst, abs(homodyne_variance(g, mode, phase) - fv))

@@ -33,7 +33,9 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
+from .gaussian import NumericalError
 from .model import (
+    PAIRINGS,
     closed_form_noise_reduction,
     joint_quadrature_variance,
     linear_to_db,
@@ -56,7 +58,7 @@ class DegenerateDesignError(ValueError):
     """The design carries no information (e.g. all gq identical)."""
 
 
-class UnstableFitError(RuntimeError):
+class UnstableFitError(NumericalError):
     """The fit (or too many bootstrap refits) failed to converge."""
 
 
@@ -143,6 +145,8 @@ class FitConfig:
             raise ValueError("n_starts must be >= 1")
         if not 1.0 < self.mu_max < math.inf:
             raise ValueError("mu_max must be finite and > 1")
+        if self.pairing not in PAIRINGS:
+            raise ValueError(f"pairing must be one of {PAIRINGS}")
 
 
 @dataclass(frozen=True)
@@ -318,13 +322,6 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
         (x, f), n_polishes = _best_polish(fun, starts, bounds), len(starts)
     grad_norm = _converged_gradient_norm(fun, x, bounds)
     return _result(x, f, fun(x[[0, 2, 1]])[0], f, n_polishes, grad_norm, data)
-
-
-def correlation_from_fit(fit: FitResult) -> tuple[float, float]:
-    """Infinite-gain joint quadrature variance implied by a fit, and its dB
-    value relative to the uncorrelated 2."""
-    x_plus = joint_quadrature_variance(fit.mu_hat, fit.l1_hat, fit.l2_hat)
-    return x_plus, float(linear_to_db(x_plus / 2.0))
 
 
 def bootstrap_uncertainty(

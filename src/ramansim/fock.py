@@ -28,6 +28,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .gaussian import NumericalError
+
 #: maximum tolerated population at the truncation edge
 EDGE_TOL = 1e-8
 #: maximum tolerated relative amplitude of the highest retained TMSV term
@@ -36,7 +38,7 @@ TAIL_TOL = 1e-6
 NORM_TOL = 1e-8
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NumericalError):
     """The requested operation is not representable at this truncation."""
 
 
@@ -82,10 +84,8 @@ class FockState:
         return self.n_max + 1
 
 
-def vacuum_state(n_modes: int, n_max: int) -> FockState:
-    """Both modes in |0>; the store holds two-mode circuits only."""
-    if n_modes != 2:
-        raise ValueError("the charge-sector store holds two-mode circuits: n_modes must be 2")
+def vacuum_state(n_max: int) -> FockState:
+    """Both modes in |0>."""
     amps = np.zeros((n_max + 1, 1, 1), dtype=complex)
     amps[0, 0, 0] = 1.0
     return FockState(n_max, amps)

@@ -32,6 +32,12 @@ PHYSICALITY_ATOL = 1e-9
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+class NumericalError(RuntimeError):
+    """A computation that cannot give a trustworthy number: a Fock
+    truncation refusal, a fit that did not converge, a phase trace that is
+    not a first harmonic."""
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form Omega for ``n_modes`` modes."""
     return np.kron(np.eye(n_modes), _J)

@@ -30,11 +30,11 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    NumericalError,
     _attenuate,
     _is_symplectic,
     _rotation_matrix,
     _squeezer_matrix,
-    homodyne_variance,
 )
 
 #: scan_variable labels allowed on a NoiseTrace
@@ -84,12 +84,6 @@ class AmplifierParams:
         """Output noise of the stage for uncorrelated input: 2 G^2 - 1."""
         return 2.0 * self.gain * self.gain - 1.0
 
-    @property
-    def gain_ratio(self) -> float:
-        """g / G, the knob that interpolates between the finite-gain (< 1)
-        and ideal large-gain (-> 1) regimes."""
-        return self.cross_gain / self.gain
-
     @classmethod
     def from_quantum_gain(cls, quantum_gain: float, pump_phase: float = 0.0) -> "AmplifierParams":
         """Build a stage from its quantum noise gain 2G^2 - 1 >= 1."""
@@ -114,60 +108,6 @@ def gain_ratio_from_quantum_gain(quantum_gain):
         raise ValueError("quantum_gain must be >= 1")
     out = np.where(np.isinf(gq), 1.0, np.sqrt((gq - 1.0) / np.where(np.isinf(gq), 2.0, gq + 1.0)))
     return float(out) if np.isscalar(quantum_gain) or np.ndim(quantum_gain) == 0 else out
-
-
-@dataclass(frozen=True)
-class PhysicalRamanParams:
-    """Microscopic parameters of one Raman stage.
-
-    The far-detuned pump drives a two-photon process with effective rate
-    eta = coupling_eg * coupling_em * sqrt(atom_number) / detuning, and the
-    stage gain is G = cosh(eta * pump_amplitude * interaction_time).
-    """
-
-    coupling_eg: float
-    coupling_em: float
-    detuning: float
-    pump_amplitude: float
-    interaction_time: float
-    atom_number: float = 1.0
-
-    def __post_init__(self):
-        if self.coupling_eg <= 0 or self.coupling_em <= 0:
-            raise ValueError("couplings must be positive")
-        if self.detuning <= 0:
-            raise ValueError("detuning must be positive (magnitude of the single-photon detuning)")
-        if self.pump_amplitude < 0:
-            raise ValueError("pump_amplitude must be non-negative")
-        if self.interaction_time < 0:
-            raise ValueError("interaction_time must be non-negative")
-        if self.atom_number < 1:
-            raise ValueError("atom_number must be >= 1")
-
-    @property
-    def effective_rate(self) -> float:
-        return self.coupling_eg * self.coupling_em * math.sqrt(self.atom_number) / self.detuning
-
-    @property
-    def squeeze_parameter(self) -> float:
-        return self.effective_rate * self.pump_amplitude * self.interaction_time
-
-    def to_amplifier(self, pump_phase: float = 0.0) -> AmplifierParams:
-        return AmplifierParams(math.cosh(self.squeeze_parameter), pump_phase)
-
-
-def gain_from_pump_power(power: float, rate: float) -> float:
-    """Stage gain at a given pump power: G = cosh(rate * sqrt(power)).
-
-    The squeeze parameter grows with the pump field amplitude, i.e. with
-    sqrt(power), which is the mapping used when a sweep is labelled
-    "pump_power".
-    """
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return math.cosh(rate * math.sqrt(power))
 
 
 @dataclass(frozen=True)
@@ -334,16 +274,6 @@ def build_cascade(scenario: CascadeScenario) -> GaussianState:
     ))
 
 
-def simulate_cascade_noise(scenario: CascadeScenario, lo_phase: float = 0.0) -> float:
-    """Homodyne variance of the Stokes output of the cascade.
-
-    The output Stokes mode is phase-insensitive (its reduced state carries
-    no squeezing ellipse), so the value does not depend on ``lo_phase``;
-    the argument is kept for explicitness in tests.
-    """
-    return homodyne_variance(build_cascade(scenario), 0, lo_phase)
-
-
 def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace:
     """Sample the cascade output variance over phi in [0, 2*pi).
 
@@ -358,7 +288,7 @@ def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace
     return NoiseTrace("phase", phis, cov[:, 0, 0])
 
 
-class HarmonicFitError(RuntimeError):
+class HarmonicFitError(NumericalError):
     """A phase trace that must be a first harmonic in phi is not one."""
 
 
@@ -445,6 +375,16 @@ def noise_reduction_regressors(quantum_gain) -> np.ndarray:
     return np.stack([np.ones_like(lam), 1.0 / denom, lam / denom], axis=-1)
 
 
+def _check_prep_and_losses(mu, l1, l2) -> None:
+    """Reject a prep gain below 1 or a loss outside [0, 1], NaN included;
+    scalars or arrays."""
+    if not np.all(mu >= 1.0):
+        raise ValueError("prep_gain must be >= 1")
+    for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
+        if not np.all((l >= 0.0) & (l <= 1.0)):
+            raise ValueError(f"{name} must be within [0, 1]")
+
+
 def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing: str = "cascade"):
     """Coefficients (alpha, beta, gamma) of R on :func:`noise_reduction_regressors`.
 
@@ -460,11 +400,7 @@ def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing:
     mu = np.asarray(prep_gain, dtype=float)
     l1 = np.asarray(loss_stokes, dtype=float)
     l2 = np.asarray(loss_spinwave, dtype=float)
-    if not np.all(mu >= 1.0):
-        raise ValueError("prep_gain must be >= 1")
-    for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
-        if not np.all((l >= 0.0) & (l <= 1.0)):
-            raise ValueError(f"{name} must be within [0, 1]")
+    _check_prep_and_losses(mu, l1, l2)
     if pairing == "swapped":
         l1, l2 = l2, l1
     nu2 = mu * mu - 1.0
@@ -517,13 +453,8 @@ def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwav
     [1/(mu + nu) + 2 nu (L1 + L2 - L1 L2)/(1 + sqrt(T1 T2))]/(mu + nu), which
     keep their precision at large gain, where the direct form cancels to 0.
     """
-    mu = float(prep_gain)
-    if not mu >= 1.0:
-        raise ValueError("prep_gain must be >= 1")
-    l1, l2 = loss_stokes, loss_spinwave
-    for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
-        if not 0.0 <= l <= 1.0:
-            raise ValueError(f"{name} must be within [0, 1]")
+    mu, l1, l2 = float(prep_gain), loss_stokes, loss_spinwave
+    _check_prep_and_losses(mu, l1, l2)
     nu = math.sqrt((mu - 1.0) * (mu + 1.0))
     s = mu + nu
     x_plus = 2.0 * nu * nu * (math.sqrt(1.0 - l1) - math.sqrt(1.0 - l2)) ** 2 + 2.0 * (

@@ -14,6 +14,7 @@ import pytest
 
 import ramansim
 import ramansim.cli as cli
+import ramansim.crosscheck as crosscheck
 import ramansim.model as model
 from ramansim import __version__
 from ramansim.crosscheck import N_MAX_LIMIT, BatteryResult
@@ -31,6 +32,46 @@ def data_rows(text):
         line for line in text.strip().splitlines()
         if line and not line.startswith("#")
     ]
+
+
+@pytest.fixture()
+def sweep_csv(tmp_path):
+    path = tmp_path / "clean.csv"
+    gq = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+    r = closed_form_noise_reduction(1.17, 0.1, 0.1, gq)
+    lines = ["gq_linear,R_linear"] + [f"{a},{b}" for a, b in zip(gq, r)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("noise-scan", "--prep-gain", "0.5"), "prep_gain"),
+        (("noise-scan", "--prep-gain", "nan"), "prep_gain"),
+        (("fringes", "--prep-gain", "0.5"), "prep_gain"),
+        (("fringes", "--prep-gain", "nan"), "prep_gain"),
+        (("gain-sweep", "--sweep", "readout-gq", "--prep-gain", "0.5"), "prep_gain"),
+        (("gain-sweep", "--sweep", "readout-gq", "--prep-gain", "nan"), "prep_gain"),
+        (("correlation", "--prep-gain", "0.5"), "prep_gain"),
+        (("noise-scan", "--loss-spinwave", "-0.1"), "loss_spinwave"),
+        (("noise-scan", "--loss-spinwave", "nan"), "loss_spinwave"),
+        (("noise-scan", "--output-loss", "2"), "output_loss"),
+        (("noise-scan", "--readout-gq", "0.5"), "readout_gq"),
+        (("noise-scan", "--readout-gq", "nan"), "readout_gq"),
+        (("correlation", "--from-ratio", "0.4", "--readout-gq", "0.5"), "readout_gq"),
+        (("fit", "{csv}", "--starts", "0"), "starts"),
+        (("fit", "{csv}", "--pairing", "typo"), "pairing"),
+    ],
+)
+def test_model_rejection_names_the_key(argv, key, sweep_csv, recwarn, capsys):
+    argv = [str(sweep_csv) if a == "{csv}" else a for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err or key.replace("_", "-") in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestNoiseScan:
@@ -144,17 +185,25 @@ class TestGainSweep:
         assert run_cli("gain-sweep", "--sweep", "banana") == 2
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sweep, extra, ignored",
+        [
+            ("prep-gain", ("--prep-gain", "0.5"), ("prep_gain",)),
+            ("readout-gq", ("--readout-gq", "0.5"), ("readout_gq", "readout_gq_db")),
+        ],
+    )
+    def test_echo_leaves_out_ignored_keys(self, sweep, extra, ignored, capsys):
+        assert run_cli("gain-sweep", "--sweep", sweep, "--points", "3") == 0
+        plain = capsys.readouterr().out
+        assert run_cli("gain-sweep", "--sweep", sweep, "--points", "3", *extra) == 0
+        out = capsys.readouterr().out
+        assert out == plain
+        echoed = {line.split(" = ")[0][2:] for line in out.splitlines() if " = " in line}
+        assert echoed.isdisjoint(ignored)
+        assert {"loss_stokes", "points", "sweep"} <= echoed
+
 
 class TestFit:
-    @pytest.fixture()
-    def sweep_csv(self, tmp_path):
-        path = tmp_path / "clean.csv"
-        gq = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-        r = closed_form_noise_reduction(1.17, 0.1, 0.1, gq)
-        lines = ["gq_linear,R_linear"] + [f"{a},{b}" for a, b in zip(gq, r)]
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
     def test_report_and_csv(self, sweep_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
         assert run_cli("fit", str(sweep_csv), "--out", str(out)) == 0
@@ -281,7 +330,7 @@ class TestFringes:
 class TestOracleCheck:
     def test_passing_battery(self, monkeypatch, capsys):
         stub = BatteryResult([("a", 1e-9), ("b", 3e-8)], 0.1)
-        monkeypatch.setattr(cli, "run_battery", lambda n_max: stub)
+        monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: stub)
         assert run_cli("oracle-check") == 0
         out = capsys.readouterr().out
         assert "a,1e-09" in out
@@ -289,7 +338,7 @@ class TestOracleCheck:
 
     def test_failing_battery(self, monkeypatch, capsys):
         stub = BatteryResult([("bad", 5e-4)], 0.1)
-        monkeypatch.setattr(cli, "run_battery", lambda n_max: stub)
+        monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: stub)
         assert run_cli("oracle-check") == 3
         assert "# status = FAIL" in capsys.readouterr().out
 
@@ -297,7 +346,7 @@ class TestOracleCheck:
         def refuse(n_max):
             raise TruncationError("truncation cap reached")
 
-        monkeypatch.setattr(cli, "run_battery", refuse)
+        monkeypatch.setattr(crosscheck, "run_battery", refuse)
         assert run_cli("oracle-check") == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -307,7 +356,7 @@ class TestOracleCheck:
     def test_truncation_capped_at_doubling_limit(self, monkeypatch, capsys):
         seen = []
         stub = BatteryResult([("a", 1e-9)], 0.1)
-        monkeypatch.setattr(cli, "run_battery", lambda n_max: seen.append(n_max) or stub)
+        monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: seen.append(n_max) or stub)
         assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT)) == 0
         assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT + 1)) == 2
         assert seen == [N_MAX_LIMIT]

@@ -160,9 +160,9 @@ class TestHarnessSanity:
     def test_corrupted_engine_detected(self, monkeypatch):
         """A deliberately biased engine must fail the battery check."""
 
-        def biased(circuit, n_modes=2):
-            state = run_gaussian(circuit, n_modes)
-            return GaussianState(state.mean, state.cov + 1e-3 * np.eye(2 * n_modes))
+        def biased(circuit):
+            state = run_gaussian(circuit)
+            return GaussianState(state.mean, state.cov + 1e-3 * np.eye(4))
 
         monkeypatch.setattr(crosscheck, "run_gaussian", biased)
         result = run_battery(battery=[("lossless", LOSSLESS_ALIGNED)])

@@ -14,7 +14,6 @@ from ramansim.fitting import (
     NoiseDataset,
     UnstableFitError,
     bootstrap_uncertainty,
-    correlation_from_fit,
     fit_dataset,
     fit_datasets_shared_loss,
     load_noise_csv,
@@ -109,6 +108,10 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="mu_max"):
             FitConfig(mu_max=mu_max)
 
+    def test_pairing_must_be_known(self):
+        with pytest.raises(ValueError, match="pairing"):
+            FitConfig(pairing="typo")
+
 
 class TestFitRoundTrip:
     def test_noiseless_recovery_unequal_losses(self):
@@ -128,9 +131,6 @@ class TestFitRoundTrip:
         fit = fit_dataset(data)
         truth = joint_quadrature_variance(1.3, 0.05, 0.25)
         assert abs(fit.correlation_x_plus - truth) < 1e-8
-        x_plus, db = correlation_from_fit(fit)
-        assert x_plus == pytest.approx(fit.correlation_x_plus, abs=1e-14)
-        assert db == pytest.approx(fit.correlation_db, abs=1e-12)
 
     def test_equal_losses_flagged_degenerate(self):
         fit = fit_dataset(synthetic_dataset(1.17, 0.1, 0.1))

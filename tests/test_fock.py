@@ -112,7 +112,7 @@ def kraus_loss(rho, mode, n_modes, loss):
 
 class TestVacuum:
     def test_shape_and_amplitudes(self):
-        state = vacuum_state(2, 5)
+        state = vacuum_state(5)
         assert state.amps.shape == (6, 1, 1)
         assert state.amps[0, 0, 0] == 1.0
         assert np.count_nonzero(state.amps) == 1
@@ -121,15 +121,11 @@ class TestVacuum:
     def test_unit_quadrature_variance(self, lo_phase):
         # X_phi of a mode is X_0 of the mode rotated by -phi
         for mode in (0, 1):
-            state = apply_phase_rotation(vacuum_state(2, 6), mode, -lo_phase)
+            state = apply_phase_rotation(vacuum_state(6), mode, -lo_phase)
             assert quadrature_variance(state, mode) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_photons(self):
-        assert mean_photon_number(vacuum_state(2, 4), 1) == pytest.approx(0.0, abs=1e-14)
-
-    def test_two_modes_only(self):
-        with pytest.raises(ValueError):
-            vacuum_state(3, 4)
+        assert mean_photon_number(vacuum_state(4), 1) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestTwoModeSqueezedVacuum:
@@ -144,7 +140,7 @@ class TestTwoModeSqueezedVacuum:
 
     def test_matches_generator_exponential(self):
         direct = two_mode_squeezed_vacuum(R, theta=0.3, n_max=40)
-        evolved = apply_two_mode_squeeze(vacuum_state(2, 40), R, theta=0.3)
+        evolved = apply_two_mode_squeeze(vacuum_state(40), R, theta=0.3)
         assert abs(np.vdot(direct.amps, evolved.amps)) == pytest.approx(1.0, abs=1e-10)
 
     def test_arm_variance_and_photon_number(self):
@@ -195,7 +191,7 @@ class TestChainBlocks:
 
 class TestSqueezeOperation:
     def test_edge_policing_on_repeated_squeezing(self):
-        state = vacuum_state(2, 16)
+        state = vacuum_state(16)
         state = apply_two_mode_squeeze(state, 0.6)
         with pytest.raises(TruncationError):
             apply_two_mode_squeeze(state, 0.6)
@@ -220,14 +216,14 @@ class TestSqueezeOperation:
         assert np.max(np.abs(dense(out) - reference)) < 1e-12
 
     def test_symmetric_in_modes(self):
-        forward = apply_two_mode_squeeze(vacuum_state(2, 20), 0.4, 0.2, (0, 1))
-        backward = apply_two_mode_squeeze(vacuum_state(2, 20), 0.4, 0.2, (1, 0))
+        forward = apply_two_mode_squeeze(vacuum_state(20), 0.4, 0.2, (0, 1))
+        backward = apply_two_mode_squeeze(vacuum_state(20), 0.4, 0.2, (1, 0))
         assert np.array_equal(forward.amps, backward.amps)
         with pytest.raises(ValueError):
-            apply_two_mode_squeeze(vacuum_state(2, 20), 0.4, 0.2, (0, 0))
+            apply_two_mode_squeeze(vacuum_state(20), 0.4, 0.2, (0, 0))
 
     def test_unitarity(self):
-        state = apply_two_mode_squeeze(vacuum_state(2, 30), 0.6)
+        state = apply_two_mode_squeeze(vacuum_state(30), 0.6)
         assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -290,7 +286,7 @@ class TestLossChannel:
 
     @pytest.mark.parametrize("loss", [-0.01, 1.01])
     def test_loss_range_validation(self, loss):
-        state = vacuum_state(2, 4)
+        state = vacuum_state(4)
         with pytest.raises(ValueError):
             apply_loss(state, 0, loss)
 
@@ -345,7 +341,7 @@ class TestDenseReference:
             "rot_a": (lambda s: apply_phase_rotation(s, 0, 1.1), 1.1j * embed(number, A)),
             "rot_b": (lambda s: apply_phase_rotation(s, 1, -0.7), -0.7j * embed(number, B)),
         }
-        state = vacuum_state(2, n_max)
+        state = vacuum_state(n_max)
         psi = dense(state).reshape(-1)
         for name in order:
             op, generator = steps[name]
@@ -374,7 +370,7 @@ class TestValidation:
             FockState(4, amps)
 
     def test_edge_population_of_small_state(self):
-        assert edge_population(vacuum_state(2, 3)) == pytest.approx(0.0, abs=1e-14)
+        assert edge_population(vacuum_state(3)) == pytest.approx(0.0, abs=1e-14)
         state = two_mode_squeezed_vacuum(0.3, n_max=25)
         assert edge_population(state) < 1e-12
 

@@ -15,7 +15,6 @@ from ramansim.model import (
     FringeTrace,
     HarmonicFitError,
     NoiseTrace,
-    PhysicalRamanParams,
     _cascade_moments,
     _harmonic_min,
     build_cascade,
@@ -24,17 +23,16 @@ from ramansim.model import (
     db_to_linear,
     fringe_scan,
     fringe_visibility,
-    gain_from_pump_power,
     gain_ratio_from_quantum_gain,
     joint_quadrature_variance,
     linear_to_db,
     min_noise_over_phase,
+    noise_reduction_coefficients,
     noise_reduction_ratio,
     noise_vs_phase,
     prep_gain_sweep,
     quantum_gain_sweep,
     reference_variance,
-    simulate_cascade_noise,
 )
 from ramansim.gaussian import (
     LossChannel,
@@ -87,17 +85,13 @@ class TestAmplifierParams:
         params = AmplifierParams.from_quantum_gain(32.0)
         assert params.quantum_noise_gain == pytest.approx(32.0, abs=1e-12)
         assert params.gain == pytest.approx(math.sqrt(16.5), abs=1e-12)
+        assert params.cross_gain == pytest.approx(
+            math.sqrt(params.gain**2 - 1.0), abs=1e-12
+        )
 
     def test_db_constructor(self):
         params = AmplifierParams.from_quantum_gain_db(15.0)
         assert params.quantum_noise_gain == pytest.approx(10**1.5, abs=1e-10)
-
-    def test_gain_ratio(self):
-        params = AmplifierParams.from_quantum_gain(32.0)
-        assert params.gain_ratio == pytest.approx(math.sqrt(31.0 / 33.0), abs=1e-12)
-        assert params.cross_gain == pytest.approx(
-            math.sqrt(params.gain**2 - 1.0), abs=1e-12
-        )
 
     @pytest.mark.parametrize("gain", [0.99, np.nan, np.inf])
     def test_gain_validation(self, gain):
@@ -126,35 +120,6 @@ class TestGainRatio:
             gain_ratio_from_quantum_gain(np.array([2.0, np.nan]))
 
 
-class TestPhysicalParams:
-    def test_gain_mapping(self):
-        params = PhysicalRamanParams(
-            coupling_eg=2.0,
-            coupling_em=1.5,
-            detuning=100.0,
-            pump_amplitude=3.0,
-            interaction_time=4.0,
-            atom_number=25.0,
-        )
-        rate = 2.0 * 1.5 * 5.0 / 100.0
-        assert params.effective_rate == pytest.approx(rate, abs=1e-12)
-        assert params.squeeze_parameter == pytest.approx(rate * 12.0, abs=1e-12)
-        assert params.to_amplifier().gain == pytest.approx(math.cosh(rate * 12.0), abs=1e-12)
-
-    def test_pump_power_mapping(self):
-        assert gain_from_pump_power(0.0, 0.7) == 1.0
-        powers = np.linspace(0.0, 4.0, 9)
-        gains = [gain_from_pump_power(p, 0.7) for p in powers]
-        assert np.all(np.diff(gains) > 0)
-        assert gains[-1] == pytest.approx(math.cosh(1.4), abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhysicalRamanParams(1.0, 1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            gain_from_pump_power(-1.0, 1.0)
-
-
 class TestCascadePipeline:
     @pytest.mark.parametrize(
         "mu,gq,l1,l2,phi,out",
@@ -168,21 +133,23 @@ class TestCascadePipeline:
     )
     def test_matches_analytic_variance(self, mu, gq, l1, l2, phi, out):
         sc = scenario(mu, gq, l1, l2, phi, out)
-        assert simulate_cascade_noise(sc) == pytest.approx(
+        assert homodyne_variance(build_cascade(sc), 0, 0.0) == pytest.approx(
             analytic_variance(mu, gq, l1, l2, phi, out), abs=1e-10
         )
 
     def test_unprepared_input_gives_reference_noise(self):
         for phi in (0.0, 0.9, np.pi):
             sc = scenario(mu=1.0, phi=phi)
-            assert simulate_cascade_noise(sc) == pytest.approx(32.0, abs=1e-10)
+            assert homodyne_variance(build_cascade(sc), 0, 0.0) == pytest.approx(
+                32.0, abs=1e-10
+            )
         assert reference_variance(scenario(mu=1.0)) == pytest.approx(32.0, abs=1e-12)
 
     def test_output_stokes_variance_is_lo_phase_insensitive(self):
         sc = scenario(phi=np.pi)
         for lo_phase in (0.0, 0.5, np.pi / 2):
-            assert simulate_cascade_noise(sc, lo_phase) == pytest.approx(
-                simulate_cascade_noise(sc, 0.0), abs=1e-10
+            assert homodyne_variance(build_cascade(sc), 0, lo_phase) == pytest.approx(
+                homodyne_variance(build_cascade(sc), 0, 0.0), abs=1e-10
             )
 
     def test_build_cascade_returns_two_mode_state(self):
@@ -293,8 +260,10 @@ class TestNoiseScan:
             i = int(np.argmin(trace.variance_linear))
             step = trace.values[1] - trace.values[0]
             refined = minimize_scalar(
-                lambda phi: simulate_cascade_noise(
-                    replace(sc, channel=replace(sc.channel, scan_phase=phi))
+                lambda phi: homodyne_variance(
+                    build_cascade(replace(sc, channel=replace(sc.channel, scan_phase=phi))),
+                    0,
+                    0.0,
                 ),
                 bounds=(trace.values[i] - step, trace.values[i] + step),
                 method="bounded",
@@ -494,6 +463,17 @@ class TestJointQuadrature:
     def test_overflow_is_range_error(self):
         with pytest.raises(ValueError, match="out of range"):
             joint_quadrature_variance(1e200, 0.1, 0.1)
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [((0.9, 0.1, 0.1), "prep_gain"), ((np.nan, 0.1, 0.1), "prep_gain"),
+         ((1.2, -0.1, 0.1), "loss_stokes"), ((1.2, np.nan, 0.1), "loss_stokes"),
+         ((1.2, 0.1, 1.1), "loss_spinwave"), ((1.2, 0.1, np.nan), "loss_spinwave")],
+    )
+    def test_rejects_what_the_closed_form_rejects(self, args, key):
+        for fn in (joint_quadrature_variance, noise_reduction_coefficients):
+            with pytest.raises(ValueError, match=key):
+                fn(*args)
 
     @pytest.mark.parametrize(
         "ratio,gq", [(0.0, 32.0), (np.nan, 32.0), (np.inf, 32.0), (0.4, 0.5), (0.4, np.nan)]
