@@ -179,9 +179,10 @@ def _resolve_readout(cfg: dict) -> AmplifierParams:
     gq, gq_db = cfg.get("readout_gq"), cfg.get("readout_gq_db")
     if gq is not None and gq_db is not None:
         raise UsageError("give either readout-gq or readout-gq-db, not both")
-    if gq is None:
-        gq = 10.0 ** ((15.0 if gq_db is None else gq_db) / 10.0)
-    return _stage("readout_gq", AmplifierParams.from_quantum_gain, gq)
+    if gq is not None:
+        return _stage("readout_gq", AmplifierParams.from_quantum_gain, gq)
+    return _stage("readout_gq_db", AmplifierParams.from_quantum_gain_db,
+                  15.0 if gq_db is None else gq_db)
 
 
 def _prep(cfg: dict) -> AmplifierParams:
@@ -341,8 +342,8 @@ def _cmd_correlation(args) -> int:
     if cfg["from_ratio"] is not None:
         if cfg["readout_gq"] is None and cfg["readout_gq_db"] is None:
             raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
-        readout = _resolve_readout(cfg)
-        x_plus = correlation_estimate_from_ratio(cfg["from_ratio"], readout.quantum_noise_gain)
+        _resolve_readout(cfg)  # validated here, echoed in the header
+        x_plus = correlation_estimate_from_ratio(cfg["from_ratio"])
         estimate = "finite-gain single point (2R, upper-bound-style)"
     else:
         if cfg["prep_gain"] is None:

@@ -1,12 +1,15 @@
-"""Cross-validation of the Gaussian engine against the Fock oracle.
+"""Cross-validation of the cascade kernel against the Fock oracle.
 
-A circuit is a flat sequence of Squeeze / Loss / Rotate instructions; the
-same sequence is executed covariance-side and number-basis-side and the
-homodyne variances of the outputs are compared.  The Fock side is a pure
-state throughout: each lossy step appends a vacuum environment mode to
-it.  The Fock run retries with a doubled truncation (40 -> 80 -> 160)
-whenever a step reports an inadequate edge population, and refuses
-beyond the cap rather than returning an unconverged number.
+A circuit is a :class:`~ramansim.model.CascadeScenario`: prep squeeze, a
+loss on each arm, the scan phase on the Stokes arm, readout squeeze.  The
+kernel's :func:`~ramansim.model.build_cascade` gives its covariance; the
+Fock oracle replays the same five steps in the number basis with squeeze
+parameter r = acosh(gain), and the homodyne variances of the two outputs
+are compared.  The Fock side is a pure state throughout: each lossy step
+appends a vacuum environment mode to it.  The Fock run retries with a
+doubled truncation (40 -> 80 -> 160) whenever a step reports an
+inadequate edge population, and refuses beyond the cap rather than
+returning an unconverged number.
 """
 
 from __future__ import annotations
@@ -19,16 +22,8 @@ import numpy as np
 
 from . import fock
 from .fock import TruncationError
-from .gaussian import (
-    GaussianState,
-    LossChannel,
-    apply_loss,
-    apply_symplectic,
-    homodyne_variance,
-    phase_shift,
-    two_mode_squeezer,
-    vacuum,
-)
+from .gaussian import homodyne_variance
+from .model import AmplifierParams, CascadeScenario, ChannelParams, build_cascade
 
 #: tolerance on the Gaussian-vs-Fock variance deviation
 AGREEMENT_TOL = 1e-6
@@ -40,85 +35,46 @@ N_MAX_LIMIT = 160
 _CHECK_PHASES = (0.0, np.pi / 2.0)
 
 
-@dataclass(frozen=True)
-class Squeeze:
-    r: float
-    theta: float = 0.0
-    modes: tuple[int, int] = (0, 1)
-
-
-@dataclass(frozen=True)
-class Loss:
-    mode: int
-    loss: float
-
-
-@dataclass(frozen=True)
-class Rotate:
-    mode: int
-    phi: float
-
-
-Circuit = tuple
-
-
-def run_gaussian(circuit) -> GaussianState:
-    """Execute a two-mode circuit on the covariance-matrix engine."""
-    state = vacuum(2)
-    for op in circuit:
-        if isinstance(op, Squeeze):
-            state = apply_symplectic(
-                state,
-                two_mode_squeezer(op.modes[0], op.modes[1], np.cosh(op.r), op.theta, n_modes=2),
-            )
-        elif isinstance(op, Loss):
-            if op.loss > 0:
-                state = apply_loss(state, LossChannel(op.mode, op.loss))
-        elif isinstance(op, Rotate):
-            state = apply_symplectic(state, phase_shift(op.mode, op.phi, n_modes=2))
-        else:
-            raise TypeError(f"unknown circuit op {op!r}")
-    return state
-
-
-def _run_fock_once(circuit, n_max: int):
+def _run_fock_once(scenario: CascadeScenario, n_max: int) -> fock.FockState:
+    ch = scenario.channel
+    if scenario.seed_amplitude != 0 or ch.output_loss != 0:
+        raise ValueError("the Fock oracle takes no seed_amplitude and no output_loss: "
+                         "it has no displacement and one loss per arm")
     state = fock.vacuum_state(n_max=n_max)
-    for op in circuit:
-        if isinstance(op, Squeeze):
-            state = fock.apply_two_mode_squeeze(state, op.r, op.theta, op.modes)
-        elif isinstance(op, Loss):
-            state = fock.apply_loss(state, op.mode, op.loss)
-        elif isinstance(op, Rotate):
-            state = fock.apply_phase_rotation(state, op.mode, op.phi)
-        else:
-            raise TypeError(f"unknown circuit op {op!r}")
-    return state
+    state = fock.apply_two_mode_squeeze(
+        state, math.acosh(scenario.prep.gain), scenario.prep.pump_phase)
+    state = fock.apply_loss(state, 0, ch.loss_stokes)
+    state = fock.apply_loss(state, 1, ch.loss_spinwave)
+    state = fock.apply_phase_rotation(state, 0, ch.scan_phase)
+    return fock.apply_two_mode_squeeze(
+        state, math.acosh(scenario.readout.gain), scenario.readout.pump_phase)
 
 
-def run_fock(circuit, n_max: int = 40) -> fock.FockState:
-    """Execute a two-mode circuit on the Fock oracle, doubling the
-    truncation until every step keeps the edge population below tolerance.
-    Each mode takes at most one nonzero loss (see ``fock.apply_loss``).
+def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
+    """Run an unseeded cascade without output loss on the Fock oracle,
+    doubling the truncation until every step keeps the edge population
+    below tolerance.
 
     Raises:
+        ValueError: the scenario has a seed or an output loss.
         TruncationError: the circuit still fails at ``N_MAX_LIMIT``.
     """
     n = n_max
     while True:
         try:
-            return _run_fock_once(circuit, n)
+            return _run_fock_once(scenario, n)
         except TruncationError:
             if 2 * n > N_MAX_LIMIT:
                 raise
             n *= 2
 
 
-def variance_deviation(circuit, n_max: int = 40) -> float:
-    """Max |Gaussian - Fock| homodyne variance over modes and phases.  The
+def variance_deviation(scenario: CascadeScenario, n_max: int = 40) -> float:
+    """Max |kernel - Fock| homodyne variance over modes and phases.  The
     Fock variance of each mode is phase independent on the oracle's Q = 0
     sector, so it is read once per mode and compared at every phase."""
-    g = run_gaussian(circuit)
-    f = run_fock(circuit, n_max)
+    g = build_cascade(scenario)
+    f = run_fock(scenario, n_max)
     worst = 0.0
     for mode in range(2):
         fv = fock.quadrature_variance(f, mode)
@@ -127,44 +83,40 @@ def variance_deviation(circuit, n_max: int = 40) -> float:
     return worst
 
 
-def _cascade(prep: float, readout: float, l1: float, l2: float, phi: float, theta=0.0) -> Circuit:
-    """Prep squeeze (pump phase theta), a loss per arm, a phase on a, readout squeeze."""
-    return (Squeeze(prep, theta), Loss(0, l1), Loss(1, l2), Rotate(0, phi), Squeeze(readout))
-
-
-def standard_battery() -> list[tuple[str, Circuit]]:
+def standard_battery() -> list[tuple[str, CascadeScenario]]:
     """The fixed circuit set used by the acceptance gate and the CLI.
 
-    Two squeezer-gain pairs; phases {0, pi/2, pi}; per-arm losses from
-    {0, 0.1, 0.5}.  The gains are chosen so every circuit, including the
-    aligned-phase lossless one, is adequate at truncation 40; the adaptive
-    doubling path is exercised separately by unit tests.
+    Two squeezer pairs, named by their squeeze parameters r (gain cosh r);
+    phases {0, pi/2, pi}; per-arm losses from {0, 0.1, 0.5}.  The gains are
+    chosen so every circuit, including the aligned-phase lossless one, is
+    adequate at truncation 40; the adaptive doubling path is exercised
+    separately by unit tests.
     """
     grid = [(l1, l2) for l1 in (0.0, 0.1, 0.5) for l2 in (0.0, 0.1, 0.5)]
     asym = [(0.0, 0.0), (0.1, 0.1), (0.5, 0.5), (0.1, 0.5), (0.5, 0.1)]
-    stages = ((0.5, 0.5, (0.0, np.pi / 2.0, np.pi), grid), (0.7, 0.3, (np.pi / 2.0, np.pi), asym))
-    battery = [
-        (f"r{r1}+{r2}_phi{phi:.2f}_L{l1}_{l2}", _cascade(r1, r2, l1, l2, phi))
+    stages = ((0.5, 0.5, (0.0, np.pi / 2.0, np.pi), grid),
+              (0.7, 0.3, (np.pi / 2.0, np.pi), asym),
+              (0.7, 0.3, (0.0,), [(0.0, 0.0)]))
+    return [
+        (f"r{r1}+{r2}_phi{phi:.2f}_L{l1}_{l2}",
+         CascadeScenario(AmplifierParams(math.cosh(r1)), AmplifierParams(math.cosh(r2)),
+                         ChannelParams(l1, l2, phi)))
         for r1, r2, phases, losses in stages
         for phi in phases
         for l1, l2 in losses
     ]
-    battery.append(
-        ("r0.7+0.3_phi0.00_L0.0_0.0", (Squeeze(0.7), Rotate(0, 0.0), Squeeze(0.3)))
-    )
-    return battery
 
 
-def paper_battery() -> list[tuple[str, Circuit]]:
+def paper_battery() -> list[tuple[str, CascadeScenario]]:
     """Circuits at criterion 3's operating point, the noise minimum the paper
     reports: prep gain 1.17, readout quantum gain 32 (15 dB), scan phase pi;
     losses 0.1/0.1 and one unequal pair, and a prep pump phase of 0.3 that
     moves the output off the minimum.  Only ``N_MAX_LIMIT`` is adequate
     here; at phase 0 (the noise maximum) even that truncation refuses."""
-    prep, readout = math.acosh(1.17), math.acosh(32.0) / 2.0
+    readout = AmplifierParams.from_quantum_gain(32.0)
     return [
         (f"mu1.17+gq32_phi3.14_L{l1}_{l2}_theta{theta}",
-         _cascade(prep, readout, l1, l2, np.pi, theta))
+         CascadeScenario(AmplifierParams(1.17, theta), readout, ChannelParams(l1, l2, np.pi)))
         for l1, l2, theta in ((0.1, 0.1, 0.0), (0.1, 0.3, 0.0), (0.1, 0.1, 0.3))
     ]
 
@@ -197,6 +149,6 @@ def run_battery(battery=None, n_max: int = 40) -> BatteryResult:
         battery = standard_battery()
     t0 = time.perf_counter()
     entries = [
-        (name, variance_deviation(circuit, n_max=n_max)) for name, circuit in battery
+        (name, variance_deviation(scenario, n_max=n_max)) for name, scenario in battery
     ]
     return BatteryResult(entries, time.perf_counter() - t0)

@@ -164,22 +164,15 @@ def _unitary_result(n_max: int, amps: np.ndarray, what: str) -> FockState:
     return FockState(n_max, amps)
 
 
-def apply_two_mode_squeeze(
-    state: FockState,
-    r: float,
-    theta: float = 0.0,
-    modes: tuple[int, int] = (0, 1),
-) -> FockState:
-    """Apply exp(r (e^{i theta} a^dag b^dag - h.c.)), symmetric in the two
-    modes, so ``modes`` is (0, 1) or (1, 0).  The chains run along n_a; the
-    (n_ea, n_eb) columns sharing c = n_ea - n_eb lie on one diagonal of the
-    environment plane, a strided slice, and share a block.  Norm
-    preservation is verified to 1e-8 and the edge population of the result
-    must stay below 1e-8, otherwise TruncationError."""
+def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> FockState:
+    """Apply exp(r (e^{i theta} a^dag b^dag - h.c.)), which is symmetric in
+    the two modes.  The chains run along n_a; the (n_ea, n_eb) columns
+    sharing c = n_ea - n_eb lie on one diagonal of the environment plane, a
+    strided slice, and share a block.  Norm preservation is verified to
+    1e-8 and the edge population of the result must stay below 1e-8,
+    otherwise TruncationError."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    if sorted(modes) != [0, 1]:
-        raise ValueError("modes must be two distinct indices in {0, 1}")
     blocks = _squeeze_blocks(complex(r * np.exp(1j * theta)), state.n_max)
     d, n_ea, n_eb = state.amps.shape
     flat = state.amps.reshape(d, n_ea * n_eb)

@@ -93,8 +93,10 @@ class AmplifierParams:
 
     @classmethod
     def from_quantum_gain_db(cls, quantum_gain_db: float, pump_phase: float = 0.0) -> "AmplifierParams":
-        """Build a stage from the quantum noise gain expressed in dB."""
-        return cls.from_quantum_gain(float(db_to_linear(quantum_gain_db)), pump_phase)
+        """Build a stage from the quantum noise gain expressed in dB; a dB
+        value that overflows the linear gain is rejected as not finite."""
+        with np.errstate(over="ignore"):
+            return cls.from_quantum_gain(float(db_to_linear(quantum_gain_db)), pump_phase)
 
 
 def gain_ratio_from_quantum_gain(quantum_gain):
@@ -198,8 +200,8 @@ class FringeTrace:
         bg = np.atleast_1d(np.asarray(self.background, dtype=float)).copy()
         if not (ph.shape == si.shape == bg.shape) or ph.ndim != 1:
             raise ValueError("phases, seed_intensity, background must be matching 1-d arrays")
-        if np.any(si < -1e-12) or np.any(bg < -1e-12):
-            raise ValueError("intensities must be non-negative")
+        if not np.all(np.isfinite(si) & np.isfinite(bg) & (si >= -1e-12) & (bg >= -1e-12)):
+            raise ValueError("intensities must be finite and non-negative")
         for a in (ph, si, bg):
             a.setflags(write=False)
         object.__setattr__(self, "phases", ph)
@@ -465,15 +467,13 @@ def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwav
     return x_plus
 
 
-def correlation_estimate_from_ratio(noise_ratio: float, quantum_gain: float) -> float:
+def correlation_estimate_from_ratio(noise_ratio: float) -> float:
     """Single-point estimate of the joint quadrature variance from one
     measured R at finite gain: 2R.  Because R decreases toward the
     lambda -> 1 limit (for equal losses, and generically near lambda = 1),
     this estimate is an upper bound on the true value."""
     if not 0 < noise_ratio < math.inf:
         raise ValueError("noise_ratio must be positive and finite")
-    if not quantum_gain >= 1.0:
-        raise ValueError("quantum_gain must be >= 1")
     return 2.0 * float(noise_ratio)
 
 
@@ -525,8 +525,8 @@ def _gain_array(values, name: str) -> np.ndarray:
 def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
     """Seeded-interferometer fringe: Stokes output intensity vs scan phase.
 
-    Requires a nonzero coherent seed.  The seed term is
-    |A e^{i phi} + B|^2 = A^2 + B^2 + 2 A B cos(phi) with
+    Requires a nonzero coherent seed whose intensity is finite.  The seed
+    term is |A e^{i phi} + B|^2 = A^2 + B^2 + 2 A B cos(phi) with
     A = G mu sqrt(T1) |alpha| and B = g nu sqrt(T2) |alpha|; the reported
     background is the seed-independent amplified noise photon number.
     """
@@ -538,17 +538,26 @@ def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    mean, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
-    # |<a>|^2 = (<X>^2 + <Y>^2)/4; noise photons (V_XX + V_YY - 2)/4
-    seed = (mean[:, 0] ** 2 + mean[:, 1] ** 2) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
+        # |<a>|^2 = (<X>^2 + <Y>^2)/4; noise photons (V_XX + V_YY - 2)/4
+        seed = (mean[:, 0] ** 2 + mean[:, 1] ** 2) / 4.0
+    if not np.all(np.isfinite(seed)):
+        raise _seed_range_error(scenario)
     return FringeTrace(phis, seed, (cov[:, 0, 0] + cov[:, 1, 1] - 2.0) / 4.0)
+
+
+def _seed_range_error(scenario: CascadeScenario) -> ValueError:
+    return ValueError(f"seed_amplitude {abs(scenario.seed_amplitude):g} is out of range: "
+                      "its fringe intensity is not finite")
 
 
 def fringe_visibility(scenario: CascadeScenario) -> float:
     """Visibility (max-min)/(max+min) of the seed fringe: 2AB/(A^2+B^2).
 
     Zero when either interfering path vanishes (prep gain 1, i.e. nu = 0,
-    or a fully blocked arm)."""
+    or a fully blocked arm); a seed whose intensity is not finite is
+    rejected as in :func:`fringe_scan`."""
     ch = scenario.channel
     a = (
         scenario.readout.gain
@@ -563,6 +572,8 @@ def fringe_visibility(scenario: CascadeScenario) -> float:
         * abs(scenario.seed_amplitude)
     )
     denom = a * a + b * b
+    if not math.isfinite(denom):
+        raise _seed_range_error(scenario)
     if denom == 0.0:
         return 0.0
     return 2.0 * a * b / denom

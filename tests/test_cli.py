@@ -62,6 +62,11 @@ def sweep_csv(tmp_path):
         (("correlation", "--from-ratio", "0.4", "--readout-gq", "0.5"), "readout_gq"),
         (("fit", "{csv}", "--starts", "0"), "starts"),
         (("fit", "{csv}", "--pairing", "typo"), "pairing"),
+        (("noise-scan", "--readout-gq-db", "1e300"), "readout_gq_db"),
+        (("gain-sweep", "--readout-gq-db", "1e300"), "readout_gq_db"),
+        (("fringes", "--readout-gq-db", "1e300"), "readout_gq_db"),
+        (("correlation", "--from-ratio", "0.4", "--readout-gq-db", "1e300"), "readout_gq_db"),
+        (("fringes", "--seed-amplitude", "1e160"), "seed_amplitude"),
     ],
 )
 def test_model_rejection_names_the_key(argv, key, sweep_csv, recwarn, capsys):
@@ -72,6 +77,35 @@ def test_model_rejection_names_the_key(argv, key, sweep_csv, recwarn, capsys):
     assert key in err or key.replace("_", "-") in err
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def extreme_argv(command, key, value, csv):
+    """``command`` with ``key`` set to ``value`` and the other flags that
+    make ``key`` take effect."""
+    argv = [command, f"--{key.replace('_', '-')}={value}"]
+    if command == "fit":
+        return argv + [csv]
+    if command != "correlation":
+        sweep = ["--sweep", "readout-gq"] if (command, key) == ("gain-sweep", "prep_gain") else []
+        return argv + sweep + ["--points", "4"]
+    if key.startswith("readout"):
+        return argv + ["--from-ratio", "0.4"]
+    if key == "from_ratio":
+        return argv + ["--readout-gq", "3"]
+    return argv if key == "prep_gain" else argv + ["--prep-gain", "1.2"]
+
+
+@pytest.mark.parametrize("value", ["1e300", "-1e300", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, schema in cli._SCHEMAS.items()
+    for key, (conv, _) in schema.items() if conv is float
+])
+def test_float_flag_extremes_exit_cleanly(command, key, value, sweep_csv, tmp_path, capsys):
+    """Every float flag at extreme values ends in exit 0, 2 or 3 and no
+    exception; a RuntimeWarning is an error under the test settings."""
+    argv = extreme_argv(command, key, value, str(sweep_csv))
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestNoiseScan:

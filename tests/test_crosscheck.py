@@ -4,6 +4,7 @@ The full standard battery is exercised by the acceptance suite; here we
 cover the harness mechanics on a handful of circuits so failures localize.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,20 +15,27 @@ from ramansim.crosscheck import (
     AGREEMENT_TOL,
     N_MAX_LIMIT,
     BatteryResult,
-    Loss,
-    Rotate,
-    Squeeze,
     paper_battery,
     run_battery,
     run_fock,
-    run_gaussian,
     standard_battery,
     variance_deviation,
 )
 from ramansim.fock import TruncationError
 from ramansim.gaussian import GaussianState, homodyne_variance
+from ramansim.model import AmplifierParams, CascadeScenario, ChannelParams, build_cascade
 
-LOSSLESS_ALIGNED = (Squeeze(0.5), Rotate(0, np.pi), Squeeze(0.5))
+
+def cascade(r1, r2=0.0, l1=0.0, l2=0.0, phi=0.0, theta1=0.0, theta2=0.0):
+    """The cascade with prep and readout squeeze parameters r1 and r2."""
+    return CascadeScenario(
+        AmplifierParams(math.cosh(r1), theta1),
+        AmplifierParams(math.cosh(r2), theta2),
+        ChannelParams(l1, l2, phi),
+    )
+
+
+LOSSLESS_ALIGNED = cascade(0.5, 0.5, phi=np.pi)
 
 
 class TestStandardBattery:
@@ -38,26 +46,20 @@ class TestStandardBattery:
         assert len(set(names)) == len(names)
 
     def test_composition_limits(self):
-        for _, circuit in standard_battery():
-            for op in circuit:
-                if isinstance(op, Squeeze):
-                    assert 0 < op.r <= 1.0
-                elif isinstance(op, Loss):
-                    assert op.loss in (0.0, 0.1, 0.5)
-                elif isinstance(op, Rotate):
-                    assert op.phi in (0.0, np.pi / 2.0, np.pi)
-                else:
-                    pytest.fail(f"unexpected op {op!r}")
+        for _, sc in standard_battery():
+            for stage in (sc.prep, sc.readout):
+                assert 1.0 < stage.gain <= math.cosh(1.0)
+                assert stage.pump_phase == 0.0
+            assert sc.channel.loss_stokes in (0.0, 0.1, 0.5)
+            assert sc.channel.loss_spinwave in (0.0, 0.1, 0.5)
+            assert sc.channel.scan_phase in (0.0, np.pi / 2.0, np.pi)
+            assert sc.channel.output_loss == 0.0
+            assert sc.seed_amplitude == 0
 
     def test_covers_unequal_losses_and_all_phases(self):
         battery = standard_battery()
-        losses = set()
-        phases = set()
-        for _, circuit in battery:
-            pair = [op.loss for op in circuit if isinstance(op, Loss)]
-            if pair:
-                losses.add(tuple(pair))
-            phases.update(op.phi for op in circuit if isinstance(op, Rotate))
+        losses = {(sc.channel.loss_stokes, sc.channel.loss_spinwave) for _, sc in battery}
+        phases = {sc.channel.scan_phase for _, sc in battery}
         assert (0.1, 0.5) in losses and (0.5, 0.1) in losses
         assert phases == {0.0, np.pi / 2.0, np.pi}
 
@@ -68,41 +70,26 @@ class TestPaperBattery:
         names = [name for name, _ in battery]
         assert len(set(names)) == len(names)
         losses, pump_phases = set(), set()
-        for _, (prep, loss_a, loss_b, rotate, readout) in battery:
-            assert math.cosh(prep.r) == pytest.approx(1.17, abs=1e-12)
-            assert math.cosh(2.0 * readout.r) == pytest.approx(32.0, abs=1e-9)
-            assert rotate == Rotate(0, np.pi)
-            losses.add((loss_a.loss, loss_b.loss))
-            pump_phases.update((prep.theta, readout.theta))
+        for _, sc in battery:
+            assert sc.prep.gain == 1.17
+            assert sc.readout.quantum_noise_gain == pytest.approx(32.0, abs=1e-12)
+            assert sc.channel.scan_phase == np.pi
+            assert sc.channel.output_loss == 0.0 and sc.seed_amplitude == 0
+            losses.add((sc.channel.loss_stokes, sc.channel.loss_spinwave))
+            pump_phases.update((sc.prep.pump_phase, sc.readout.pump_phase))
         assert (0.1, 0.1) in losses
         assert any(l1 != l2 for l1, l2 in losses)
         assert any(theta != 0.0 for theta in pump_phases)
 
     def test_doubling_settles_at_cap_and_agrees(self):
-        for name, circuit in paper_battery():
-            state = run_fock(circuit)
+        for name, sc in paper_battery():
+            state = run_fock(sc)
             assert state.n_max == N_MAX_LIMIT, name
-            gauss = run_gaussian(circuit)
+            gauss = build_cascade(sc)
             for mode in (0, 1):
                 fv = crosscheck.fock.quadrature_variance(state, mode)
                 for phase in (0.0, np.pi / 2.0):
                     assert abs(homodyne_variance(gauss, mode, phase) - fv) < AGREEMENT_TOL, name
-
-
-class TestRunGaussian:
-    def test_aligned_lossless_cancels_to_vacuum(self):
-        # equal prep/readout squeezing with a pi phase between the stages
-        # returns the measured arm exactly to vacuum variance
-        state = run_gaussian(LOSSLESS_ALIGNED)
-        assert homodyne_variance(state, 0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_squeeze_gain(self):
-        state = run_gaussian((Squeeze(0.5),))
-        assert homodyne_variance(state, 0) == pytest.approx(math.cosh(1.0), abs=1e-12)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(TypeError):
-            run_gaussian(("not-an-op",))
 
 
 class TestVarianceDeviation:
@@ -110,24 +97,36 @@ class TestVarianceDeviation:
         assert variance_deviation(LOSSLESS_ALIGNED) < AGREEMENT_TOL
 
     def test_lossy_circuit(self):
-        circuit = (Squeeze(0.5), Loss(0, 0.5), Loss(1, 0.1), Rotate(0, np.pi / 2), Squeeze(0.5))
-        assert variance_deviation(circuit) < AGREEMENT_TOL
+        assert variance_deviation(cascade(0.5, 0.5, 0.5, 0.1, np.pi / 2)) < AGREEMENT_TOL
 
     def test_pump_phase_sign_convention(self):
         # the standard battery keeps theta = 0; flipping the sign of the
         # pump phase in either engine makes this circuit deviate by ~1.9
-        circuit = (
-            Squeeze(0.5, theta=0.3),
-            Loss(1, 0.1),
-            Rotate(0, np.pi / 2),
-            Squeeze(0.5, theta=1.1),
-        )
-        assert variance_deviation(circuit, n_max=30) < AGREEMENT_TOL
+        sc = cascade(0.5, 0.5, l2=0.1, phi=np.pi / 2, theta1=0.3, theta2=1.1)
+        assert variance_deviation(sc, n_max=30) < AGREEMENT_TOL
+
+    def test_random_scenarios(self):
+        """Pump phases on both stages, which the battery keeps at 0."""
+        rng = np.random.default_rng(2024)
+        for _ in range(8):
+            r1, r2 = 0.5 * rng.random(2)
+            l1, l2 = rng.random(2)
+            sc = cascade(r1, r2, l1, l2, 2.0 * np.pi * rng.random(),
+                         *rng.uniform(-np.pi, np.pi, size=2))
+            assert variance_deviation(sc) < AGREEMENT_TOL, sc
+
+    @pytest.mark.parametrize(
+        "change", [dict(seed_amplitude=0.1j), dict(channel=ChannelParams(output_loss=0.2))],
+        ids=["seed", "output-loss"],
+    )
+    def test_oracle_refuses_what_it_cannot_run(self, change):
+        with pytest.raises(ValueError):
+            run_fock(dataclasses.replace(LOSSLESS_ALIGNED, **change))
 
 
 class TestAdaptiveTruncation:
     def test_doubles_until_adequate(self):
-        state = run_fock((Squeeze(1.1),))
+        state = run_fock(cascade(1.1))
         assert state.n_max == 80
         assert crosscheck.fock.quadrature_variance(state, 0) == pytest.approx(
             math.cosh(2.2), abs=1e-6
@@ -135,7 +134,7 @@ class TestAdaptiveTruncation:
 
     def test_gives_up_at_cap(self):
         with pytest.raises(TruncationError):
-            run_fock((Squeeze(1.0), Squeeze(1.0)))
+            run_fock(cascade(1.0, 1.0))
 
 
 class TestBatteryResult:
@@ -160,11 +159,11 @@ class TestHarnessSanity:
     def test_corrupted_engine_detected(self, monkeypatch):
         """A deliberately biased engine must fail the battery check."""
 
-        def biased(circuit):
-            state = run_gaussian(circuit)
+        def biased(scenario):
+            state = build_cascade(scenario)
             return GaussianState(state.mean, state.cov + 1e-3 * np.eye(4))
 
-        monkeypatch.setattr(crosscheck, "run_gaussian", biased)
+        monkeypatch.setattr(crosscheck, "build_cascade", biased)
         result = run_battery(battery=[("lossless", LOSSLESS_ALIGNED)])
         assert not result.passed
         assert result.worst_circuit == "lossless"

@@ -238,7 +238,7 @@ class TestLinearAgainstPolish:
 
 class TestCorrelationHelpers:
     def test_single_point_estimate(self):
-        assert correlation_estimate_from_ratio(0.4, 32.0) == pytest.approx(0.8, abs=1e-14)
+        assert correlation_estimate_from_ratio(0.4) == pytest.approx(0.8, abs=1e-14)
 
 
 class TestBootstrap:

@@ -215,13 +215,6 @@ class TestSqueezeOperation:
         out = apply_two_mode_squeeze(state, abs(coupling), np.angle(coupling))
         assert np.max(np.abs(dense(out) - reference)) < 1e-12
 
-    def test_symmetric_in_modes(self):
-        forward = apply_two_mode_squeeze(vacuum_state(20), 0.4, 0.2, (0, 1))
-        backward = apply_two_mode_squeeze(vacuum_state(20), 0.4, 0.2, (1, 0))
-        assert np.array_equal(forward.amps, backward.amps)
-        with pytest.raises(ValueError):
-            apply_two_mode_squeeze(vacuum_state(20), 0.4, 0.2, (0, 0))
-
     def test_unitarity(self):
         state = apply_two_mode_squeeze(vacuum_state(30), 0.6)
         assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-10)
@@ -327,7 +320,7 @@ class TestDenseReference:
                 squeeze_generator(dim, 0.2 * np.exp(0.3j)),
             ),
             "sq2": (
-                lambda s: apply_two_mode_squeeze(s, 0.15, -0.5, (1, 0)),
+                lambda s: apply_two_mode_squeeze(s, 0.15, -0.5),
                 squeeze_generator(dim, 0.15 * np.exp(-0.5j)),
             ),
             "la": (
