@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 import numpy as np
@@ -211,9 +212,9 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _echo_config(fh, command: str, cfg: dict) -> None:
+def _echo_config(fh, command: str, cfg: dict, ignored: tuple = ()) -> None:
     fh.write(f"# ramansim {__version__} {command}\n")
-    for key in sorted(cfg):
+    for key in sorted(cfg.keys() - ignored):
         fh.write(f"# {key} = {_fmt(cfg[key]) if cfg[key] is not None else ''}\n")
 
 
@@ -267,7 +268,7 @@ def _cmd_gain_sweep(args) -> int:
         gq_col = values
         ignored = ("readout_gq", "readout_gq_db")
     with _open_out(args.out) as fh:
-        _echo_config(fh, "gain-sweep", {k: v for k, v in cfg.items() if k not in ignored})
+        _echo_config(fh, "gain-sweep", cfg, ignored)
         fh.write("sweep_value,gq_linear,R_linear,R_db\n")
         for x, gq, r, rdb in zip(trace.values, gq_col, trace.variance_linear, trace.variance_db):
             fh.write(f"{_fmt(x)},{_fmt(gq)},{_fmt(r)},{_fmt(rdb)}\n")
@@ -340,11 +341,14 @@ def _cmd_fit(args) -> int:
 def _cmd_correlation(args) -> int:
     cfg = _resolve(args, "correlation")
     if cfg["from_ratio"] is not None:
+        if cfg["prep_gain"] is not None:
+            raise UsageError("give either prep_gain (with losses) or from_ratio, not both")
         if cfg["readout_gq"] is None and cfg["readout_gq_db"] is None:
             raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
         _resolve_readout(cfg)  # validated here, echoed in the header
         x_plus = correlation_estimate_from_ratio(cfg["from_ratio"])
         estimate = "finite-gain single point (2R, upper-bound-style)"
+        ignored = ("prep_gain", "loss_stokes", "loss_spinwave")
     else:
         if cfg["prep_gain"] is None:
             raise UsageError("give --prep-gain (with losses) or --from-ratio")
@@ -352,8 +356,9 @@ def _cmd_correlation(args) -> int:
             cfg["prep_gain"], cfg["loss_stokes"], cfg["loss_spinwave"]
         )
         estimate = "infinite-gain joint quadrature variance"
+        ignored = ("from_ratio", "readout_gq", "readout_gq_db")
     with _open_out(args.out) as fh:
-        _echo_config(fh, "correlation", cfg)
+        _echo_config(fh, "correlation", cfg, ignored)
         fh.write(f"estimate: {estimate}\n")
         fh.write(f"x_plus = {_fmt(x_plus)}\n")
         fh.write(f"correlation_db = {_fmt(linear_to_db(x_plus / 2.0))}\n")
@@ -415,7 +420,9 @@ _COMMANDS = {  # subcommand -> (help, handler); its flags are its _SCHEMAS keys
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``parse_args`` returns a fresh namespace."""
     # allow_abbrev=False: a prefix of a longer flag (--seed for
     # --seed-amplitude) is an error, not that flag
     parser = argparse.ArgumentParser(

@@ -103,13 +103,14 @@ def gain_ratio_from_quantum_gain(quantum_gain):
     """Map quantum noise gain to the gain ratio g / G.
 
     With gq = 2G^2 - 1 and g^2 = G^2 - 1 this is sqrt((gq - 1)/(gq + 1));
-    it tends to 1 for large gain (infinity maps to exactly 1).
+    it tends to 1 for large gain (gq is clamped to the largest float, so infinity maps to exactly 1).
     """
     gq = np.asarray(quantum_gain, dtype=float)
     if not np.all(gq >= 1.0):
         raise ValueError("quantum_gain must be >= 1")
-    out = np.where(np.isinf(gq), 1.0, np.sqrt((gq - 1.0) / np.where(np.isinf(gq), 2.0, gq + 1.0)))
-    return float(out) if np.isscalar(quantum_gain) or np.ndim(quantum_gain) == 0 else out
+    gq = np.minimum(gq, np.finfo(float).max)
+    out = np.sqrt((gq - 1.0) / (gq + 1.0))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,9 @@ def noise_reduction_regressors(quantum_gain) -> np.ndarray:
 
 def _check_prep_and_losses(mu, l1, l2) -> None:
     """Reject a prep gain below 1 or a loss outside [0, 1], NaN included;
-    scalars or arrays."""
+    scalars or arrays.  One reduction accepts; the failing value is found only after."""
+    if np.all((mu >= 1.0) & (l1 >= 0.0) & (l1 <= 1.0) & (l2 >= 0.0) & (l2 <= 1.0)):
+        return
     if not np.all(mu >= 1.0):
         raise ValueError("prep_gain must be >= 1")
     for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):

@@ -336,6 +336,30 @@ class TestCorrelation:
         assert "out of range" in captured.err
         assert "x_plus" not in captured.out
 
+    def test_ratio_with_prep_gain_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "prep.cfg"
+        cfg.write_text("prep_gain = 1.2\n")
+        for extra in (("--prep-gain", "1.2", "--loss-stokes", "0.3"), ("--config", str(cfg))):
+            assert run_cli("correlation", "--from-ratio", "0.4", "--readout-gq", "3", *extra) == 2
+            captured = capsys.readouterr()
+            assert "prep_gain" in captured.err and "from_ratio" in captured.err
+            assert "x_plus" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, echoed",
+        [
+            (("--from-ratio", "0.4", "--readout-gq", "3", "--loss-spinwave", "0.2"),
+             {"from_ratio", "readout_gq", "readout_gq_db"}),
+            (("--prep-gain", "1.17", "--loss-stokes", "0.1"),
+             {"prep_gain", "loss_stokes", "loss_spinwave"}),
+        ],
+    )
+    def test_echo_leaves_out_ignored_keys(self, argv, echoed, capsys):
+        assert run_cli("correlation", *argv) == 0
+        out = capsys.readouterr().out
+        assert {line.split(" = ")[0][2:] for line in out.splitlines() if line.startswith("# ")
+                and " = " in line} == echoed
+
 
 class TestFringes:
     def test_csv_and_visibility_comment(self, capsys):
@@ -453,17 +477,75 @@ class TestEntryPoints:
         assert exc.value.code == 2
 
     def test_module_invocation(self):
-        # the child imports the same package as this test, also when that
-        # comes from pytest's pythonpath setting rather than the environment
-        src = os.path.dirname(os.path.dirname(ramansim.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramansim.cli", "--version"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+def run_module(*argv):
+    """``python -m ramansim.cli argv`` in a fresh interpreter."""
+    # the child imports the same package as this test, also when that
+    # comes from pytest's pythonpath setting rather than the environment
+    src = os.path.dirname(os.path.dirname(ramansim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "ramansim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+#: README examples, with --points 16
+README_RUNS = (
+    ("noise-scan", "--prep-gain", "1.1", "--readout-gq-db", "15", "--points", "16"),
+    ("gain-sweep", "--sweep", "readout-gq", "--start", "2", "--stop", "64", "--points", "16",
+     "--prep-gain", "1.17", "--loss-stokes", "0.1", "--loss-spinwave", "0.1"),
+    ("fringes", "--seed-amplitude", "2", "--prep-gain", "1.5", "--points", "16"),
+)
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; nothing a run does to it may
+    change what a later run parses, prints or writes."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rejected_runs_leave_no_trace(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        scan = ("noise-scan", "--prep-gain", "1.1", "--points", "16")
+        assert run_cli(*scan, "--out", str(a)) == 0
+        for argv, code in ((("fringes", "--seed", "3"), 2), (("noise-scan", "--help"), 0)):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == code
+        assert run_cli("noise-scan", "--loss-stokes", "1.5") == 2
+        assert run_cli(*scan, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_matches_a_fresh_parser(self, command, capsys):
+        argv = [command, "--help"] if command else ["--help"]
+        texts = []
+        for parse in (cli.main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] != ""
+
+    def test_one_process_matches_fresh_processes(self, tmp_path):
+        def out(argv, run):
+            return tmp_path / f"{argv[0]}-{run}.csv"
+
+        for round_ in (1, 2):
+            for argv in README_RUNS:
+                assert run_cli(*argv, "--out", str(out(argv, round_))) == 0
+        for argv in README_RUNS:
+            proc = run_module(*argv, "--out", str(out(argv, "fresh")))
+            assert proc.returncode == 0, proc.stderr
+            fresh = out(argv, "fresh").read_bytes()
+            assert out(argv, 1).read_bytes() == out(argv, 2).read_bytes() == fresh
