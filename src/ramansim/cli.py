@@ -7,12 +7,13 @@ header; identical config + seed produce byte-identical output.
 
 Option precedence: command-line flags > config file (--config, flat
 "key = value" lines, keys as in the flag names with dashes replaced by
-underscores) > built-in defaults.
+underscores) > built-in defaults.  Setting a key that the chosen mode of
+gain-sweep or correlation does not read is a usage error.
 
 Exit codes: 0 success; 2 usage error (bad flags, malformed input data,
 insufficient or degenerate datasets); 3 numerical failure (truncation
-refusal, non-convergent fit, oracle deviation beyond tolerance, a phase
-trace that is not a first harmonic).
+refusal, non-convergent fit, oracle deviation beyond tolerance, Fock norm
+drift, a phase trace that is not a first harmonic).
 """
 
 from __future__ import annotations
@@ -71,28 +72,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+#: the cascade options of noise-scan, gain-sweep and fringes: dest -> (converter, default)
+_CASCADE = {
+    "prep_gain": (float, 1.0),
+    "readout_gq": (float, None),
+    "readout_gq_db": (float, None),
+    "loss_stokes": (float, 0.0),
+    "loss_spinwave": (float, 0.0),
+    "output_loss": (float, 0.0),
+}
+
 # per-subcommand option schema: dest -> (converter, default)
 _SCHEMAS: dict[str, dict] = {
-    "noise-scan": {
-        "prep_gain": (float, 1.0),
-        "readout_gq": (float, None),
-        "readout_gq_db": (float, None),
-        "loss_stokes": (float, 0.0),
-        "loss_spinwave": (float, 0.0),
-        "output_loss": (float, 0.0),
-        "points": (int, 256),
-    },
+    "noise-scan": {**_CASCADE, "points": (int, 256)},
     "gain-sweep": {
         "sweep": (str, "prep-gain"),
         "start": (float, None),
         "stop": (float, None),
         "points": (int, 33),
-        "prep_gain": (float, 1.0),
-        "readout_gq": (float, None),
-        "readout_gq_db": (float, None),
-        "loss_stokes": (float, 0.0),
-        "loss_spinwave": (float, 0.0),
-        "output_loss": (float, 0.0),
+        **_CASCADE,
     },
     "fit": {
         "shared_loss": (_parse_bool, False),
@@ -110,20 +108,27 @@ _SCHEMAS: dict[str, dict] = {
         "readout_gq": (float, None),
         "readout_gq_db": (float, None),
     },
-    "fringes": {
-        "seed_amplitude": (float, 1.0),
-        "prep_gain": (float, 1.5),
-        "readout_gq": (float, None),
-        "readout_gq_db": (float, None),
-        "loss_stokes": (float, 0.0),
-        "loss_spinwave": (float, 0.0),
-        "output_loss": (float, 0.0),
-        "points": (int, 256),
-    },
-    "oracle-check": {
-        "truncation": (int, 40),
-    },
+    # a repeated key keeps its first position and takes the later default
+    "fringes": {"seed_amplitude": (float, 1.0), **_CASCADE, "prep_gain": (float, 1.5),
+                "points": (int, 256)},
+    "oracle-check": {"truncation": (int, 40)},
 }
+
+#: (command, mode) -> the keys that mode does not read: setting one is a
+#: usage error, and the '#' header leaves them out
+_UNREAD = {
+    ("gain-sweep", "with sweep = prep-gain"): ("prep_gain",),
+    ("gain-sweep", "with sweep = readout-gq"): ("readout_gq", "readout_gq_db"),
+    ("correlation", "with from_ratio"): ("prep_gain", "loss_stokes", "loss_spinwave"),
+    ("correlation", "without from_ratio"): ("from_ratio", "readout_gq", "readout_gq_db"),
+}
+
+
+def _mode(command: str, cfg: dict) -> str:
+    """The mode of ``command`` that ``cfg`` selects, as named in _UNREAD."""
+    if command == "correlation":
+        return "without from_ratio" if cfg["from_ratio"] is None else "with from_ratio"
+    return f"with sweep = {cfg['sweep']}" if command == "gain-sweep" else ""
 
 
 def _load_config_file(path: str, schema: dict) -> dict:
@@ -154,17 +159,13 @@ def _load_config_file(path: str, schema: dict) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """defaults < config file < explicit flags."""
-    schema = _SCHEMAS[command]
-    merged = {k: default for k, (_, default) in schema.items()}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config, schema))
-    for key in schema:
-        v = getattr(args, key, None)
-        if v is not None:
-            merged[key] = v
-    return merged
+def _resolve(args: argparse.Namespace) -> tuple[dict, set]:
+    """defaults < config file < explicit flags, for ``args.command``; also
+    the keys that the file or a flag set."""
+    schema = _SCHEMAS[args.command]
+    given = _load_config_file(args.config, schema) if args.config else {}
+    given.update((k, getattr(args, k)) for k in schema if getattr(args, k) is not None)
+    return {k: default for k, (_, default) in schema.items()} | given, set(given)
 
 
 def _stage(key: str, build, value) -> AmplifierParams:
@@ -204,32 +205,28 @@ def _channel(cfg: dict) -> ChannelParams:
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
-
-
-def _echo_config(fh, command: str, cfg: dict, ignored: tuple = ()) -> None:
-    fh.write(f"# ramansim {__version__} {command}\n")
-    for key in sorted(cfg.keys() - ignored):
-        fh.write(f"# {key} = {_fmt(cfg[key]) if cfg[key] is not None else ''}\n")
+def _open_out(args, cfg: dict):
+    """``--out`` (default stdout), headed by '#' lines echoing the command
+    and ``cfg``."""
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", newline="")) as fh:
+        fh.write(f"# ramansim {__version__} {args.command}\n")
+        for key in sorted(cfg):
+            fh.write(f"# {key} = {_fmt(cfg[key]) if cfg[key] is not None else ''}\n")
+        yield fh
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each gets the resolved config without the keys
+# that its mode does not read (see _UNREAD)
 
 
-def _cmd_noise_scan(args) -> int:
-    cfg = _resolve(args, "noise-scan")
+def _cmd_noise_scan(args, cfg: dict) -> int:
     _check_points(cfg, 2)
     scenario = CascadeScenario(_prep(cfg), _resolve_readout(cfg), _channel(cfg))
     trace = noise_vs_phase(scenario, cfg["points"])
     ref = reference_variance(scenario)
-    with _open_out(args.out) as fh:
-        _echo_config(fh, "noise-scan", cfg)
+    with _open_out(args, cfg) as fh:
         fh.write(f"# reference_variance_linear = {_fmt(ref)}\n")
         fh.write(f"# reference_variance_db = {_fmt(linear_to_db(ref))}\n")
         fh.write("phi_rad,variance_linear,variance_db\n")
@@ -249,26 +246,21 @@ def _sweep_values(cfg: dict, start: float, stop: float) -> np.ndarray:
     return np.linspace(start, stop, cfg["points"])
 
 
-def _cmd_gain_sweep(args) -> int:
-    cfg = _resolve(args, "gain-sweep")
-    sweep = cfg["sweep"]
-    if sweep not in ("prep-gain", "readout-gq"):
+def _cmd_gain_sweep(args, cfg: dict) -> int:
+    if cfg["sweep"] not in ("prep-gain", "readout-gq"):
         raise UsageError("sweep must be 'prep-gain' or 'readout-gq'")
     _check_points(cfg, 1)
     channel = _channel(cfg)
-    if sweep == "prep-gain":
+    if cfg["sweep"] == "prep-gain":
         values = _sweep_values(cfg, 1.0, 2.0)
         readout = _resolve_readout(cfg)
         trace = prep_gain_sweep(values, readout, channel)
         gq_col = np.full(values.size, readout.quantum_noise_gain)
-        ignored = ("prep_gain",)
     else:
         values = _sweep_values(cfg, 2.0, 64.0)
         trace = quantum_gain_sweep(values, _prep(cfg), channel)
         gq_col = values
-        ignored = ("readout_gq", "readout_gq_db")
-    with _open_out(args.out) as fh:
-        _echo_config(fh, "gain-sweep", cfg, ignored)
+    with _open_out(args, cfg) as fh:
         fh.write("sweep_value,gq_linear,R_linear,R_db\n")
         for x, gq, r, rdb in zip(trace.values, gq_col, trace.variance_linear, trace.variance_db):
             fh.write(f"{_fmt(x)},{_fmt(gq)},{_fmt(r)},{_fmt(rdb)}\n")
@@ -297,7 +289,7 @@ def _report_fit(fh, fit, boot=None) -> None:
     fh.write("\n")
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args, cfg: dict) -> int:
     from .fitting import (
         FitConfig,
         bootstrap_uncertainty,
@@ -306,7 +298,6 @@ def _cmd_fit(args) -> int:
         load_noise_csv,
     )
 
-    cfg = _resolve(args, "fit")
     if cfg["bootstrap"] != 0 and cfg["bootstrap"] < 100:
         raise UsageError("bootstrap must be 0 (off) or >= 100 resamples")
     if cfg["bootstrap"] and cfg["shared_loss"]:
@@ -326,8 +317,7 @@ def _cmd_fit(args) -> int:
     for f, b in zip(fits, boots):
         _report_fit(sys.stdout, f, b)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _echo_config(fh, "fit", cfg)
+        with _open_out(args, cfg) as fh:
             fields = _FIT_FIELDS[:-1]
             ci_names = ("correlation_db_ci_lo", "correlation_db_ci_hi")
             fh.write(",".join(("label",) + fields + ci_names) + "\n")
@@ -338,17 +328,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_correlation(args) -> int:
-    cfg = _resolve(args, "correlation")
-    if cfg["from_ratio"] is not None:
-        if cfg["prep_gain"] is not None:
-            raise UsageError("give either prep_gain (with losses) or from_ratio, not both")
+def _cmd_correlation(args, cfg: dict) -> int:
+    if "from_ratio" in cfg:  # kept only with from_ratio
         if cfg["readout_gq"] is None and cfg["readout_gq_db"] is None:
             raise UsageError("--from-ratio needs readout-gq or readout-gq-db")
         _resolve_readout(cfg)  # validated here, echoed in the header
         x_plus = correlation_estimate_from_ratio(cfg["from_ratio"])
         estimate = "finite-gain single point (2R, upper-bound-style)"
-        ignored = ("prep_gain", "loss_stokes", "loss_spinwave")
     else:
         if cfg["prep_gain"] is None:
             raise UsageError("give --prep-gain (with losses) or --from-ratio")
@@ -356,17 +342,14 @@ def _cmd_correlation(args) -> int:
             cfg["prep_gain"], cfg["loss_stokes"], cfg["loss_spinwave"]
         )
         estimate = "infinite-gain joint quadrature variance"
-        ignored = ("from_ratio", "readout_gq", "readout_gq_db")
-    with _open_out(args.out) as fh:
-        _echo_config(fh, "correlation", cfg, ignored)
+    with _open_out(args, cfg) as fh:
         fh.write(f"estimate: {estimate}\n")
         fh.write(f"x_plus = {_fmt(x_plus)}\n")
         fh.write(f"correlation_db = {_fmt(linear_to_db(x_plus / 2.0))}\n")
     return 0
 
 
-def _cmd_fringes(args) -> int:
-    cfg = _resolve(args, "fringes")
+def _cmd_fringes(args, cfg: dict) -> int:
     if cfg["seed_amplitude"] == 0.0:
         raise UsageError(
             "fringes needs a nonzero seed-amplitude; for vacuum input use noise-scan"
@@ -379,8 +362,7 @@ def _cmd_fringes(args) -> int:
         seed_amplitude=complex(cfg["seed_amplitude"]),
     )
     trace = fringe_scan(scenario, cfg["points"])
-    with _open_out(args.out) as fh:
-        _echo_config(fh, "fringes", cfg)
+    with _open_out(args, cfg) as fh:
         fh.write(f"# visibility = {_fmt(fringe_visibility(scenario))}\n")
         fh.write("phi_rad,intensity,background\n")
         for phi, inten, bg in zip(trace.phases, trace.seed_intensity, trace.background):
@@ -388,15 +370,13 @@ def _cmd_fringes(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args, cfg: dict) -> int:
     from .crosscheck import AGREEMENT_TOL, N_MAX_LIMIT, run_battery
 
-    cfg = _resolve(args, "oracle-check")
     if not 2 <= cfg["truncation"] <= N_MAX_LIMIT:
         raise UsageError(f"truncation must be within [2, {N_MAX_LIMIT}]")
     result = run_battery(n_max=cfg["truncation"])
-    with _open_out(args.out) as fh:
-        _echo_config(fh, "oracle-check", cfg)
+    with _open_out(args, cfg) as fh:
         fh.write("circuit,deviation\n")
         for name, dev in result.entries:
             fh.write(f"{name},{_fmt(dev)}\n")
@@ -449,10 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg, given = _resolve(args)
+        mode = _mode(args.command, cfg)
+        for key in _UNREAD.get((args.command, mode), ()):
+            if key in given:
+                raise UsageError(f"{args.command} {mode} does not read {key}")
+            del cfg[key]
+        return args.func(args, cfg)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

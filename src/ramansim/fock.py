@@ -159,7 +159,7 @@ def _unitary_result(n_max: int, amps: np.ndarray, what: str) -> FockState:
     it, refusing norm drift."""
     norm = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm - 1.0) > NORM_TOL:
-        raise RuntimeError(f"{what} drifted the norm to {norm}")
+        raise NumericalError(f"{what} drifted the norm to {norm}")
     amps /= norm
     return FockState(n_max, amps)
 

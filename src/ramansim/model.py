@@ -37,9 +37,6 @@ from .gaussian import (
     _squeezer_matrix,
 )
 
-#: scan_variable labels allowed on a NoiseTrace
-SCAN_VARIABLES = ("phase", "pump_power", "quantum_gain")
-
 #: loss-pairing variants of the closed-form noise reduction (see
 #: closed_form_noise_reduction)
 PAIRINGS = ("cascade", "swapped")
@@ -157,13 +154,10 @@ class CascadeScenario:
 class NoiseTrace:
     """Sampled noise level (or noise-reduction ratio) along one scan axis."""
 
-    scan_variable: str
     values: np.ndarray
     variance_linear: np.ndarray
 
     def __post_init__(self):
-        if self.scan_variable not in SCAN_VARIABLES:
-            raise ValueError(f"scan_variable must be one of {SCAN_VARIABLES}")
         values = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
         var = np.atleast_1d(np.asarray(self.variance_linear, dtype=float)).copy()
         if values.shape != var.shape or values.ndim != 1:
@@ -288,7 +282,7 @@ def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace
         raise ValueError("n_points must be >= 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     _, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
-    return NoiseTrace("phase", phis, cov[:, 0, 0])
+    return NoiseTrace(phis, cov[:, 0, 0])
 
 
 class HarmonicFitError(NumericalError):
@@ -492,12 +486,12 @@ def prep_gain_sweep(
     """Noise reduction R for each prep-stage gain in ``prep_gains``.
 
     The abscissa is the stage-1 amplitude gain mu, the monotone image
-    cosh(rate*sqrt(P)) of pump power; the trace is labelled "pump_power".
+    cosh(rate*sqrt(P)) of pump power.
     """
     gains = _gain_array(prep_gains, "prep_gains")
     base = CascadeScenario(AmplifierParams(1.0), readout, channel)
     _, var_min = _harmonic_min(base, gains, readout.gain)
-    return NoiseTrace("pump_power", gains, var_min / reference_variance(base))
+    return NoiseTrace(gains, var_min / reference_variance(base))
 
 
 def quantum_gain_sweep(
@@ -512,7 +506,7 @@ def quantum_gain_sweep(
     gqs = _gain_array(quantum_gains, "quantum_gains")
     base = CascadeScenario(prep, AmplifierParams(1.0), channel)
     _, var_min = _harmonic_min(base, prep.gain, np.sqrt((gqs + 1.0) / 2.0))
-    return NoiseTrace("quantum_gain", gqs, var_min / _reference_variance(gqs, channel.output_loss))
+    return NoiseTrace(gqs, var_min / _reference_variance(gqs, channel.output_loss))
 
 
 def _gain_array(values, name: str) -> np.ndarray:

@@ -6,8 +6,10 @@ here and exercised for real by the acceptance suite.
 """
 
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import pytest
 import ramansim
 import ramansim.cli as cli
 import ramansim.crosscheck as crosscheck
+import ramansim.fock as fock
 import ramansim.model as model
 from ramansim import __version__
 from ramansim.crosscheck import N_MAX_LIMIT, BatteryResult
@@ -34,14 +37,18 @@ def data_rows(text):
     ]
 
 
-@pytest.fixture()
-def sweep_csv(tmp_path):
-    path = tmp_path / "clean.csv"
+def write_sweep(path, mu, l1, l2):
+    """A noiseless readout-gain sweep of the closed form, as fit reads it."""
     gq = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-    r = closed_form_noise_reduction(1.17, 0.1, 0.1, gq)
+    r = closed_form_noise_reduction(mu, l1, l2, gq)
     lines = ["gq_linear,R_linear"] + [f"{a},{b}" for a, b in zip(gq, r)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture()
+def sweep_csv(tmp_path):
+    return write_sweep(tmp_path / "clean.csv", 1.17, 0.1, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +113,48 @@ def test_float_flag_extremes_exit_cleanly(command, key, value, sweep_csv, tmp_pa
     argv = extreme_argv(command, key, value, str(sweep_csv))
     assert run_cli(*argv, "--out", str(tmp_path / "out")) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+#: (argv that selects a mode, that mode as the error names it, a key the
+#: mode does not read, a value for it)
+UNREAD_CASES = [
+    (("gain-sweep", "--sweep", "prep-gain"), "with sweep = prep-gain", "prep_gain", "1.3"),
+    (("gain-sweep", "--sweep", "readout-gq"), "with sweep = readout-gq", "readout_gq", "3"),
+    (("gain-sweep", "--sweep", "readout-gq"), "with sweep = readout-gq", "readout_gq_db", "20"),
+    *[(("correlation", "--from-ratio", "0.4", "--readout-gq", "3"), "with from_ratio", key, "0.3")
+      for key in ("prep_gain", "loss_stokes", "loss_spinwave")],
+    *[(("correlation", "--prep-gain", "1.2"), "without from_ratio", key, value)
+      for key, value in (("readout_gq", "3"), ("readout_gq_db", "20"))],
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv, mode, key, value", UNREAD_CASES,
+                         ids=[f"{argv[0]}:{key}" for argv, _, key, _ in UNREAD_CASES])
+def test_unread_key_is_rejected(argv, mode, key, value, source, tmp_path, capsys):
+    """A key that the chosen mode does not read, set by a flag or by the
+    config file, exits 2 naming the key and the mode, and writes nothing."""
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert key not in out.read_text()
+    out.unlink()
+    if source == "flag":
+        extra = (f"--{key.replace('_', '-')}", value)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        extra = ("--config", str(cfg))
+    assert run_cli(*argv, *extra, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[0]} {mode} does not read {key}\n"
+    assert not out.exists()
+
+
+def test_unread_cases_cover_every_mode():
+    # from_ratio is unread only where it is unset
+    table = {(command, mode, key) for (command, mode), keys in cli._UNREAD.items()
+             for key in keys if key != "from_ratio"}
+    assert {(argv[0], mode, key) for argv, mode, key, _ in UNREAD_CASES} == table
 
 
 class TestNoiseScan:
@@ -226,15 +275,20 @@ class TestGainSweep:
             ("readout-gq", ("--readout-gq", "0.5"), ("readout_gq", "readout_gq_db")),
         ],
     )
-    def test_echo_leaves_out_ignored_keys(self, sweep, extra, ignored, capsys):
+    def test_echo_leaves_out_ignored_keys(self, sweep, extra, ignored, tmp_path, capsys):
+        """The header leaves out the keys the sweep ignores; setting one is
+        rejected before the output is opened."""
         assert run_cli("gain-sweep", "--sweep", sweep, "--points", "3") == 0
-        plain = capsys.readouterr().out
-        assert run_cli("gain-sweep", "--sweep", sweep, "--points", "3", *extra) == 0
         out = capsys.readouterr().out
-        assert out == plain
         echoed = {line.split(" = ")[0][2:] for line in out.splitlines() if " = " in line}
         assert echoed.isdisjoint(ignored)
         assert {"loss_stokes", "points", "sweep"} <= echoed
+        path = tmp_path / "sweep.csv"
+        assert run_cli("gain-sweep", "--sweep", sweep, "--points", "3", *extra,
+                       "--out", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ignored[0] in err and f"sweep = {sweep}" in err
+        assert not path.exists()
 
 
 class TestFit:
@@ -279,6 +333,49 @@ class TestFit:
         assert run_cli("fit", str(sweep_csv), str(sweep_csv), "--shared-loss",
                        "--bootstrap", "100") == 2
         assert "shared-loss" in capsys.readouterr().err
+
+    def test_bootstrap_report_matches_csv(self, sweep_csv, tmp_path, capsys):
+        out = tmp_path / "fit.csv"
+        assert run_cli("fit", str(sweep_csv), "--bootstrap", "100", "--out", str(out)) == 0
+        report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if line)
+        lo, hi = report["correlation_db_ci_95"].strip("[]").split(", ")
+        assert float(lo) <= float(hi)
+        header, row = (line.split(",") for line in data_rows(out.read_text()))
+        assert row[header.index("correlation_db_ci_lo")] == lo
+        assert row[header.index("correlation_db_ci_hi")] == hi
+        assert report["bootstrap_failures"] == "0/100"
+        for name in ("mu", "l1", "l2"):
+            assert len(report[f"covariance_{name}"].split(",")) == 3
+
+    def test_shared_loss_report_and_csv(self, tmp_path, capsys):
+        a = write_sweep(tmp_path / "a.csv", 1.17, 0.1, 0.2)
+        b = write_sweep(tmp_path / "b.csv", 1.3, 0.1, 0.2)
+        out = tmp_path / "fit.csv"
+        assert run_cli("fit", str(a), str(b), "--shared-loss", "--out", str(out)) == 0
+        blocks = [dict(line.split(": ", 1) for line in block.splitlines())
+                  for block in capsys.readouterr().out.strip().split("\n\n")]
+        assert [block["dataset"] for block in blocks] == ["a", "b"]
+        for key in ("l1_hat", "l2_hat"):
+            assert blocks[0][key] == blocks[1][key]
+        header, *rows = (line.split(",") for line in data_rows(out.read_text()))
+        assert [row[0] for row in rows] == ["a", "b"]
+        assert all(row[-2:] == ["", ""] for row in rows)
+        assert header[-2:] == ["correlation_db_ci_lo", "correlation_db_ci_hi"]
+
+    def test_shared_loss_from_config_file(self, tmp_path, capsys):
+        a = write_sweep(tmp_path / "a.csv", 1.17, 0.1, 0.2)
+        b = write_sweep(tmp_path / "b.csv", 1.3, 0.1, 0.2)
+        outputs = []
+        for extra in (("--shared-loss",), ("--config", str(tmp_path / "yes.cfg"))):
+            (tmp_path / "yes.cfg").write_text("shared_loss = yes\n")
+            out = tmp_path / "fit.csv"
+            assert run_cli("fit", str(a), str(b), *extra, "--out", str(out)) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        (tmp_path / "maybe.cfg").write_text("# fit options\nshared_loss = maybe\n")
+        assert run_cli("fit", str(a), str(b), "--config", str(tmp_path / "maybe.cfg")) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "maybe" in err
 
     def test_nan_cell_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
@@ -347,18 +444,26 @@ class TestCorrelation:
 
     @pytest.mark.parametrize(
         "argv, echoed",
-        [
-            (("--from-ratio", "0.4", "--readout-gq", "3", "--loss-spinwave", "0.2"),
+        [  # (the run, a flag its estimate does not read)
+            ((("--from-ratio", "0.4", "--readout-gq", "3"), ("--loss-spinwave", "0.2")),
              {"from_ratio", "readout_gq", "readout_gq_db"}),
-            (("--prep-gain", "1.17", "--loss-stokes", "0.1"),
+            ((("--prep-gain", "1.17", "--loss-stokes", "0.1"), ("--readout-gq", "3")),
              {"prep_gain", "loss_stokes", "loss_spinwave"}),
         ],
     )
-    def test_echo_leaves_out_ignored_keys(self, argv, echoed, capsys):
-        assert run_cli("correlation", *argv) == 0
+    def test_echo_leaves_out_ignored_keys(self, argv, echoed, tmp_path, capsys):
+        """The header echoes the keys the estimate reads; setting one that
+        it does not read is rejected before the output is opened."""
+        run, unread = argv
+        assert run_cli("correlation", *run) == 0
         out = capsys.readouterr().out
         assert {line.split(" = ")[0][2:] for line in out.splitlines() if line.startswith("# ")
                 and " = " in line} == echoed
+        path = tmp_path / "corr.txt"
+        assert run_cli("correlation", *run, *unread, "--out", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and unread[0][2:].replace("-", "_") in err
+        assert not path.exists()
 
 
 class TestFringes:
@@ -407,6 +512,13 @@ class TestOracleCheck:
         monkeypatch.setattr(crosscheck, "run_battery", refuse)
         assert run_cli("oracle-check") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_norm_drift_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(fock, "NORM_TOL", -1.0)  # every unitary now drifts
+        assert run_cli("oracle-check") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "drifted the norm" in err
+        assert "Traceback" not in err
 
     def test_truncation_flag_validated(self, capsys):
         assert run_cli("oracle-check", "--truncation", "1") == 2
@@ -549,3 +661,21 @@ class TestParserReuse:
             assert proc.returncode == 0, proc.stderr
             fresh = out(argv, "fresh").read_bytes()
             assert out(argv, 1).read_bytes() == out(argv, 2).read_bytes() == fresh
+
+
+def readme_commands():
+    """The ``ramansim`` lines of the README's command-line usage block,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ramansim ")]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the README block exits 0, in order, in one directory."""
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == list(cli._COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(*argv) == 0, (argv, capsys.readouterr().err)

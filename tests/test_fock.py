@@ -30,6 +30,7 @@ from ramansim.fock import (
     two_mode_squeezed_vacuum,
     vacuum_state,
 )
+from ramansim.gaussian import NumericalError
 
 R = 0.5
 ARM_VAR = math.cosh(2 * R)  # 1.5430806348152437
@@ -350,6 +351,11 @@ class TestDenseReference:
 
 
 class TestValidation:
+    def test_unitary_norm_drift_is_numerical_error(self):
+        amps = vacuum_state(4).amps * 1.01
+        with pytest.raises(NumericalError, match="probe drifted the norm"):
+            fock._unitary_result(4, amps, "probe")
+
     def test_norm_enforced(self):
         amps = np.zeros((5, 1, 1), dtype=complex)
         amps[0] = 0.5
