@@ -96,7 +96,6 @@ _SCHEMAS: dict[str, dict] = {
         "shared_loss": (_parse_bool, False),
         "starts": (int, 16),
         "mu_max": (float, 10.0),
-        "pairing": (str, "cascade"),
         "bootstrap": (int, 0),
         "seed": (int, 0),
     },
@@ -302,11 +301,9 @@ def _cmd_fit(args, cfg: dict) -> int:
         raise UsageError("bootstrap must be 0 (off) or >= 100 resamples")
     if cfg["bootstrap"] and cfg["shared_loss"]:
         raise UsageError("bootstrap is not available with shared-loss")
-    config = FitConfig(
-        n_starts=cfg["starts"], mu_max=cfg["mu_max"], seed=cfg["seed"], pairing=cfg["pairing"]
-    )
+    config = FitConfig(n_starts=cfg["starts"], mu_max=cfg["mu_max"], seed=cfg["seed"])
     datasets = [load_noise_csv(path) for path in args.inputs]
-    if cfg["shared_loss"] and len(datasets) > 1:
+    if cfg["shared_loss"]:
         fits = fit_datasets_shared_loss(datasets, config)
     else:
         fits = [fit_dataset(d, config) for d in datasets]
@@ -316,7 +313,7 @@ def _cmd_fit(args, cfg: dict) -> int:
     ]
     for f, b in zip(fits, boots):
         _report_fit(sys.stdout, f, b)
-    if args.out:
+    if args.out is not None:
         with _open_out(args, cfg) as fh:
             fields = _FIT_FIELDS[:-1]
             ci_names = ("correlation_db_ci_lo", "correlation_db_ci_hi")

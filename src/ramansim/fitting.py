@@ -20,6 +20,10 @@ Every fit must reach a projected gradient below GRAD_TOL.
 L1 and L2 become exactly interchangeable in the large-gain limit and
 nearly so at lambda close to 1, so the fit reports the objective for both
 orderings and flags near-degeneracy instead of pretending uniqueness.
+
+Only the cascade convention of model.closed_form_noise_reduction is fit:
+"swapped" is the same formula with L1 and L2 exchanged, so for such data
+read l1_hat as L2 and l2_hat as L1, and exchange those covariance axes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from scipy import optimize
 
 from .gaussian import NumericalError
 from .model import (
-    PAIRINGS,
     closed_form_noise_reduction,
     joint_quadrature_variance,
     linear_to_db,
@@ -138,15 +141,12 @@ class FitConfig:
     n_starts: int = 16
     mu_max: float = 10.0
     seed: int = 0
-    pairing: str = "cascade"
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if not 1.0 < self.mu_max < math.inf:
             raise ValueError("mu_max must be finite and > 1")
-        if self.pairing not in PAIRINGS:
-            raise ValueError(f"pairing must be one of {PAIRINGS}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class BootstrapResult:
 # model in the fit coordinates x = (t, s1, s2)
 
 
-def _coefficients(x, pairing: str) -> tuple[np.ndarray, np.ndarray]:
+def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta, gamma) at x and their Jacobian d(alpha, beta, gamma)/dx.
 
     model.noise_reduction_coefficients with u = 2 sinh^2 t, 4 mu nu =
@@ -193,8 +193,6 @@ def _coefficients(x, pairing: str) -> tuple[np.ndarray, np.ndarray]:
     away t below ~1e-8, where R still moves at first order in t.
     """
     t, s1, s2 = x
-    if pairing == "swapped":
-        s1, s2 = s2, s1
     u, du = 2.0 * math.sinh(t) ** 2, 2.0 * math.sinh(2.0 * t)
     c, dc = -2.0 * math.sinh(2.0 * t), -4.0 * math.cosh(2.0 * t)
     coef = np.array([1.0 + u * s2 * s2, u * (s1 * s1 - s2 * s2), c * s1 * s2])
@@ -205,14 +203,12 @@ def _coefficients(x, pairing: str) -> tuple[np.ndarray, np.ndarray]:
             [dc * s1 * s2, c * s2, c * s1],
         ]
     )
-    if pairing == "swapped":
-        jac = jac[:, [0, 2, 1]]
     return coef, jac
 
 
-def _objective(x, design, r, w, pairing: str) -> tuple[float, np.ndarray]:
+def _objective(x, design, r, w) -> tuple[float, np.ndarray]:
     """Weighted sum of squared residuals and its gradient in x."""
-    coef, jac = _coefficients(x, pairing)
+    coef, jac = _coefficients(x)
     res = design @ coef - r
     return float(w @ (res * res)), 2.0 * jac.T @ (design.T @ (w * res))
 
@@ -253,7 +249,7 @@ def _converged_gradient_norm(fun, x, bounds) -> float:
     return norm
 
 
-def _linear_solution(design, r, w, pairing: str, bounds) -> tuple[np.ndarray, bool]:
+def _linear_solution(design, r, w, bounds) -> tuple[np.ndarray, bool]:
     """Weighted linear least squares for (alpha, beta, gamma), inverted to x.
 
     Returns x clipped into the box and whether the inverse already lay
@@ -263,8 +259,6 @@ def _linear_solution(design, r, w, pairing: str, bounds) -> tuple[np.ndarray, bo
     alpha, beta, gamma = np.linalg.lstsq(design * sw[:, None], r * sw, rcond=None)[0]
     p, q = alpha - 1.0, alpha - 1.0 + beta  # u T2 and u T1
     gamma = min(gamma, 0.0)  # gamma > 0 has no preimage; 0 maps to mu = 1
-    if pairing == "swapped":
-        p, q = q, p
     with np.errstate(divide="ignore", invalid="ignore"):
         u = 2.0 / (gamma * gamma / (4.0 * p * q) - 1.0)
         x = np.array([math.asinh(math.sqrt(u / 2.0)) if u >= 0 else 0.0, *np.sqrt([q / u, p / u])])
@@ -301,7 +295,6 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
 
     Raises:
         InsufficientDataError: fewer than 4 points.
-        DegenerateDesignError: no gq variation in the data.
         UnstableFitError: the optimizer could not reach a local minimum.
     """
     if config is None:
@@ -312,8 +305,8 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
         )
     bounds = [(0.0, math.acosh(config.mu_max)), (0.0, 1.0), (0.0, 1.0)]
     args = (noise_reduction_regressors(data.quantum_gain), data.noise_ratio, data.weights)
-    fun = lambda x: _objective(x, *args, config.pairing)  # noqa: E731
-    x, inside = _linear_solution(*args, config.pairing, bounds)
+    fun = lambda x: _objective(x, *args)  # noqa: E731
+    x, inside = _linear_solution(*args, bounds)
     if inside:
         f, n_polishes = fun(x)[0], 0
     else:
@@ -346,7 +339,7 @@ def bootstrap_uncertainty(
         config = FitConfig()
     rng = np.random.default_rng(config.seed + 0x5EED)
     gq = data.quantum_gain
-    model_r = closed_form_noise_reduction(fit.mu_hat, fit.l1_hat, fit.l2_hat, gq, config.pairing)
+    model_r = closed_form_noise_reduction(fit.mu_hat, fit.l1_hat, fit.l2_hat, gq)
     residuals = data.noise_ratio - model_r
 
     params, corr_db = [], []
@@ -407,13 +400,13 @@ def fit_datasets_shared_loss(
         """z = (s1, s2, t of each dataset)."""
         f, g = 0.0, np.zeros_like(z)
         for j, term in enumerate(terms):
-            fj, gj = _objective(np.array([z[2 + j], z[0], z[1]]), *term, config.pairing)
+            fj, gj = _objective(np.array([z[2 + j], z[0], z[1]]), *term)
             f += fj
             g[:2] += gj[1:]
             g[2 + j] = gj[0]
         return f, g
 
-    linear = [_linear_solution(*term, config.pairing, single)[0] for term in terms]
+    linear = [_linear_solution(*term, single)[0] for term in terms]
     ts = [x[0] for x in linear]
     starts = [np.array([*s, *ts]) for x in linear for s in (x[1:], x[2:0:-1])]
     z, f = _best_polish(total_objective, starts, bounds)
@@ -422,7 +415,7 @@ def fit_datasets_shared_loss(
     results = []
     for t, d, term in zip(z[2:], datasets, terms):
         x = np.array([t, z[0], z[1]])
-        own = _objective(x, *term, config.pairing)[0]
+        own = _objective(x, *term)[0]
         results.append(_result(x, f, f_swapped, own, len(starts), grad_norm, d))
     return results
 

@@ -58,7 +58,7 @@ def _sector(n_max: int, shape: tuple[int, int, int]):
 class FockState:
     """Pure two-mode state on the Q = 0 sector: amplitudes psi[n_a, n_ea, n_eb]
     of shape (n_max+1, 1 or n_max+1, 1 or n_max+1), zero wherever the
-    implied n_b = n_a + n_ea - n_eb leaves [0, n_max]."""
+    implied n_b leaves [0, n_max], of norm 1; ``amps`` views the given array."""
 
     n_max: int
     amps: np.ndarray
@@ -75,7 +75,7 @@ class FockState:
         norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
-        amps = amps / norm
+        amps = amps.view()  # the caller's array stays writeable
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 

@@ -5,7 +5,9 @@ covers the installed entry point.  The slow oracle battery is stubbed
 here and exercised for real by the acceptance suite.
 """
 
+import argparse
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -68,7 +70,7 @@ def sweep_csv(tmp_path):
         (("noise-scan", "--readout-gq", "nan"), "readout_gq"),
         (("correlation", "--from-ratio", "0.4", "--readout-gq", "0.5"), "readout_gq"),
         (("fit", "{csv}", "--starts", "0"), "starts"),
-        (("fit", "{csv}", "--pairing", "typo"), "pairing"),
+        (("fit", "{csv}", "--mu-max", "1"), "mu_max"),
         (("noise-scan", "--readout-gq-db", "1e300"), "readout_gq_db"),
         (("gain-sweep", "--readout-gq-db", "1e300"), "readout_gq_db"),
         (("fringes", "--readout-gq-db", "1e300"), "readout_gq_db"),
@@ -316,9 +318,6 @@ class TestFit:
     def test_missing_file(self, capsys):
         assert run_cli("fit", "no-such-file.csv") == 2
 
-    def test_bad_pairing(self, sweep_csv, capsys):
-        assert run_cli("fit", str(sweep_csv), "--pairing", "sideways") == 2
-
     def test_bootstrap_count_validated(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), "--bootstrap", "10") == 2
 
@@ -361,6 +360,36 @@ class TestFit:
         assert [row[0] for row in rows] == ["a", "b"]
         assert all(row[-2:] == ["", ""] for row in rows)
         assert header[-2:] == ["correlation_db_ci_lo", "correlation_db_ci_hi"]
+
+    def test_shared_loss_with_one_csv_is_the_single_fit(self, sweep_csv, tmp_path, capsys):
+        outputs = []
+        for extra in ((), ("--shared-loss",)):
+            out = tmp_path / "fit.csv"
+            assert run_cli("fit", str(sweep_csv), *extra, "--out", str(out)) == 0
+            outputs.append((capsys.readouterr().out, out.read_text().splitlines()))
+        (plain_report, plain), (shared_report, shared) = outputs
+        assert plain_report == shared_report
+        assert len(plain) == len(shared)
+        differ = [(a, b) for a, b in zip(plain, shared) if a != b]
+        assert differ == [("# shared_loss = false", "# shared_loss = true")]
+
+    def test_empty_out_path_exits_2(self, sweep_csv, capsys):
+        assert run_cli("fit", str(sweep_csv), "--out", "") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_pairing_is_not_an_option(self, sweep_csv, tmp_path, capsys):
+        """Swapped-pairing data are fit as they are and read with the losses
+        exchanged, so the fit takes no pairing."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", str(sweep_csv), "--pairing", "swapped")
+        assert exc.value.code == 2
+        (tmp_path / "swapped.cfg").write_text("pairing = swapped\n")
+        assert run_cli("fit", str(sweep_csv), "--config", str(tmp_path / "swapped.cfg")) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'pairing'" in err
+        assert "Traceback" not in err
 
     def test_shared_loss_from_config_file(self, tmp_path, capsys):
         a = write_sweep(tmp_path / "a.csv", 1.17, 0.1, 0.2)
@@ -679,3 +708,17 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run_cli(*argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_names_only_real_flags():
+    """Every ``--flag`` from the README's command-line usage on is accepted
+    by some subcommand's parser or by the top-level one."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = text.split("## Command-line usage", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", usage))
+    parser = cli.build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = set(parser._option_string_actions).union(
+        *(p._option_string_actions for p in subs.choices.values())
+    )
+    assert named and named <= accepted, sorted(named - accepted)

@@ -38,8 +38,8 @@ def synthetic_dataset(mu, l1, l2, sigma_rel=None, seed=None, pairing="cascade", 
     return NoiseDataset(GQ_GRID, r, sigma, label)
 
 
-def weighted_sse(data, mu, l1, l2, pairing="cascade"):
-    pred = closed_form_noise_reduction(mu, l1, l2, data.quantum_gain, pairing=pairing)
+def weighted_sse(data, mu, l1, l2):
+    pred = closed_form_noise_reduction(mu, l1, l2, data.quantum_gain)
     return float(np.sum(data.weights * (pred - data.noise_ratio) ** 2))
 
 
@@ -108,10 +108,6 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="mu_max"):
             FitConfig(mu_max=mu_max)
 
-    def test_pairing_must_be_known(self):
-        with pytest.raises(ValueError, match="pairing"):
-            FitConfig(pairing="typo")
-
 
 class TestFitRoundTrip:
     def test_noiseless_recovery_unequal_losses(self):
@@ -145,10 +141,13 @@ class TestFitRoundTrip:
         assert fit.n_restarts_used == 5  # boundary polish: 4 starts plus the linear point
 
     def test_swapped_pairing_round_trip(self):
+        """Swapped-convention data fit as the cascade curve with L1 and L2
+        exchanged."""
         data = synthetic_dataset(1.4, 0.3, 0.08, pairing="swapped")
-        fit = fit_dataset(data, FitConfig(pairing="swapped"))
+        fit = fit_dataset(data)
         assert abs(fit.mu_hat - 1.4) < 1e-6
-        assert loss_recovery_error(fit, 0.3, 0.08) < 1e-6
+        assert max(abs(fit.l1_hat - 0.08), abs(fit.l2_hat - 0.3)) < 1e-6
+        assert not fit.loss_ordering_degenerate
 
     def test_weighted_fit_uses_sigma(self):
         data = synthetic_dataset(1.25, 0.15, 0.15, sigma_rel=0.01, seed=3)
@@ -173,23 +172,28 @@ class TestLinearAgainstPolish:
     @pytest.mark.parametrize("pairing", ["cascade", "swapped"])
     def test_fit_coordinates_match_model(self, pairing):
         """The fitter's coefficient map in (t, s1, s2) against the model's in
-        (mu, L1, L2), and its Jacobian against central differences."""
+        (mu, L1, L2), and its Jacobian against central differences.  A
+        swapped-pairing point is the fitter's point with s1 and s2 exchanged."""
+        order = [0, 1, 2] if pairing == "cascade" else [0, 2, 1]
         rng = np.random.default_rng(4)
         for x in rng.uniform([0.0, 0.0, 0.0], [2.0, 1.0, 1.0], (20, 3)):
-            coef, jac = fitting._coefficients(x, pairing)
             mu, l1, l2 = math.cosh(x[0]), 1.0 - x[1] ** 2, 1.0 - x[2] ** 2
+            x = x[order]
+            coef, jac = fitting._coefficients(x)
             ref = noise_reduction_coefficients(mu, l1, l2, pairing)
             assert coef == pytest.approx(np.array(ref), rel=1e-12, abs=1e-12)
             h = 1e-6
             for i in range(3):
                 step = np.eye(3)[i] * h
-                fd = (fitting._coefficients(x + step, pairing)[0]
-                      - fitting._coefficients(x - step, pairing)[0]) / (2 * h)
+                fd = (fitting._coefficients(x + step)[0]
+                      - fitting._coefficients(x - step)[0]) / (2 * h)
                 assert jac[:, i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
     def test_interior_solve_not_above_polish_from_truth(self):
         """The closed-form solve against the boundary path's bounded polish
-        started at the truth; both objectives through the closed form."""
+        started at the truth; both objectives through the closed form, in the
+        cascade convention, where swapped-pairing data have L1 and L2
+        exchanged."""
         bounds = [(0.0, math.acosh(FitConfig().mu_max)), (0.0, 1.0), (0.0, 1.0)]
         design = noise_reduction_regressors(GQ_GRID)
         interior = 0
@@ -200,24 +204,27 @@ class TestLinearAgainstPolish:
             if np.max(closed_form_noise_reduction(mu, l1, l2, GQ_GRID, pairing=pairing)) > 1.0:
                 continue  # not a noise-reduction curve
             data = synthetic_dataset(mu, l1, l2, sigma_rel=0.01, seed=seed, pairing=pairing)
-            fit = fit_dataset(data, FitConfig(pairing=pairing))
+            if pairing == "swapped":
+                l1, l2 = l2, l1
+            fit = fit_dataset(data)
             if fit.n_restarts_used:
                 continue
             interior += 1
             truth = np.array([math.acosh(mu), math.sqrt(1.0 - l1), math.sqrt(1.0 - l2)])
             (t, s1, s2), _ = fitting._polish(
-                lambda x: fitting._objective(x, design, data.noise_ratio, data.weights, pairing),
+                lambda x: fitting._objective(x, design, data.noise_ratio, data.weights),
                 truth,
                 bounds,
             )
-            slow = weighted_sse(data, math.cosh(t), 1.0 - s1 * s1, 1.0 - s2 * s2, pairing)
-            fast = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat, pairing)
+            slow = weighted_sse(data, math.cosh(t), 1.0 - s1 * s1, 1.0 - s2 * s2)
+            fast = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat)
             assert fast <= slow * (1.0 + 1e-12), (seed, fast, slow)
         assert interior >= 50
 
     def test_boundary_battery_not_above_truth(self):
         """mu at or next to 1 with losses 0 or 1, where the linear solve mostly
-        leaves the box: the polish must still reach the truth's objective."""
+        leaves the box: the polish must still reach the truth's objective,
+        with L1 and L2 exchanged for swapped-pairing data."""
         battery = list(itertools.product(
             (1.0, 1.001), (0.0, 1.0), (0.0, 1.0), ("cascade", "swapped"), (None, 1, 2)
         ))
@@ -225,13 +232,15 @@ class TestLinearAgainstPolish:
         for mu, l1, l2, pairing, noise_seed in battery:
             sigma_rel = None if noise_seed is None else 0.01
             data = synthetic_dataset(mu, l1, l2, sigma_rel, noise_seed, pairing)
+            if pairing == "swapped":
+                l1, l2 = l2, l1
             try:
-                fit = fit_dataset(data, FitConfig(pairing=pairing))
+                fit = fit_dataset(data)
             except UnstableFitError:
                 unstable += 1
                 continue
-            got = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat, pairing)
-            truth = weighted_sse(data, mu, l1, l2, pairing)
+            got = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat)
+            truth = weighted_sse(data, mu, l1, l2)
             assert got <= truth + 1e-12, (mu, l1, l2, pairing, noise_seed)
         assert unstable <= 0.1 * len(battery)
 

@@ -356,6 +356,19 @@ class TestValidation:
         with pytest.raises(NumericalError, match="probe drifted the norm"):
             fock._unitary_result(4, amps, "probe")
 
+    def test_result_views_the_computed_array(self):
+        amps = vacuum_state(4).amps.copy()
+        state = fock._unitary_result(4, amps, "probe")
+        assert np.shares_memory(state.amps, amps)
+        assert not state.amps.flags.writeable
+
+    def test_callers_array_stays_writeable(self):
+        amps = np.zeros((5, 1, 1), dtype=complex)
+        amps[0] = 1.0
+        state = FockState(4, amps)
+        assert amps.flags.writeable and not state.amps.flags.writeable
+        assert np.shares_memory(state.amps, amps)
+
     def test_norm_enforced(self):
         amps = np.zeros((5, 1, 1), dtype=complex)
         amps[0] = 0.5

@@ -405,6 +405,17 @@ class TestClosedForm:
         b = closed_form_noise_reduction(1.4, 0.4, 0.05, 12.0, pairing="swapped")
         assert abs(a - b) > 1e-3
 
+    def test_swapped_pairing_is_exchanged_losses(self):
+        """The fitter relies on this: it solves the cascade pairing only."""
+        rng = np.random.default_rng(12)
+        mu, l1, l2 = 1.0 + 2.0 * rng.random(64), rng.random(64), rng.random(64)
+        gq = 1.0 + 100.0 * rng.random(64)
+        for got, want in zip(noise_reduction_coefficients(mu, l1, l2, "swapped"),
+                             noise_reduction_coefficients(mu, l2, l1)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(closed_form_noise_reduction(mu, l1, l2, gq, "swapped"),
+                              closed_form_noise_reduction(mu, l2, l1, gq))
+
     def test_lossless_infinite_gain_limit(self):
         mu = 1.3
         nu = math.sqrt(mu * mu - 1.0)
