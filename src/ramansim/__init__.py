@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .gaussian import (
     GaussianState,
-    LossChannel,
     SymplecticOp,
     apply_loss,
     apply_symplectic,
@@ -42,7 +41,6 @@ from .model import (
 __all__ = [
     "GaussianState",
     "SymplecticOp",
-    "LossChannel",
     "vacuum",
     "two_mode_squeezer",
     "phase_shift",

@@ -8,7 +8,7 @@ header; identical config + seed produce byte-identical output.
 Option precedence: command-line flags > config file (--config, flat
 "key = value" lines, keys as in the flag names with dashes replaced by
 underscores) > built-in defaults.  Setting a key that the chosen mode of
-gain-sweep or correlation does not read is a usage error.
+gain-sweep, fit or correlation does not read is a usage error.
 
 Exit codes: 0 success; 2 usage error (bad flags, malformed input data,
 insufficient or degenerate datasets); 3 numerical failure (truncation
@@ -118,6 +118,7 @@ _SCHEMAS: dict[str, dict] = {
 _UNREAD = {
     ("gain-sweep", "with sweep = prep-gain"): ("prep_gain",),
     ("gain-sweep", "with sweep = readout-gq"): ("readout_gq", "readout_gq_db"),
+    ("fit", "with shared_loss"): ("starts", "seed", "bootstrap"),
     ("correlation", "with from_ratio"): ("prep_gain", "loss_stokes", "loss_spinwave"),
     ("correlation", "without from_ratio"): ("from_ratio", "readout_gq", "readout_gq_db"),
 }
@@ -127,6 +128,8 @@ def _mode(command: str, cfg: dict) -> str:
     """The mode of ``command`` that ``cfg`` selects, as named in _UNREAD."""
     if command == "correlation":
         return "without from_ratio" if cfg["from_ratio"] is None else "with from_ratio"
+    if command == "fit":
+        return "with shared_loss" if cfg["shared_loss"] else ""
     return f"with sweep = {cfg['sweep']}" if command == "gain-sweep" else ""
 
 
@@ -297,23 +300,22 @@ def _cmd_fit(args, cfg: dict) -> int:
         load_noise_csv,
     )
 
-    if cfg["bootstrap"] != 0 and cfg["bootstrap"] < 100:
+    resamples = cfg.get("bootstrap", 0)  # unread with shared_loss
+    if resamples != 0 and resamples < 100:
         raise UsageError("bootstrap must be 0 (off) or >= 100 resamples")
-    if cfg["bootstrap"] and cfg["shared_loss"]:
-        raise UsageError("bootstrap is not available with shared-loss")
-    config = FitConfig(n_starts=cfg["starts"], mu_max=cfg["mu_max"], seed=cfg["seed"])
+    config = FitConfig(mu_max=cfg["mu_max"], **{
+        field: cfg[key] for key, field in (("starts", "n_starts"), ("seed", "seed")) if key in cfg
+    })
     datasets = [load_noise_csv(path) for path in args.inputs]
     if cfg["shared_loss"]:
         fits = fit_datasets_shared_loss(datasets, config)
     else:
         fits = [fit_dataset(d, config) for d in datasets]
     boots = [
-        bootstrap_uncertainty(d, f, cfg["bootstrap"], config) if cfg["bootstrap"] else None
+        bootstrap_uncertainty(d, f, resamples, config) if resamples else None
         for d, f in zip(datasets, fits)
     ]
-    for f, b in zip(fits, boots):
-        _report_fit(sys.stdout, f, b)
-    if args.out is not None:
+    if args.out is not None:  # written first: a bad path prints no report
         with _open_out(args, cfg) as fh:
             fields = _FIT_FIELDS[:-1]
             ci_names = ("correlation_db_ci_lo", "correlation_db_ci_hi")
@@ -322,6 +324,8 @@ def _cmd_fit(args, cfg: dict) -> int:
                 ci = [_fmt(v) for v in b.correlation_db_ci] if b else ["", ""]
                 cells = [f.dataset_label] + [_fmt(getattr(f, n)) for n in fields] + ci
                 fh.write(",".join(cells) + "\n")
+    for f, b in zip(fits, boots):
+        _report_fit(sys.stdout, f, b)
     return 0
 
 

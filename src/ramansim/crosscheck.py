@@ -70,17 +70,17 @@ def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
 
 
 def variance_deviation(scenario: CascadeScenario, n_max: int = 40) -> float:
-    """Max |kernel - Fock| homodyne variance over modes and phases.  The
-    Fock variance of each mode is phase independent on the oracle's Q = 0
-    sector, so it is read once per mode and compared at every phase."""
+    """Max |kernel - Fock| homodyne variance over modes and phases, NaN if
+    either side gives NaN.  The Fock variance of each mode is phase
+    independent on the oracle's Q = 0 sector, so it is read once per mode
+    and compared at every phase."""
     g = build_cascade(scenario)
     f = run_fock(scenario, n_max)
-    worst = 0.0
+    deviations = []
     for mode in range(2):
         fv = fock.quadrature_variance(f, mode)
-        for phase in _CHECK_PHASES:
-            worst = max(worst, abs(homodyne_variance(g, mode, phase) - fv))
-    return worst
+        deviations += [abs(homodyne_variance(g, mode, phase) - fv) for phase in _CHECK_PHASES]
+    return float(np.max(deviations))
 
 
 def standard_battery() -> list[tuple[str, CascadeScenario]]:
@@ -130,7 +130,8 @@ class BatteryResult:
 
     @property
     def max_deviation(self) -> float:
-        return max((d for _, d in self.entries), default=0.0)
+        """The largest deviation, NaN if any is NaN, 0 for no entries."""
+        return float(np.max([d for _, d in self.entries], initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -140,7 +141,7 @@ class BatteryResult:
     def worst_circuit(self) -> str:
         if not self.entries:
             return ""
-        return max(self.entries, key=lambda e: e[1])[0]
+        return self.entries[int(np.argmax([d for _, d in self.entries]))][0]
 
 
 def run_battery(battery=None, n_max: int = 40) -> BatteryResult:

@@ -42,6 +42,13 @@ class TruncationError(NumericalError):
     """The requested operation is not representable at this truncation."""
 
 
+def _check_finite(**values: float) -> None:
+    """Reject a non-finite argument, by name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @lru_cache(maxsize=16)
 def _sector(n_max: int, shape: tuple[int, int, int]):
     """For a store of this shape: the implied n_b clipped into [0, n_max],
@@ -73,7 +80,7 @@ class FockState:
         if np.any(amps[_sector(self.n_max, amps.shape)[1]]):
             raise ValueError("amplitudes outside the Q = 0 sector (n_b out of range)")
         norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-9")
         amps = amps.view()  # the caller's array stays writeable
         amps.setflags(write=False)
@@ -97,6 +104,7 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
     Refuses (TruncationError) when the highest retained coefficient is not
     negligible, i.e. tanh(r)^n_max / cosh(r) >= 1e-6.
     """
+    _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")
     tail = np.tanh(r) ** n_max / np.cosh(r)
@@ -158,7 +166,7 @@ def _unitary_result(n_max: int, amps: np.ndarray, what: str) -> FockState:
     """Normalise the freshly computed output of a unitary in place and wrap
     it, refusing norm drift."""
     norm = math.sqrt(np.vdot(amps, amps).real)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NumericalError(f"{what} drifted the norm to {norm}")
     amps /= norm
     return FockState(n_max, amps)
@@ -171,6 +179,7 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
     strided slice, and share a block.  Norm preservation is verified to
     1e-8 and the edge population of the result must stay below 1e-8,
     otherwise TruncationError."""
+    _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")
     blocks = _squeeze_blocks(complex(r * np.exp(1j * theta)), state.n_max)
@@ -194,6 +203,7 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
 
 def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
     """Apply e^{i phi n} on one mode; on b, n_b = n_a + n_ea - n_eb."""
+    _check_finite(phi=phi)
     if mode not in (0, 1):
         raise ValueError("mode index out of range")
     d, n_ea, n_eb = state.amps.shape

@@ -94,6 +94,38 @@ def _attenuate(mean: np.ndarray, cov: np.ndarray, loss: np.ndarray):
     return mean * scale, cov
 
 
+def _frozen(name: str, value) -> np.ndarray:
+    """A read-only float copy of ``value``; a non-finite entry is a
+    ValueError naming ``name``."""
+    arr = np.array(value, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+    return _readonly(arr)
+
+
+def _quadratures(n_modes: int | None, *modes: int) -> tuple[int, list[int]]:
+    """``n_modes`` (default: the largest index + 1) and the quadrature
+    indices X_m, Y_m of each of ``modes``, in order; the one check that a
+    mode index lies within [0, n_modes)."""
+    if n_modes is None:
+        n_modes = max(modes) + 1
+    if not all(0 <= m < n_modes for m in modes):
+        raise ValueError(f"mode indices {modes} must lie within [0, {n_modes})")
+    return n_modes, [q for m in modes for q in (2 * m, 2 * m + 1)]
+
+
+def _placed(n_modes: int | None, *modes: int, block=None, shift=0.0) -> SymplecticOp:
+    """The op acting as ``block`` (default identity) and displacing by
+    ``shift`` on the quadratures of ``modes``, as the identity elsewhere."""
+    n_modes, idx = _quadratures(n_modes, *modes)
+    mat, d = np.eye(2 * n_modes), np.zeros(2 * n_modes)
+    if block is not None:
+        mat[np.ix_(idx, idx)] = block
+    d[idx] = shift
+    return SymplecticOp(mat, d)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian state of ``n_modes`` bosonic modes.
@@ -107,26 +139,24 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float)).copy()
-        cov = np.asarray(self.cov, dtype=float).copy()
+        mean = _frozen("mean", np.atleast_1d(self.mean))
+        cov = _frozen("cov", self.cov)
         if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
             raise ValueError("mean must be a flat vector of even length")
         if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"cov shape {cov.shape} does not match mean length {mean.size}"
-            )
+            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
         if not np.allclose(cov, cov.T, rtol=SYMMETRY_RTOL, atol=SYMMETRY_RTOL):
             raise ValueError("cov must be symmetric")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cov", _readonly(cov))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    def is_physical(self, atol: float = PHYSICALITY_ATOL) -> bool:
+    def is_physical(self) -> bool:
         """Check V + i*Omega >= 0, i.e. all symplectic eigenvalues >= 1."""
-        return bool(symplectic_eigenvalues(self.cov).min() >= 1.0 - atol)
+        return bool(symplectic_eigenvalues(self.cov).min() >= 1.0 - PHYSICALITY_ATOL)
 
 
 @dataclass(frozen=True)
@@ -140,40 +170,21 @@ class SymplecticOp:
     displacement: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        s = np.asarray(self.matrix, dtype=float).copy()
+        s = _frozen("matrix", self.matrix)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
             raise ValueError("symplectic matrix must be square with even dimension")
         if not _is_symplectic(s):
             raise ValueError("matrix is not symplectic")
         d = self.displacement
-        d = np.zeros(s.shape[0]) if d is None else np.asarray(d, dtype=float).copy()
+        d = _frozen("displacement", np.zeros(s.shape[0]) if d is None else d)
         if d.shape != (s.shape[0],):
             raise ValueError("displacement length must match matrix dimension")
-        object.__setattr__(self, "matrix", _readonly(s))
-        object.__setattr__(self, "displacement", _readonly(d))
+        object.__setattr__(self, "matrix", s)
+        object.__setattr__(self, "displacement", d)
 
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Pure loss on one mode: a fraction ``loss`` of the signal is replaced
-    by vacuum (transmissivity T = 1 - loss)."""
-
-    mode: int
-    loss: float
-
-    def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError("mode must be a non-negative index")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError("loss must be within [0, 1]")
-
-    @property
-    def transmissivity(self) -> float:
-        return 1.0 - self.loss
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -183,13 +194,8 @@ def vacuum(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def two_mode_squeezer(
-    mode_a: int,
-    mode_b: int,
-    gain: float,
-    pump_phase: float = 0.0,
-    n_modes: int | None = None,
-) -> SymplecticOp:
+def two_mode_squeezer(mode_a: int, mode_b: int, gain: float, pump_phase: float = 0.0,
+                      n_modes: int | None = None) -> SymplecticOp:
     """Two-mode squeezer a -> G a + e^{i theta} g b^dag with g = sqrt(G^2-1).
 
     With ``pump_phase`` 0 the X quadratures of the two output modes are
@@ -207,70 +213,43 @@ def two_mode_squeezer(
     Returns:
         SymplecticOp acting on ``n_modes`` modes.
     """
-    if gain < 1.0:
+    if not gain >= 1.0:
         raise ValueError("gain must be >= 1")
     if mode_a == mode_b:
         raise ValueError("two_mode_squeezer needs two distinct modes")
-    if min(mode_a, mode_b) < 0:
-        raise ValueError("mode indices must be non-negative")
-    if n_modes is None:
-        n_modes = max(mode_a, mode_b) + 1
-    elif max(mode_a, mode_b) >= n_modes:
-        raise ValueError("mode index exceeds n_modes")
-    idx = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
-    mat = np.eye(2 * n_modes)
-    mat[np.ix_(idx, idx)] = _squeezer_matrix(gain, pump_phase)
-    return SymplecticOp(mat)
+    return _placed(n_modes, mode_a, mode_b, block=_squeezer_matrix(gain, pump_phase))
 
 
 def phase_shift(mode: int, phi: float, n_modes: int | None = None) -> SymplecticOp:
     """Phase-space rotation a -> e^{i phi} a on one mode."""
-    if mode < 0:
-        raise ValueError("mode must be a non-negative index")
-    if n_modes is None:
-        n_modes = mode + 1
-    elif mode >= n_modes:
-        raise ValueError("mode index exceeds n_modes")
-    mat = np.eye(2 * n_modes)
-    mat[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2] = _rotation_matrix(phi)
-    return SymplecticOp(mat)
+    return _placed(n_modes, mode, block=_rotation_matrix(phi))
 
 
 def displacement(mode: int, alpha: complex, n_modes: int | None = None) -> SymplecticOp:
     """Displace one mode by a coherent amplitude: <a> -> <a> + alpha."""
-    if mode < 0:
-        raise ValueError("mode must be a non-negative index")
-    if n_modes is None:
-        n_modes = mode + 1
-    elif mode >= n_modes:
-        raise ValueError("mode index exceeds n_modes")
-    d = np.zeros(2 * n_modes)
     # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
-    d[2 * mode] = 2.0 * np.real(alpha)
-    d[2 * mode + 1] = 2.0 * np.imag(alpha)
-    return SymplecticOp(np.eye(2 * n_modes), d)
+    return _placed(n_modes, mode, shift=[2.0 * np.real(alpha), 2.0 * np.imag(alpha)])
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
     """Apply a symplectic map to a state."""
     if op.n_modes != state.n_modes:
-        raise ValueError(
-            f"op acts on {op.n_modes} modes but state has {state.n_modes}"
-        )
+        raise ValueError(f"op acts on {op.n_modes} modes but state has {state.n_modes}")
     s = op.matrix
     cov = s @ state.cov @ s.T
     cov = 0.5 * (cov + cov.T)  # keep the symmetry invariant exact
     return GaussianState(s @ state.mean + op.displacement, cov)
 
 
-def apply_loss(state: GaussianState, channel: LossChannel) -> GaussianState:
-    """Apply pure loss to one mode: V_m -> T V_m + L on the mode's block,
-    off-diagonal blocks scaled by sqrt(T), mean scaled by sqrt(T)."""
-    if channel.mode >= state.n_modes:
-        raise ValueError("loss channel mode exceeds state n_modes")
-    loss = np.zeros(2 * state.n_modes)
-    loss[2 * channel.mode: 2 * channel.mode + 2] = channel.loss
-    return GaussianState(*_attenuate(state.mean, state.cov, loss))
+def apply_loss(state: GaussianState, mode: int, loss: float) -> GaussianState:
+    """Pure loss on one mode: a fraction ``loss`` of the signal is replaced
+    by vacuum, so with T = 1 - loss the mode's block goes to T V_m + loss,
+    its off-diagonal blocks and its mean scale by sqrt(T)."""
+    if not 0.0 <= loss <= 1.0:
+        raise ValueError("loss must be within [0, 1]")
+    per_quadrature = np.zeros(2 * state.n_modes)
+    per_quadrature[_quadratures(state.n_modes, mode)[1]] = loss
+    return GaussianState(*_attenuate(state.mean, state.cov, per_quadrature))
 
 
 def homodyne_variance(state: GaussianState, mode: int, lo_phase: float = 0.0) -> float:
@@ -278,12 +257,9 @@ def homodyne_variance(state: GaussianState, mode: int, lo_phase: float = 0.0) ->
 
     Vacuum gives 1 for every ``lo_phase``.
     """
-    if not 0 <= mode < state.n_modes:
-        raise ValueError("mode index exceeds state n_modes")
-    c, s = np.cos(lo_phase), np.sin(lo_phase)
-    block = state.cov[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2]
-    u = np.array([c, s])
-    return float(u @ block @ u)
+    idx = _quadratures(state.n_modes, mode)[1]
+    u = np.array([np.cos(lo_phase), np.sin(lo_phase)])
+    return float(u @ state.cov[np.ix_(idx, idx)] @ u)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -300,15 +276,12 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def mean_amplitude(state: GaussianState, mode: int) -> complex:
     """Coherent amplitude <a> of one mode, from the mean quadratures."""
-    if not 0 <= mode < state.n_modes:
-        raise ValueError("mode index exceeds state n_modes")
-    return complex(state.mean[2 * mode], state.mean[2 * mode + 1]) / 2.0
+    x, y = state.mean[_quadratures(state.n_modes, mode)[1]]
+    return complex(x, y) / 2.0
 
 
 def mean_photon_number(state: GaussianState, mode: int) -> float:
     """Photon number <n> of one mode, mean-field plus noise contribution."""
-    if not 0 <= mode < state.n_modes:
-        raise ValueError("mode index exceeds state n_modes")
-    block = state.cov[2 * mode: 2 * mode + 2, 2 * mode: 2 * mode + 2]
-    noise = (block[0, 0] + block[1, 1] - 2.0) / 4.0
+    idx = _quadratures(state.n_modes, mode)[1]
+    noise = (np.trace(state.cov[np.ix_(idx, idx)]) - 2.0) / 4.0
     return float(noise + abs(mean_amplitude(state, mode)) ** 2)

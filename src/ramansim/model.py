@@ -241,19 +241,18 @@ def _interstage_moments(scenario: CascadeScenario, prep_gain):
     )
 
 
-def _cascade_moments(scenario: CascadeScenario, scan_phase, prep_gain, readout_gain):
+def _cascade_moments(scenario: CascadeScenario, scan_phase):
     """Output mean ``(..., 4)`` and covariance ``(..., 4, 4)`` of the cascade.
 
-    ``scan_phase``, ``prep_gain`` and ``readout_gain`` broadcast against
-    each other and replace the scenario's own values; pump phases, losses
-    and the seed come from ``scenario``.  After :func:`_interstage_moments`:
-    scan phase on the Stokes arm -> readout squeezer -> output loss on the
-    Stokes arm.  The caller validates the gains.
+    ``scan_phase`` may be an array and replaces the scenario's own value;
+    everything else comes from ``scenario``.  After
+    :func:`_interstage_moments`: scan phase on the Stokes arm -> readout
+    squeezer -> output loss on the Stokes arm.
     """
-    mean, cov = _interstage_moments(scenario, prep_gain)
+    mean, cov = _interstage_moments(scenario, scenario.prep.gain)
     rot = np.broadcast_to(np.eye(4), np.shape(scan_phase) + (4, 4)).copy()
     rot[..., :2, :2] = _rotation_matrix(scan_phase)
-    s = _stage_squeezer(readout_gain, scenario.readout.pump_phase, "readout gain") @ rot
+    s = _stage_squeezer(scenario.readout.gain, scenario.readout.pump_phase, "readout gain") @ rot
     out = scenario.channel.output_loss
     mean, cov = _attenuate(
         (s @ mean[..., None])[..., 0], s @ cov @ np.swapaxes(s, -1, -2),
@@ -266,9 +265,7 @@ def build_cascade(scenario: CascadeScenario) -> GaussianState:
     """Run the full cascade and return the output two-mode Gaussian state
     (see :func:`_cascade_moments` for the order of operations).  Loss
     ancillas are traced out implicitly by the channel update."""
-    return GaussianState(*_cascade_moments(
-        scenario, scenario.channel.scan_phase, scenario.prep.gain, scenario.readout.gain
-    ))
+    return GaussianState(*_cascade_moments(scenario, scenario.channel.scan_phase))
 
 
 def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace:
@@ -281,7 +278,7 @@ def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    _, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
+    _, cov = _cascade_moments(scenario, phis)
     return NoiseTrace(phis, cov[:, 0, 0])
 
 
@@ -536,7 +533,7 @@ def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
         raise ValueError("n_points must be >= 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, cov = _cascade_moments(scenario, phis, scenario.prep.gain, scenario.readout.gain)
+        mean, cov = _cascade_moments(scenario, phis)
         # |<a>|^2 = (<X>^2 + <Y>^2)/4; noise photons (V_XX + V_YY - 2)/4
         seed = (mean[:, 0] ** 2 + mean[:, 1] ** 2) / 4.0
     if not np.all(np.isfinite(seed)):

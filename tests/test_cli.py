@@ -127,18 +127,22 @@ UNREAD_CASES = [
       for key in ("prep_gain", "loss_stokes", "loss_spinwave")],
     *[(("correlation", "--prep-gain", "1.2"), "without from_ratio", key, value)
       for key, value in (("readout_gq", "3"), ("readout_gq_db", "20"))],
+    *[(("fit", "{csv}", "--shared-loss"), "with shared_loss", key, value)
+      for key, value in (("starts", "3"), ("seed", "5"), ("bootstrap", "100"))],
 ]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv, mode, key, value", UNREAD_CASES,
                          ids=[f"{argv[0]}:{key}" for argv, _, key, _ in UNREAD_CASES])
-def test_unread_key_is_rejected(argv, mode, key, value, source, tmp_path, capsys):
+def test_unread_key_is_rejected(argv, mode, key, value, source, sweep_csv, tmp_path, capsys):
     """A key that the chosen mode does not read, set by a flag or by the
-    config file, exits 2 naming the key and the mode, and writes nothing."""
+    config file, exits 2 naming the key and the mode, and writes nothing;
+    unset, the '#' header leaves it out."""
+    argv = [str(sweep_csv) if a == "{csv}" else a for a in argv]
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert key not in out.read_text()
+    assert key not in "".join(line for line in out.read_text().splitlines(True) if line[0] == "#")
     out.unlink()
     if source == "flag":
         extra = (f"--{key.replace('_', '-')}", value)
@@ -331,7 +335,7 @@ class TestFit:
     def test_bootstrap_with_shared_loss_is_usage_error(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), str(sweep_csv), "--shared-loss",
                        "--bootstrap", "100") == 2
-        assert "shared-loss" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: fit with shared_loss does not read bootstrap\n"
 
     def test_bootstrap_report_matches_csv(self, sweep_csv, tmp_path, capsys):
         out = tmp_path / "fit.csv"
@@ -369,15 +373,22 @@ class TestFit:
             outputs.append((capsys.readouterr().out, out.read_text().splitlines()))
         (plain_report, plain), (shared_report, shared) = outputs
         assert plain_report == shared_report
-        assert len(plain) == len(shared)
-        differ = [(a, b) for a, b in zip(plain, shared) if a != b]
-        assert differ == [("# shared_loss = false", "# shared_loss = true")]
+        unread = ("# bootstrap = 0", "# seed = 0", "# starts = 16")  # left out with shared_loss
+        assert [line for line in plain if line not in unread] == [
+            line.replace("# shared_loss = true", "# shared_loss = false") for line in shared
+        ]
 
     def test_empty_out_path_exits_2(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), "--out", "") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_bad_out_path_prints_no_report(self, sweep_csv, tmp_path, capsys):
+        assert run_cli("fit", str(sweep_csv), "--out", str(tmp_path / "missing" / "f.csv")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "No such file" in captured.err
 
     def test_pairing_is_not_an_option(self, sweep_csv, tmp_path, capsys):
         """Swapped-pairing data are fit as they are and read with the losses
@@ -541,6 +552,12 @@ class TestOracleCheck:
         monkeypatch.setattr(crosscheck, "run_battery", refuse)
         assert run_cli("oracle-check") == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_oracle_variance_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(fock, "quadrature_variance", lambda state, mode: np.nan)
+        assert run_cli("oracle-check") == 3
+        out = capsys.readouterr().out
+        assert "# max_deviation = nan" in out and "# status = FAIL" in out
 
     def test_norm_drift_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(fock, "NORM_TOL", -1.0)  # every unitary now drifts
@@ -722,3 +739,27 @@ def test_readme_names_only_real_flags():
         *(p._option_string_actions for p in subs.choices.values())
     )
     assert named and named <= accepted, sorted(named - accepted)
+
+
+def test_readme_names_only_real_api():
+    """Every ``module.name`` that the README cites in backticks, with or
+    without the ``ramansim.`` prefix, resolves, and so does every name in
+    ``ramansim.__all__``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {"gaussian", "fock", "model", "crosscheck", "fitting", "cli"}
+    cited = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        path = re.match(r"[A-Za-z_][\w.]*", span)
+        parts = path.group().removeprefix("ramansim.").split(".") if path else []
+        if len(parts) > 1 and parts[0] in modules:
+            cited.add(".".join(parts))
+    missing = []
+    for dotted in sorted(cited):
+        obj = ramansim
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(dotted)
+    assert {"gaussian.apply_loss", "model.build_cascade", "cli.main"} <= cited
+    assert not missing
+    assert not [name for name in ramansim.__all__ if not hasattr(ramansim, name)]

@@ -154,6 +154,17 @@ class TestBatteryResult:
         assert result.passed
         assert result.worst_circuit == ""
 
+    @pytest.mark.parametrize("entries", [
+        [("a", 1e-9), ("nan", np.nan), ("c", 2e-8)],
+        [("nan", np.nan), ("a", 1e-9)],
+        [("a", 1e-9), ("nan", np.nan)],
+    ])
+    def test_nan_entry_fails(self, entries):
+        result = BatteryResult(entries)
+        assert math.isnan(result.max_deviation)
+        assert not result.passed
+        assert result.worst_circuit == "nan"
+
 
 class TestHarnessSanity:
     def test_corrupted_engine_detected(self, monkeypatch):
@@ -167,6 +178,19 @@ class TestHarnessSanity:
         result = run_battery(battery=[("lossless", LOSSLESS_ALIGNED)])
         assert not result.passed
         assert result.worst_circuit == "lossless"
+
+    def test_nan_oracle_variance_is_no_agreement(self, monkeypatch):
+        """A Fock variance of NaN makes the deviation NaN and fails the
+        battery, wherever it falls among the compared modes."""
+        real = crosscheck.fock.quadrature_variance
+        for nan_mode in (0, 1):
+            def patched(state, mode):
+                return np.nan if mode == nan_mode else real(state, mode)
+
+            monkeypatch.setattr(crosscheck.fock, "quadrature_variance", patched)
+            assert math.isnan(variance_deviation(LOSSLESS_ALIGNED))
+            result = run_battery(battery=[("lossless", LOSSLESS_ALIGNED)])
+            assert math.isnan(result.max_deviation) and not result.passed
 
     def test_small_battery_passes_and_times(self):
         result = run_battery(battery=[("lossless", LOSSLESS_ALIGNED)])

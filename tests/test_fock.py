@@ -375,6 +375,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             FockState(4, amps)
 
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="state norm nan"):
+            FockState(4, np.full((5, 1, 1), np.nan, dtype=complex))
+        with pytest.raises(NumericalError, match="probe drifted the norm to nan"):
+            fock._unitary_result(4, np.full((5, 1, 1), np.nan, dtype=complex), "probe")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: two_mode_squeezed_vacuum(x, n_max=10), "r"),
+        (lambda x: two_mode_squeezed_vacuum(0.1, x, n_max=10), "theta"),
+        (lambda x: apply_two_mode_squeeze(vacuum_state(10), x), "r"),
+        (lambda x: apply_two_mode_squeeze(vacuum_state(10), 0.1, x), "theta"),
+        (lambda x: apply_phase_rotation(two_mode_squeezed_vacuum(0.1, n_max=10), 0, x), "phi"),
+        (lambda x: apply_phase_rotation(two_mode_squeezed_vacuum(0.1, n_max=10), 1, x), "phi"),
+    ])
+    def test_non_finite_parameter_rejected(self, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+            call(bad)
+
     def test_sector_enforced(self):
         amps = np.zeros((5, 5, 5), dtype=complex)
         amps[0, 0, 1] = 1.0  # n_b = -1

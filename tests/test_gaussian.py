@@ -8,7 +8,6 @@ import pytest
 from ramansim.gaussian import (
     SYMPLECTIC_ATOL,
     GaussianState,
-    LossChannel,
     SymplecticOp,
     apply_loss,
     apply_symplectic,
@@ -222,39 +221,36 @@ class TestDisplacement:
 
 class TestLoss:
     def test_half_loss_on_squeezed_arm(self):
-        state = apply_loss(tmsv_state(0.5), LossChannel(0, 0.5))
+        state = apply_loss(tmsv_state(0.5), 0, 0.5)
         assert homodyne_variance(state, 0) == pytest.approx(
             0.5 * R_HALF_ARM_VAR + 0.5, abs=1e-12
         )
         assert homodyne_variance(state, 1) == pytest.approx(R_HALF_ARM_VAR, abs=1e-12)
 
     def test_full_loss_resets_to_vacuum(self):
-        state = apply_loss(tmsv_state(0.5), LossChannel(0, 1.0))
+        state = apply_loss(tmsv_state(0.5), 0, 1.0)
         assert homodyne_variance(state, 0, 0.4) == pytest.approx(1.0, abs=1e-12)
         assert mean_photon_number(state, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_loss_is_identity(self):
         before = tmsv_state(0.5)
-        after = apply_loss(before, LossChannel(1, 0.0))
+        after = apply_loss(before, 1, 0.0)
         assert np.allclose(after.cov, before.cov, atol=1e-15)
 
     def test_attenuates_mean(self):
         state = apply_symplectic(vacuum(1), displacement(0, 2.0))
-        state = apply_loss(state, LossChannel(0, 0.75))
+        state = apply_loss(state, 0, 0.75)
         assert mean_amplitude(state, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_lossy_state_stays_physical(self):
-        state = apply_loss(tmsv_state(0.9), LossChannel(0, 0.3))
+        state = apply_loss(tmsv_state(0.9), 0, 0.3)
         assert state.is_physical()
         assert np.all(symplectic_eigenvalues(state.cov) >= 1.0 - 1e-9)
 
-    def test_transmissivity(self):
-        assert LossChannel(0, 0.2).transmissivity == pytest.approx(0.8)
-
     @pytest.mark.parametrize("loss", [-0.1, 1.1, np.nan])
     def test_loss_range_validation(self, loss):
-        with pytest.raises(ValueError):
-            LossChannel(0, loss)
+        with pytest.raises(ValueError, match="loss must be within"):
+            apply_loss(tmsv_state(0.5), 0, loss)
 
 
 class TestStateAndOpValidation:
@@ -269,6 +265,44 @@ class TestStateAndOpValidation:
     def test_homodyne_mode_bounds(self):
         with pytest.raises(ValueError):
             homodyne_variance(vacuum(1), 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: two_mode_squeezer(-1, 1, 1.5),
+        lambda: two_mode_squeezer(0, 2, 1.5, n_modes=2),
+        lambda: phase_shift(-1, 0.3),
+        lambda: phase_shift(2, 0.3, n_modes=2),
+        lambda: displacement(-1, 1.0),
+        lambda: displacement(1, 1.0, n_modes=1),
+        lambda: apply_loss(vacuum(2), 2, 0.1),
+        lambda: homodyne_variance(vacuum(2), -1),
+        lambda: mean_amplitude(vacuum(1), 1),
+        lambda: mean_photon_number(vacuum(2), -1),
+    ])
+    def test_every_mode_index_has_one_check(self, call):
+        with pytest.raises(ValueError, match=r"mode indices \(.*\) must lie within \[0, \d\)"):
+            call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_moments_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"mean must be finite, got {bad}"):
+            GaussianState([0.0, bad], np.eye(2))
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match=f"cov must be finite, got {bad}"):
+            GaussianState(np.zeros(2), cov)
+        with pytest.raises(ValueError, match=f"displacement must be finite, got {bad}"):
+            SymplecticOp(np.eye(2), [bad, 0.0])
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            apply_symplectic(vacuum(1), displacement(0, complex(bad, 0.0)))
+
+    def test_moments_stay_read_only_copies(self):
+        mean, cov = np.zeros(2), np.eye(2)
+        state = GaussianState(mean, cov)
+        mean[0] = cov[0, 0] = 5.0
+        assert np.array_equal(state.mean, np.zeros(2)) and np.array_equal(state.cov, np.eye(2))
+        assert not (state.mean.flags.writeable or state.cov.flags.writeable)
+        op = displacement(0, 1.0)
+        assert not (op.matrix.flags.writeable or op.displacement.flags.writeable)
 
     def test_symplectic_eigenvalues_of_vacuum(self):
         assert symplectic_eigenvalues(np.eye(6)) == pytest.approx([1.0, 1.0, 1.0])
