@@ -56,9 +56,12 @@ def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
     below tolerance.
 
     Raises:
-        ValueError: the scenario has a seed or an output loss.
+        ValueError: ``n_max`` lies outside [2, N_MAX_LIMIT], or the scenario
+            has a seed or an output loss.
         TruncationError: the circuit still fails at ``N_MAX_LIMIT``.
     """
+    if not 2 <= n_max <= N_MAX_LIMIT:
+        raise ValueError(f"truncation must be within [2, {N_MAX_LIMIT}], got {n_max}")
     n = n_max
     while True:
         try:

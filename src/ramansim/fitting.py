@@ -15,7 +15,9 @@ box boundary, and a bounded L-BFGS-B polish with an analytic gradient runs
 from the clipped linear point and ``FitConfig.n_starts`` seeded random
 starts.  The polish works in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1),
 sqrt(1 - L2)), where R is smooth at mu = 1 and polynomial in s1, s2.
-Every fit must reach a projected gradient below GRAD_TOL.
+Datasets sharing (L1, L2) are fit jointly in z = (t_1, ..., t_n, s1, s2)
+on their summed objective; the single fit is its one-dataset case, z = x,
+with its own starts.  Every fit must reach a projected gradient below GRAD_TOL.
 
 L1 and L2 become exactly interchangeable in the large-gain limit and
 nearly so at lambda close to 1, so the fit reports the objective for both
@@ -143,8 +145,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+        if not (isinstance(self.n_starts, (int, np.integer)) and self.n_starts >= 1):
+            raise ValueError(f"n_starts must be an integer >= 1, got {self.n_starts!r}")
         if not 1.0 < self.mu_max < math.inf:
             raise ValueError("mu_max must be finite and > 1")
 
@@ -182,11 +184,11 @@ class BootstrapResult:
 
 
 # ---------------------------------------------------------------------------
-# model in the fit coordinates x = (t, s1, s2)
+# model in the fit coordinates z = (t_1, ..., t_n, s1, s2)
 
 
 def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta, gamma) at x and their Jacobian d(alpha, beta, gamma)/dx.
+    """(alpha, beta, gamma) at x = (t, s1, s2) and their Jacobian in x.
 
     model.noise_reduction_coefficients with u = 2 sinh^2 t, 4 mu nu =
     2 sinh 2t and T_i = s_i^2, written out here because mu = cosh t rounds
@@ -206,53 +208,46 @@ def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
     return coef, jac
 
 
-def _objective(x, design, r, w) -> tuple[float, np.ndarray]:
-    """Weighted sum of squared residuals and its gradient in x."""
-    coef, jac = _coefficients(x)
-    res = design @ coef - r
-    return float(w @ (res * res)), 2.0 * jac.T @ (design.T @ (w * res))
+def _objective(z, terms) -> tuple[float, np.ndarray]:
+    """Weighted sum of squared residuals over the datasets and its gradient
+    in z; ``terms`` holds each dataset's (design, R, weights)."""
+    *ts, s1, s2 = z.tolist()  # Python floats: faster scalar arithmetic than NumPy's
+    f, g_t, g_s1, g_s2 = 0.0, [], 0.0, 0.0
+    for t, (design, r, w) in zip(ts, terms):
+        coef, jac = _coefficients((t, s1, s2))
+        res = design @ coef - r
+        d_t, d_s1, d_s2 = (2.0 * jac.T @ (design.T @ (w * res))).tolist()
+        f += float(w @ (res * res))
+        g_t.append(d_t)
+        g_s1, g_s2 = g_s1 + d_s1, g_s2 + d_s2
+    return f, np.array([*g_t, g_s1, g_s2])
 
 
-def _polish(fun, x0, bounds) -> tuple[np.ndarray, float]:
-    """Bounded L-BFGS-B from x0 with the analytic gradient of ``fun``.
+def _swap_losses(z) -> np.ndarray:
+    """z with s1 and s2 exchanged: the other loss ordering."""
+    return np.concatenate([z[:-2], z[:-3:-1]])
+
+
+def _polish(z0, terms, hi) -> tuple[np.ndarray, float]:
+    """Bounded L-BFGS-B on [0, hi] from z0 with the analytic gradient.
 
     ftol = 0: L-BFGS-B measures the decrease relative to max(|f|, 1), and
     f is O(n sigma^2), so any positive ftol stops in the flat valleys near
     mu = 1 long before the gradient reaches GRAD_TOL.
     """
     res = optimize.minimize(
-        fun, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+        _objective, z0, args=(terms,), method="L-BFGS-B", jac=True,
+        bounds=optimize.Bounds(0.0, hi),
         options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 1000},
     )
-    lo, hi = zip(*bounds)
-    x = np.clip(res.x, lo, hi)
-    return x, fun(x)[0]
+    z = np.clip(res.x, 0.0, hi)
+    return z, _objective(z, terms)[0]
 
 
-def _best_polish(fun, starts, bounds) -> tuple[np.ndarray, float]:
-    """Lowest-objective polish over ``starts``; the earliest wins a tie."""
-    return min((_polish(fun, x0, bounds) for x0 in starts), key=lambda xf: xf[1])
+def _linear_solution(design, r, w, hi) -> tuple[np.ndarray, bool]:
+    """Weighted linear least squares for (alpha, beta, gamma), inverted to x = (t, s1, s2).
 
-
-def _converged_gradient_norm(fun, x, bounds) -> float:
-    """Norm of the gradient without the components that push out of the box.
-
-    Raises:
-        UnstableFitError: the norm is not below GRAD_TOL.
-    """
-    g = fun(x)[1]
-    lo, hi = (np.array(b) for b in zip(*bounds))
-    g[((x <= lo + 1e-12) & (g > 0)) | ((x >= hi - 1e-12) & (g < 0))] = 0.0
-    norm = float(np.linalg.norm(g))
-    if not norm < GRAD_TOL:
-        raise UnstableFitError(f"projected gradient norm {norm:.2e} at the fit; it did not converge")
-    return norm
-
-
-def _linear_solution(design, r, w, bounds) -> tuple[np.ndarray, bool]:
-    """Weighted linear least squares for (alpha, beta, gamma), inverted to x.
-
-    Returns x clipped into the box and whether the inverse already lay
+    Returns x clipped into [0, hi] and whether the inverse already lay
     inside it, in which case x is the global optimum of the fit.
     """
     sw = np.sqrt(w)
@@ -262,29 +257,64 @@ def _linear_solution(design, r, w, bounds) -> tuple[np.ndarray, bool]:
     with np.errstate(divide="ignore", invalid="ignore"):
         u = 2.0 / (gamma * gamma / (4.0 * p * q) - 1.0)
         x = np.array([math.asinh(math.sqrt(u / 2.0)) if u >= 0 else 0.0, *np.sqrt([q / u, p / u])])
-    lo, hi = zip(*bounds)
     inside = bool(p > 0 and q > 0 and gamma < 0 and np.all(x <= hi))
-    return np.clip(np.nan_to_num(x, nan=0.0), lo, hi), inside
+    return np.clip(np.nan_to_num(x, nan=0.0), 0.0, hi), inside
 
 
-def _result(x, objective, objective_swapped, own_objective, n_polishes, grad_norm, data):
-    t, s1, s2 = x
+def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> list[FitResult]:
+    """Fit z to n datasets sharing (L1, L2).  ``starts(terms, hi, config)``
+    gives the start points in z and whether to polish them; unpolished, its
+    one point is the fit.  The objective fields carry the joint objective.
+
+    Raises:
+        InsufficientDataError: fewer than n + 3 points in all.
+        UnstableFitError: the projected gradient at the fit is not below GRAD_TOL.
+    """
+    if config is None:
+        config = FitConfig()
+    n = len(datasets)
+    n_points = sum(d.n_points for d in datasets)
+    if n_points < n + 3:
+        raise InsufficientDataError(
+            f"need >= {n + 3} points to fit {n + 2} parameters, got {n_points}"
+        )
+    hi = np.array([math.acosh(config.mu_max)] * n + [1.0, 1.0])
+    terms = [
+        (noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
+        for d in datasets
+    ]
+    zs, polish = starts(terms, hi, config)
+    if polish:  # the lowest objective wins; the earliest start wins a tie
+        z = min((_polish(z0, terms, hi) for z0 in zs), key=lambda zf: zf[1])[0]
+    else:
+        (z,) = zs
+    f, g = _objective(z, terms)
+    # the gradient without the components that push out of the box
+    g[((z <= 1e-12) & (g > 0)) | ((z >= hi - 1e-12) & (g < 0))] = 0.0
+    norm = float(np.linalg.norm(g))
+    if not norm < GRAD_TOL:
+        raise UnstableFitError(f"projected gradient norm {norm:.2e} at the fit; it did not converge")
+    f_swapped = _objective(_swap_losses(z), terms)[0]
+    s1, s2 = z[n:]
     l1, l2 = float(1.0 - s1 * s1), float(1.0 - s2 * s2)
-    x_plus = joint_quadrature_variance(math.cosh(t), l1, l2)
-    return FitResult(
-        mu_hat=math.cosh(t),
-        l1_hat=l1,
-        l2_hat=l2,
-        residual_rms=math.sqrt(own_objective / data.n_points),
-        objective=objective,
-        objective_swapped_losses=objective_swapped,
-        loss_ordering_degenerate=bool(abs(objective - objective_swapped) < DEGENERACY_TOL),
-        correlation_x_plus=x_plus,
-        correlation_db=float(linear_to_db(x_plus / 2.0)),
-        n_restarts_used=n_polishes,
-        projected_grad_norm=grad_norm,
-        dataset_label=data.label,
-    )
+    results = []
+    for t, data, term in zip(z[:n], datasets, terms):
+        x_plus = joint_quadrature_variance(math.cosh(t), l1, l2)
+        results.append(FitResult(
+            mu_hat=math.cosh(t),
+            l1_hat=l1,
+            l2_hat=l2,
+            residual_rms=math.sqrt(_objective(np.array([t, s1, s2]), [term])[0] / data.n_points),
+            objective=f,
+            objective_swapped_losses=f_swapped,
+            loss_ordering_degenerate=bool(abs(f - f_swapped) < DEGENERACY_TOL),
+            correlation_x_plus=x_plus,
+            correlation_db=float(linear_to_db(x_plus / 2.0)),
+            n_restarts_used=len(zs) if polish else 0,
+            projected_grad_norm=norm,
+            dataset_label=data.label,
+        ))
+    return results
 
 
 def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResult:
@@ -297,24 +327,38 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
         InsufficientDataError: fewer than 4 points.
         UnstableFitError: the optimizer could not reach a local minimum.
     """
-    if config is None:
-        config = FitConfig()
-    if data.n_points < 4:
-        raise InsufficientDataError(
-            f"need >= 4 points to fit 3 parameters, got {data.n_points}"
-        )
-    bounds = [(0.0, math.acosh(config.mu_max)), (0.0, 1.0), (0.0, 1.0)]
-    args = (noise_reduction_regressors(data.quantum_gain), data.noise_ratio, data.weights)
-    fun = lambda x: _objective(x, *args)  # noqa: E731
-    x, inside = _linear_solution(*args, bounds)
-    if inside:
-        f, n_polishes = fun(x)[0], 0
-    else:
-        lo, hi = zip(*bounds)
-        starts = [x, *np.random.default_rng(config.seed).uniform(lo, hi, (config.n_starts, 3))]
-        (x, f), n_polishes = _best_polish(fun, starts, bounds), len(starts)
-    grad_norm = _converged_gradient_norm(fun, x, bounds)
-    return _result(x, f, fun(x[[0, 2, 1]])[0], f, n_polishes, grad_norm, data)
+    def starts(terms, hi, config):
+        x, inside = _linear_solution(*terms[0], hi)
+        if inside:
+            return [x], False
+        rng = np.random.default_rng(config.seed)
+        return [x, *rng.uniform(0.0, hi, (config.n_starts, 3))], True
+
+    return _fit([data], config, starts)[0]
+
+
+def fit_datasets_shared_loss(
+    datasets: Sequence[NoiseDataset], config: FitConfig | None = None
+) -> list[FitResult]:
+    """Joint fit of several datasets sharing (L1, L2), one mu per dataset.
+
+    The polish starts from each dataset's own linear solution, with the t
+    of every dataset's solution, and from its loss-mirrored twin.  Returns
+    one FitResult per dataset; the objective fields carry the total
+    (summed) objective of the joint problem.
+    """
+    if len(datasets) == 0:
+        raise InsufficientDataError("no datasets given")
+    if len(datasets) == 1:
+        return [fit_dataset(datasets[0], config)]
+
+    def starts(terms, hi, _config):
+        linear = [_linear_solution(*term, hi[-3:])[0] for term in terms]
+        ts = [x[0] for x in linear]
+        zs = [np.array([*ts, *x[1:]]) for x in linear]
+        return [start for z in zs for start in (z, _swap_losses(z))], True
+
+    return _fit(datasets, config, starts)
 
 
 def bootstrap_uncertainty(
@@ -361,63 +405,6 @@ def bootstrap_uncertainty(
     cov = np.cov(arr.T, ddof=1) if arr.shape[0] > 1 else np.zeros((3, 3))
     lo, hi = np.percentile(corr_db, [2.5, 97.5])
     return BootstrapResult(cov, (float(lo), float(hi)), n_resamples, failures)
-
-
-# ---------------------------------------------------------------------------
-# shared-loss joint fit
-
-
-def fit_datasets_shared_loss(
-    datasets: Sequence[NoiseDataset], config: FitConfig | None = None
-) -> list[FitResult]:
-    """Joint fit of several datasets sharing (L1, L2), one mu per dataset.
-
-    The polish starts from each dataset's own linear solution, with the t
-    of every dataset's solution, and from its loss-mirrored twin.  Returns
-    one FitResult per dataset; the objective fields carry the total
-    (summed) objective of the joint problem.
-    """
-    if config is None:
-        config = FitConfig()
-    if len(datasets) == 0:
-        raise InsufficientDataError("no datasets given")
-    if len(datasets) == 1:
-        return [fit_dataset(datasets[0], config)]
-    n_par = 2 + len(datasets)
-    n_total = sum(d.n_points for d in datasets)
-    if n_total < n_par + 1:
-        raise InsufficientDataError(
-            f"need >= {n_par + 1} points to fit {n_par} parameters, got {n_total}"
-        )
-    single = [(0.0, math.acosh(config.mu_max)), (0.0, 1.0), (0.0, 1.0)]
-    bounds = single[1:] + single[:1] * len(datasets)
-    terms = [
-        (noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
-        for d in datasets
-    ]
-
-    def total_objective(z):
-        """z = (s1, s2, t of each dataset)."""
-        f, g = 0.0, np.zeros_like(z)
-        for j, term in enumerate(terms):
-            fj, gj = _objective(np.array([z[2 + j], z[0], z[1]]), *term)
-            f += fj
-            g[:2] += gj[1:]
-            g[2 + j] = gj[0]
-        return f, g
-
-    linear = [_linear_solution(*term, single)[0] for term in terms]
-    ts = [x[0] for x in linear]
-    starts = [np.array([*s, *ts]) for x in linear for s in (x[1:], x[2:0:-1])]
-    z, f = _best_polish(total_objective, starts, bounds)
-    grad_norm = _converged_gradient_norm(total_objective, z, bounds)
-    f_swapped = total_objective(np.concatenate([z[1::-1], z[2:]]))[0]
-    results = []
-    for t, d, term in zip(z[2:], datasets, terms):
-        x = np.array([t, z[0], z[1]])
-        own = _objective(x, *term)[0]
-        results.append(_result(x, f, f_swapped, own, len(starts), grad_norm, d))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -62,20 +62,27 @@ def _is_symplectic(s: np.ndarray) -> bool:
     return bool(np.all(np.abs(s @ omega @ np.swapaxes(s, -1, -2) - omega) <= bound))
 
 
-def _squeezer_matrix(gain, pump_phase: float) -> np.ndarray:
-    """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``.
+def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
+    """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``,
+    checked symplectic.
 
     ``gain`` broadcasts; ``pump_phase`` is one scalar.  See
-    :func:`two_mode_squeezer` for the convention.
+    :func:`two_mode_squeezer` for the convention.  A gain too large for a
+    symplectic matrix at working precision is a range error naming
+    ``name``; its overflow is silenced.
     """
     gain = np.asarray(gain, dtype=float)
-    g = np.sqrt(gain * gain - 1.0)
     c, s = np.cos(pump_phase), np.sin(pump_phase)
     mat = np.zeros(gain.shape + (4, 4))
     mat[..., range(4), range(4)] = gain[..., None]
-    # X/Y coupling block of the conjugate term g e^{i theta} b^dag
-    mat[..., :2, 2:] = mat[..., 2:, :2] = g[..., None, None] * np.array([[c, s], [s, -c]])
-    return mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.sqrt(gain * gain - 1.0)
+        # X/Y coupling block of the conjugate term g e^{i theta} b^dag
+        mat[..., :2, 2:] = mat[..., 2:, :2] = g[..., None, None] * np.array([[c, s], [s, -c]])
+        if _is_symplectic(mat):
+            return mat
+    raise ValueError(f"{name} {np.max(gain):g} is out of range: its squeezer is not "
+                     "symplectic to working precision")
 
 
 def _rotation_matrix(phi) -> np.ndarray:
@@ -217,7 +224,7 @@ def two_mode_squeezer(mode_a: int, mode_b: int, gain: float, pump_phase: float =
         raise ValueError("gain must be >= 1")
     if mode_a == mode_b:
         raise ValueError("two_mode_squeezer needs two distinct modes")
-    return _placed(n_modes, mode_a, mode_b, block=_squeezer_matrix(gain, pump_phase))
+    return _placed(n_modes, mode_a, mode_b, block=_squeezer_matrix(gain, pump_phase, "gain"))
 
 
 def phase_shift(mode: int, phi: float, n_modes: int | None = None) -> SymplecticOp:

@@ -32,7 +32,6 @@ from .gaussian import (
     GaussianState,
     NumericalError,
     _attenuate,
-    _is_symplectic,
     _rotation_matrix,
     _squeezer_matrix,
 )
@@ -212,17 +211,6 @@ class FringeTrace:
 # cascade pipeline
 
 
-def _stage_squeezer(gain, pump_phase: float, name: str) -> np.ndarray:
-    """One stage's squeezer, checked symplectic.  A gain too large for that at
-    working precision is a range error naming ``name``; overflow is silenced."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = _squeezer_matrix(gain, pump_phase)
-        if _is_symplectic(s):
-            return s
-    raise ValueError(f"{name} {np.max(gain):g} is out of range: its squeezer is not "
-                     "symplectic to working precision")
-
-
 def _interstage_moments(scenario: CascadeScenario, prep_gain):
     """Mean ``(..., 4)`` and covariance ``(..., 4, 4)`` between the stages.
 
@@ -231,7 +219,7 @@ def _interstage_moments(scenario: CascadeScenario, prep_gain):
     ``prep_gain`` broadcasts and replaces the scenario's; the caller validates it.
     """
     ch = scenario.channel
-    prep = _stage_squeezer(prep_gain, scenario.prep.pump_phase, "prep_gain")
+    prep = _squeezer_matrix(prep_gain, scenario.prep.pump_phase, "prep_gain")
     alpha = complex(scenario.seed_amplitude)
     # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
     seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
@@ -252,7 +240,7 @@ def _cascade_moments(scenario: CascadeScenario, scan_phase):
     mean, cov = _interstage_moments(scenario, scenario.prep.gain)
     rot = np.broadcast_to(np.eye(4), np.shape(scan_phase) + (4, 4)).copy()
     rot[..., :2, :2] = _rotation_matrix(scan_phase)
-    s = _stage_squeezer(scenario.readout.gain, scenario.readout.pump_phase, "readout gain") @ rot
+    s = _squeezer_matrix(scenario.readout.gain, scenario.readout.pump_phase, "readout gain") @ rot
     out = scenario.channel.output_loss
     mean, cov = _attenuate(
         (s @ mean[..., None])[..., 0], s @ cov @ np.swapaxes(s, -1, -2),
@@ -306,7 +294,7 @@ def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
     coefficient not finite, this raises HarmonicFitError.
     """
     _, cov = _interstage_moments(scenario, prep_gain)
-    row = _stage_squeezer(readout_gain, scenario.readout.pump_phase, "readout gain")[..., 0, :]
+    row = _squeezer_matrix(readout_gain, scenario.readout.pump_phase, "readout gain")[..., 0, :]
     p0, p1, q = row[..., 0], row[..., 1], row[..., 2:]
     t, loss = 1.0 - scenario.channel.output_loss, scenario.channel.output_loss
     c00, c01, c11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
@@ -369,13 +357,21 @@ def noise_reduction_regressors(quantum_gain) -> np.ndarray:
     return np.stack([np.ones_like(lam), 1.0 / denom, lam / denom], axis=-1)
 
 
+#: largest prep gain whose closed-form terms, up to 4 mu^2, stay finite
+_PREP_GAIN_MAX = math.sqrt(np.finfo(float).max) / 2.0
+
+
 def _check_prep_and_losses(mu, l1, l2) -> None:
-    """Reject a prep gain below 1 or a loss outside [0, 1], NaN included;
-    scalars or arrays.  One reduction accepts; the failing value is found only after."""
-    if np.all((mu >= 1.0) & (l1 >= 0.0) & (l1 <= 1.0) & (l2 >= 0.0) & (l2 <= 1.0)):
+    """Reject a prep gain below 1 or above _PREP_GAIN_MAX or a loss outside
+    [0, 1], NaN included; scalars or arrays.  One reduction accepts; the
+    failing value is found only after."""
+    if np.all((mu >= 1.0) & (mu <= _PREP_GAIN_MAX) & (l1 >= 0.0) & (l1 <= 1.0)
+              & (l2 >= 0.0) & (l2 <= 1.0)):
         return
     if not np.all(mu >= 1.0):
         raise ValueError("prep_gain must be >= 1")
+    if not np.all(mu <= _PREP_GAIN_MAX):
+        raise ValueError(f"prep_gain {np.max(mu):g} is out of range: the closed form overflows")
     for name, l in (("loss_stokes", l1), ("loss_spinwave", l2)):
         if not np.all((l >= 0.0) & (l <= 1.0)):
             raise ValueError(f"{name} must be within [0, 1]")
@@ -453,12 +449,9 @@ def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwav
     _check_prep_and_losses(mu, l1, l2)
     nu = math.sqrt((mu - 1.0) * (mu + 1.0))
     s = mu + nu
-    x_plus = 2.0 * nu * nu * (math.sqrt(1.0 - l1) - math.sqrt(1.0 - l2)) ** 2 + 2.0 * (
+    return 2.0 * nu * nu * (math.sqrt(1.0 - l1) - math.sqrt(1.0 - l2)) ** 2 + 2.0 * (
         1.0 / s + 2.0 * nu * (l1 + l2 - l1 * l2) / (1.0 + math.sqrt((1.0 - l1) * (1.0 - l2)))
     ) / s
-    if not math.isfinite(x_plus):
-        raise ValueError(f"prep_gain {mu:g} is out of range: X+ overflows")
-    return x_plus
 
 
 def correlation_estimate_from_ratio(noise_ratio: float) -> float:

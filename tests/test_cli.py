@@ -570,13 +570,15 @@ class TestOracleCheck:
         assert run_cli("oracle-check", "--truncation", "1") == 2
 
     def test_truncation_capped_at_doubling_limit(self, monkeypatch, capsys):
+        # the real battery: the oracle refuses the truncation before any Fock step
+        assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT + 1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation") and str(N_MAX_LIMIT) in err
         seen = []
         stub = BatteryResult([("a", 1e-9)], 0.1)
         monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: seen.append(n_max) or stub)
         assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT)) == 0
-        assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT + 1)) == 2
         assert seen == [N_MAX_LIMIT]
-        assert str(N_MAX_LIMIT) in capsys.readouterr().err
 
 
 class TestConfigFile:

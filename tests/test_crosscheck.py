@@ -136,6 +136,11 @@ class TestAdaptiveTruncation:
         with pytest.raises(TruncationError):
             run_fock(cascade(1.0, 1.0))
 
+    @pytest.mark.parametrize("n_max", [1, N_MAX_LIMIT + 1])
+    def test_first_truncation_within_range(self, n_max):
+        with pytest.raises(ValueError, match=rf"truncation must be within \[2, {N_MAX_LIMIT}\]"):
+            run_fock(LOSSLESS_ALIGNED, n_max)
+
 
 class TestBatteryResult:
     def test_aggregates(self):

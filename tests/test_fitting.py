@@ -108,6 +108,12 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="mu_max"):
             FitConfig(mu_max=mu_max)
 
+    @pytest.mark.parametrize("n_starts", [0, 2.5, np.nan, np.float64(3.0), "4"])
+    def test_n_starts_integer_at_least_one(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            FitConfig(n_starts=n_starts)
+        assert FitConfig(n_starts=np.int64(3)).n_starts == 3
+
 
 class TestFitRoundTrip:
     def test_noiseless_recovery_unequal_losses(self):
@@ -189,12 +195,30 @@ class TestLinearAgainstPolish:
                       - fitting._coefficients(x - step)[0]) / (2 * h)
                 assert jac[:, i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_joint_objective_gradient(self, n_sets):
+        """The objective in z = (t_1, ..., t_n, s1, s2) is the sum of the
+        per-dataset objectives, and its gradient matches central differences."""
+        design = noise_reduction_regressors(GQ_GRID)
+        sets = [synthetic_dataset(1.1 + 0.2 * j, 0.2, 0.3, 0.01, seed=j) for j in range(n_sets)]
+        terms = [(design, d.noise_ratio, d.weights) for d in sets]
+        rng = np.random.default_rng(n_sets)
+        for z in rng.uniform(0.05, [1.5] * n_sets + [0.95, 0.95], (10, n_sets + 2)):
+            f, g = fitting._objective(z, terms)
+            parts = [fitting._objective(np.array([z[j], *z[n_sets:]]), [terms[j]])[0]
+                     for j in range(n_sets)]
+            assert f == pytest.approx(sum(parts), rel=1e-14)
+            h = 1e-6
+            fd = [fitting._objective(z + h * e, terms)[0] - fitting._objective(z - h * e, terms)[0]
+                  for e in np.eye(n_sets + 2)]
+            assert g == pytest.approx(np.array(fd) / (2 * h), rel=1e-6, abs=1e-7)
+
     def test_interior_solve_not_above_polish_from_truth(self):
         """The closed-form solve against the boundary path's bounded polish
         started at the truth; both objectives through the closed form, in the
         cascade convention, where swapped-pairing data have L1 and L2
         exchanged."""
-        bounds = [(0.0, math.acosh(FitConfig().mu_max)), (0.0, 1.0), (0.0, 1.0)]
+        hi = np.array([math.acosh(FitConfig().mu_max), 1.0, 1.0])
         design = noise_reduction_regressors(GQ_GRID)
         interior = 0
         for seed in range(120):
@@ -211,11 +235,8 @@ class TestLinearAgainstPolish:
                 continue
             interior += 1
             truth = np.array([math.acosh(mu), math.sqrt(1.0 - l1), math.sqrt(1.0 - l2)])
-            (t, s1, s2), _ = fitting._polish(
-                lambda x: fitting._objective(x, design, data.noise_ratio, data.weights),
-                truth,
-                bounds,
-            )
+            terms = [(design, data.noise_ratio, data.weights)]
+            (t, s1, s2), _ = fitting._polish(truth, terms, hi)
             slow = weighted_sse(data, math.cosh(t), 1.0 - s1 * s1, 1.0 - s2 * s2)
             fast = weighted_sse(data, fit.mu_hat, fit.l1_hat, fit.l2_hat)
             assert fast <= slow * (1.0 + 1e-12), (seed, fast, slow)

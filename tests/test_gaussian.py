@@ -184,6 +184,13 @@ class TestTwoModeSqueezer:
         with pytest.raises(ValueError):
             two_mode_squeezer(**kwargs)
 
+    @pytest.mark.parametrize("gain", [1e8, 1e200, np.inf])
+    def test_gain_beyond_working_precision_is_range_error(self, gain):
+        """The op and the cascade kernel share one range rule; its overflow
+        raises no RuntimeWarning."""
+        with pytest.raises(ValueError, match="gain .* is out of range"):
+            two_mode_squeezer(0, 1, gain)
+
 
 class TestPhaseShift:
     def test_rotates_mean_amplitude(self):

@@ -495,6 +495,17 @@ class TestJointQuadrature:
             with pytest.raises(ValueError, match=key):
                 fn(*args)
 
+    @pytest.mark.parametrize("mu", [1e200, np.inf, [1.2, 1e200]])
+    def test_overflowing_prep_gain_is_range_error(self, mu):
+        """Not NaN after a RuntimeWarning: the closed form rejects a prep gain
+        whose terms overflow, and is finite up to the largest it accepts."""
+        with pytest.raises(ValueError, match="prep_gain .* is out of range"):
+            closed_form_noise_reduction(mu, 0.1, 0.1, 3.0)
+        mu_max = model._PREP_GAIN_MAX
+        r = closed_form_noise_reduction(mu_max, 0.3, 0.7, [1.0, 3.0, np.inf])
+        assert np.all(np.isfinite(r))
+        assert math.isfinite(joint_quadrature_variance(mu_max, 0.3, 0.7))
+
     @pytest.mark.parametrize("ratio", [0.0, np.nan, np.inf])
     def test_estimate_from_single_ratio_validation(self, ratio):
         with pytest.raises(ValueError):
