@@ -19,6 +19,13 @@ Datasets sharing (L1, L2) are fit jointly in z = (t_1, ..., t_n, s1, s2)
 on their summed objective; the single fit is its one-dataset case, z = x,
 with its own starts.  Every fit must reach a projected gradient below GRAD_TOL.
 
+The residual bootstrap keeps the design fixed and resamples only R, so its
+interior refits share one linear solve, a right-hand side per resample, each
+held to the same gradient gate; only the resamples whose linear inverse
+leaves the box run the boundary polish, with the config's starts and seed.
+A refit fails when a resampled R leaves (0, R_UPPER_SANITY] or its gradient
+gate fails.
+
 L1 and L2 become exactly interchangeable in the large-gain limit and
 nearly so at lambda close to 1, so the fit reports the objective for both
 orderings and flags near-degeneracy instead of pretending uniqueness.
@@ -131,6 +138,12 @@ class NoiseDataset:
         return w / w.mean()
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Accept a Python or NumPy integer >= minimum; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings.
@@ -145,8 +158,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_starts, (int, np.integer)) and self.n_starts >= 1):
-            raise ValueError(f"n_starts must be an integer >= 1, got {self.n_starts!r}")
+        _check_integer("n_starts", self.n_starts, 1)
+        _check_integer("seed", self.seed, 0)
         if not 1.0 < self.mu_max < math.inf:
             raise ValueError("mu_max must be finite and > 1")
 
@@ -244,21 +257,52 @@ def _polish(z0, terms, hi) -> tuple[np.ndarray, float]:
     return z, _objective(z, terms)[0]
 
 
-def _linear_solution(design, r, w, hi) -> tuple[np.ndarray, bool]:
+def _linear_solution(design, r, w, hi) -> tuple[np.ndarray, np.ndarray]:
     """Weighted linear least squares for (alpha, beta, gamma), inverted to x = (t, s1, s2).
 
-    Returns x clipped into [0, hi] and whether the inverse already lay
-    inside it, in which case x is the global optimum of the fit.
+    ``r`` is one R row or a stack of rows on the same design, solved as one
+    problem with a right-hand side per row.  Returns x, shape
+    ``r.shape[:-1] + (3,)``, clipped into [0, hi], and whether each inverse
+    already lay inside it, in which case that x is the global optimum of its fit.
     """
     sw = np.sqrt(w)
-    alpha, beta, gamma = np.linalg.lstsq(design * sw[:, None], r * sw, rcond=None)[0]
+    alpha, beta, gamma = np.linalg.lstsq(design * sw[:, None], (r * sw).T, rcond=None)[0]
     p, q = alpha - 1.0, alpha - 1.0 + beta  # u T2 and u T1
-    gamma = min(gamma, 0.0)  # gamma > 0 has no preimage; 0 maps to mu = 1
+    gamma = np.minimum(gamma, 0.0)  # gamma > 0 has no preimage; 0 maps to mu = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         u = 2.0 / (gamma * gamma / (4.0 * p * q) - 1.0)
-        x = np.array([math.asinh(math.sqrt(u / 2.0)) if u >= 0 else 0.0, *np.sqrt([q / u, p / u])])
-    inside = bool(p > 0 and q > 0 and gamma < 0 and np.all(x <= hi))
+        # math.asinh: NumPy's vectorised arcsinh rounds differently in the last bit
+        t = [math.asinh(math.sqrt(v / 2.0)) if v >= 0 else 0.0 for v in np.ravel(u).tolist()]
+        x = np.stack([np.reshape(t, np.shape(u)), np.sqrt(q / u), np.sqrt(p / u)], axis=-1)
+    inside = (p > 0) & (q > 0) & (gamma < 0) & np.all(x <= hi, axis=-1)
     return np.clip(np.nan_to_num(x, nan=0.0), 0.0, hi), inside
+
+
+def _box(n: int, config: FitConfig) -> np.ndarray:
+    """Upper bounds of z for n datasets; every lower bound is 0."""
+    return np.array([math.acosh(config.mu_max)] * n + [1.0, 1.0])
+
+
+def _projected_gradient(z, terms, hi) -> tuple[float, float]:
+    """The objective at z and the norm of its gradient without the
+    components that push out of the box."""
+    f, g = _objective(z, terms)
+    g[((z <= 1e-12) & (g > 0)) | ((z >= hi - 1e-12) & (g < 0))] = 0.0
+    return f, float(np.linalg.norm(g))
+
+
+def _physical(t, s1, s2) -> tuple[float, float, float, float, float]:
+    """(mu, L1, L2, X+, X+ in dB relative to 2) at x = (t, s1, s2)."""
+    mu, l1, l2 = math.cosh(t), float(1.0 - s1 * s1), float(1.0 - s2 * s2)
+    x_plus = joint_quadrature_variance(mu, l1, l2)
+    return mu, l1, l2, x_plus, float(linear_to_db(x_plus / 2.0))
+
+
+def _check_point_count(n: int, n_points: int) -> None:
+    if n_points < n + 3:
+        raise InsufficientDataError(
+            f"need >= {n + 3} points to fit {n + 2} parameters, got {n_points}"
+        )
 
 
 def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> list[FitResult]:
@@ -273,12 +317,8 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> 
     if config is None:
         config = FitConfig()
     n = len(datasets)
-    n_points = sum(d.n_points for d in datasets)
-    if n_points < n + 3:
-        raise InsufficientDataError(
-            f"need >= {n + 3} points to fit {n + 2} parameters, got {n_points}"
-        )
-    hi = np.array([math.acosh(config.mu_max)] * n + [1.0, 1.0])
+    _check_point_count(n, sum(d.n_points for d in datasets))
+    hi = _box(n, config)
     terms = [
         (noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
         for d in datasets
@@ -288,20 +328,16 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> 
         z = min((_polish(z0, terms, hi) for z0 in zs), key=lambda zf: zf[1])[0]
     else:
         (z,) = zs
-    f, g = _objective(z, terms)
-    # the gradient without the components that push out of the box
-    g[((z <= 1e-12) & (g > 0)) | ((z >= hi - 1e-12) & (g < 0))] = 0.0
-    norm = float(np.linalg.norm(g))
+    f, norm = _projected_gradient(z, terms, hi)
     if not norm < GRAD_TOL:
         raise UnstableFitError(f"projected gradient norm {norm:.2e} at the fit; it did not converge")
     f_swapped = _objective(_swap_losses(z), terms)[0]
     s1, s2 = z[n:]
-    l1, l2 = float(1.0 - s1 * s1), float(1.0 - s2 * s2)
     results = []
     for t, data, term in zip(z[:n], datasets, terms):
-        x_plus = joint_quadrature_variance(math.cosh(t), l1, l2)
+        mu, l1, l2, x_plus, x_plus_db = _physical(t, s1, s2)
         results.append(FitResult(
-            mu_hat=math.cosh(t),
+            mu_hat=mu,
             l1_hat=l1,
             l2_hat=l2,
             residual_rms=math.sqrt(_objective(np.array([t, s1, s2]), [term])[0] / data.n_points),
@@ -309,7 +345,7 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> 
             objective_swapped_losses=f_swapped,
             loss_ordering_degenerate=bool(abs(f - f_swapped) < DEGENERACY_TOL),
             correlation_x_plus=x_plus,
-            correlation_db=float(linear_to_db(x_plus / 2.0)),
+            correlation_db=x_plus_db,
             n_restarts_used=len(zs) if polish else 0,
             projected_grad_norm=norm,
             dataset_label=data.label,
@@ -370,33 +406,51 @@ def bootstrap_uncertainty(
     """Residual-resampling bootstrap around an existing fit.
 
     Residuals of the fit are resampled with replacement onto the model
-    curve and each synthetic dataset is refit.  Returns the empirical
-    covariance of (mu, L1, L2) and a 95% percentile interval for
+    curve at the data's gains (the design stays fixed), and each synthetic
+    dataset is refit.  The interior refits share one linear solve, one
+    right-hand side per resample, and each must pass the fit's
+    projected-gradient gate; only the resamples whose linear inverse
+    leaves the box run the boundary polish of :func:`fit_dataset`, with
+    ``config``'s ``n_starts`` and ``seed``.  A refit fails when a resampled
+    R leaves (0, R_UPPER_SANITY] or its gradient gate fails.  Returns the
+    empirical covariance of (mu, L1, L2) and a 95% percentile interval for
     correlation_db.
 
     Raises:
+        ValueError: ``n_resamples`` is not an integer >= 100.
+        InsufficientDataError: fewer than 4 points.
         UnstableFitError: more than 20% of the refits fail.
     """
-    if n_resamples < 100:
-        raise ValueError("n_resamples must be >= 100")
+    _check_integer("n_resamples", n_resamples, 100)
     if config is None:
         config = FitConfig()
+    _check_point_count(1, data.n_points)
     rng = np.random.default_rng(config.seed + 0x5EED)
-    gq = data.quantum_gain
+    gq, n = data.quantum_gain, data.n_points
     model_r = closed_form_noise_reduction(fit.mu_hat, fit.l1_hat, fit.l2_hat, gq)
     residuals = data.noise_ratio - model_r
+    rs = np.array([model_r + residuals[rng.integers(0, n, size=n)] for _ in range(n_resamples)])
+    valid = np.all((rs > 0.0) & (rs <= R_UPPER_SANITY), axis=1)
+    design, w, hi = noise_reduction_regressors(gq), data.weights, _box(1, config)
+    xs, inside = _linear_solution(design, rs, w, hi)
 
     params, corr_db = [], []
     failures = 0
-    for _ in range(n_resamples):
-        draw = residuals[rng.integers(0, data.n_points, size=data.n_points)]
-        try:
-            res = fit_dataset(NoiseDataset(gq, model_r + draw, data.sigma, data.label), config)
-        except (ValueError, UnstableFitError):
+    for r, ok, x, interior in zip(rs, valid, xs, inside):
+        if ok and interior and _projected_gradient(x, [(design, r, w)], hi)[1] < GRAD_TOL:
+            mu, l1, l2, _, x_plus_db = _physical(*x)
+        elif ok and not interior:
+            try:
+                res = fit_dataset(NoiseDataset(gq, r, data.sigma, data.label), config)
+            except UnstableFitError:
+                failures += 1
+                continue
+            mu, l1, l2, x_plus_db = res.mu_hat, res.l1_hat, res.l2_hat, res.correlation_db
+        else:
             failures += 1
             continue
-        params.append([res.mu_hat, res.l1_hat, res.l2_hat])
-        corr_db.append(res.correlation_db)
+        params.append([mu, l1, l2])
+        corr_db.append(x_plus_db)
     if failures > 0.2 * n_resamples:
         raise UnstableFitError(
             f"{failures}/{n_resamples} bootstrap refits failed; uncertainty not trustworthy"

@@ -332,6 +332,12 @@ class TestFit:
         assert "mu_max" in err
         assert "Traceback" not in err
 
+    def test_negative_seed_exits_2(self, sweep_csv, capsys):
+        assert run_cli("fit", str(sweep_csv), "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
+
     def test_bootstrap_with_shared_loss_is_usage_error(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), str(sweep_csv), "--shared-loss",
                        "--bootstrap", "100") == 2

@@ -108,11 +108,17 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="mu_max"):
             FitConfig(mu_max=mu_max)
 
-    @pytest.mark.parametrize("n_starts", [0, 2.5, np.nan, np.float64(3.0), "4"])
+    @pytest.mark.parametrize("n_starts", [0, 2.5, np.nan, np.float64(3.0), "4", True])
     def test_n_starts_integer_at_least_one(self, n_starts):
         with pytest.raises(ValueError, match="n_starts"):
             FitConfig(n_starts=n_starts)
         assert FitConfig(n_starts=np.int64(3)).n_starts == 3
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, np.nan, np.float64(3.0), "4", True])
+    def test_seed_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            FitConfig(seed=seed)
+        assert FitConfig(seed=np.uint64(3)).seed == 3
 
 
 class TestFitRoundTrip:
@@ -299,6 +305,121 @@ class TestBootstrap:
         fit = fit_dataset(data)
         with pytest.raises(ValueError):
             bootstrap_uncertainty(data, fit, n_resamples=50)
+
+    @pytest.mark.parametrize("n_resamples", [150.0, np.float64(150.0), True, "150"],
+                             ids=["float", "numpy-float", "bool", "str"])
+    def test_resample_count_is_an_integer(self, n_resamples):
+        data = synthetic_dataset(1.2, 0.1, 0.2)
+        with pytest.raises(ValueError, match="n_resamples"):
+            bootstrap_uncertainty(data, fit_dataset(data), n_resamples=n_resamples)
+
+    def test_too_few_points_rejected_before_resampling(self):
+        fit = fit_dataset(synthetic_dataset(1.2, 0.1, 0.2))
+        data = NoiseDataset(GQ_GRID[:3], closed_form_noise_reduction(1.2, 0.1, 0.2, GQ_GRID[:3]))
+        with pytest.raises(InsufficientDataError, match="need >= 4 points"):
+            bootstrap_uncertainty(data, fit, n_resamples=100)
+
+
+def bootstrap_rows(data, fit, n_resamples, config):
+    """bootstrap_uncertainty's resampled R rows, drawn one resample at a time."""
+    rng = np.random.default_rng(config.seed + 0x5EED)
+    model_r = closed_form_noise_reduction(fit.mu_hat, fit.l1_hat, fit.l2_hat, data.quantum_gain)
+    residuals = data.noise_ratio - model_r
+    n = data.n_points
+    return [model_r + residuals[rng.integers(0, n, size=n)] for _ in range(n_resamples)]
+
+
+def replay_bootstrap(data, fit, n_resamples, config):
+    """The per-resample bootstrap: every resample a validated NoiseDataset
+    refit by fit_dataset."""
+    params, corr_db, failures = [], [], 0
+    for r in bootstrap_rows(data, fit, n_resamples, config):
+        try:
+            res = fit_dataset(NoiseDataset(data.quantum_gain, r, data.sigma), config)
+        except (ValueError, UnstableFitError):
+            failures += 1
+            continue
+        params.append([res.mu_hat, res.l1_hat, res.l2_hat])
+        corr_db.append(res.correlation_db)
+    return np.cov(np.array(params).T, ddof=1), tuple(np.percentile(corr_db, [2.5, 97.5])), failures
+
+
+def linear_boundary_resamples(data, fit, n_resamples, config):
+    """Resamples with every R in (0, R_UPPER_SANITY] whose one-row linear
+    inverse leaves the box."""
+    design = noise_reduction_regressors(data.quantum_gain)
+    hi = np.array([math.acosh(config.mu_max), 1.0, 1.0])
+    return sum(
+        not fitting._linear_solution(design, r, data.weights, hi)[1]
+        for r in bootstrap_rows(data, fit, n_resamples, config)
+        if np.all((r > 0.0) & (r <= fitting.R_UPPER_SANITY))
+    )
+
+
+#: fit-bootstrap's first noisy set at seed 902: 10 of 100 resamples leave the box
+BOUNDARY_SET = dict(mu=1.5, l1=0.2, l2=0.3, sigma_rel=0.01, seed=902)
+#: R near 1 with 2.7% noise: 13 of 100 resamples cross R_UPPER_SANITY, 2 leave the box
+CROSSING_SET = dict(mu=1.03, l1=0.55, l2=0.96, sigma_rel=0.027, seed=149)
+
+
+class TestBootstrapSharedSolve:
+    """bootstrap_uncertainty against the per-resample replay it replaces."""
+
+    @staticmethod
+    def assert_matches_replay(data, config, n_resamples=100):
+        fit = fit_dataset(data, config)
+        boot = bootstrap_uncertainty(data, fit, n_resamples, config)
+        cov, ci, failures = replay_bootstrap(data, fit, n_resamples, config)
+        assert boot.n_failures == failures
+        assert np.max(np.abs(boot.covariance - cov)) <= 1e-12 * np.max(np.abs(cov))
+        assert boot.correlation_db_ci == pytest.approx(ci, rel=1e-12, abs=0.0)
+        return boot
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_criterion_6_noise_draws_match_replay(self, seed):
+        data = synthetic_dataset(1.5, 0.2, 0.3, sigma_rel=0.01, seed=seed)
+        self.assert_matches_replay(data, FitConfig(seed=seed))
+
+    def test_boundary_resamples_match_replay(self):
+        self.assert_matches_replay(synthetic_dataset(**BOUNDARY_SET), FitConfig())
+
+    def test_resamples_crossing_the_sanity_bound_match_replay(self):
+        boot = self.assert_matches_replay(synthetic_dataset(**CROSSING_SET), FitConfig())
+        assert 0 < boot.n_failures <= 20
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"fit_dataset": 0, "_polish": 0}
+
+        def counting(name):
+            inner = getattr(fitting, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(fitting, name, counting(name))
+        return counts
+
+    def test_interior_resamples_neither_refit_nor_polish(self, calls):
+        data = synthetic_dataset(1.5, 0.2, 0.3, sigma_rel=0.01, seed=901)
+        fit = fit_dataset(data)
+        calls.update(fit_dataset=0, _polish=0)
+        boot = bootstrap_uncertainty(data, fit, n_resamples=100)
+        assert boot.n_failures == 0
+        assert calls == {"fit_dataset": 0, "_polish": 0}
+
+    def test_only_box_leaving_resamples_refit(self, calls):
+        data, config = synthetic_dataset(**BOUNDARY_SET), FitConfig()
+        fit = fit_dataset(data, config)
+        expected = linear_boundary_resamples(data, fit, 100, config)
+        assert expected == 10
+        calls.update(fit_dataset=0, _polish=0)
+        bootstrap_uncertainty(data, fit, n_resamples=100, config=config)
+        assert calls["fit_dataset"] == expected
+        assert calls["_polish"] == expected * (1 + config.n_starts)
 
 
 class TestSharedLossFit:
