@@ -372,9 +372,9 @@ def _cmd_fringes(args, cfg: dict) -> int:
 
 
 def _cmd_oracle_check(args, cfg: dict) -> int:
-    from .crosscheck import AGREEMENT_TOL, run_battery
+    from .crosscheck import AGREEMENT_TOL, paper_battery, run_battery, standard_battery
 
-    result = run_battery(n_max=cfg["truncation"])
+    result = run_battery(standard_battery() + paper_battery(), n_max=cfg["truncation"])
     with _open_out(args, cfg) as fh:
         fh.write("circuit,deviation\n")
         for name, dev in result.entries:
@@ -395,7 +395,7 @@ _COMMANDS = {  # subcommand -> (help, handler); its flags are its _SCHEMAS keys
     "fit": ("fit (mu, L1, L2) to gain-sweep CSV data", _cmd_fit),
     "correlation": ("joint quadrature variance from parameters or from one R", _cmd_correlation),
     "fringes": ("seeded interference fringe vs scan phase", _cmd_fringes),
-    "oracle-check": ("Gaussian engine vs Fock oracle battery", _cmd_oracle_check),
+    "oracle-check": ("Gaussian engine vs Fock oracle batteries", _cmd_oracle_check),
 }
 
 

@@ -5,11 +5,12 @@ loss on each arm, the scan phase on the Stokes arm, readout squeeze.  The
 kernel's :func:`~ramansim.model.build_cascade` gives its covariance; the
 Fock oracle replays the same five steps in the number basis with squeeze
 parameter r = acosh(gain), and the homodyne variances of the two outputs
-are compared.  The Fock side is a pure state throughout: each lossy step
-appends a vacuum environment mode to it.  The Fock run retries with a
-doubled truncation (40 -> 80 -> 160) whenever a step reports an
-inadequate edge population, and refuses beyond the cap rather than
-returning an unconverged number.
+and their correlation <ab> are compared.  The Fock side is a pure state:
+each lossy step appends a vacuum environment mode with its own truncation
+M <= n_max.  Whenever a step reports an inadequate edge population, the run
+repeats with the truncation that failed doubled (n_max 40 -> 80 -> 160, M
+from 16 up to n_max); it refuses beyond the cap rather than returning an
+unconverged number.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ from .fock import TruncationError
 from .gaussian import homodyne_variance
 from .model import AmplifierParams, CascadeScenario, ChannelParams, build_cascade
 
-#: tolerance on the Gaussian-vs-Fock variance deviation
+#: tolerance on the Gaussian-vs-Fock deviation of the variances and <ab>
 AGREEMENT_TOL = 1e-6
 
 #: largest Fock truncation the doubling tries before refusing
 N_MAX_LIMIT = 160
 
-#: homodyne phases at which each circuit output is compared
-_CHECK_PHASES = (0.0, np.pi / 2.0)
 
-
-def _run_fock_once(scenario: CascadeScenario, n_max: int) -> fock.FockState:
+def _run_fock_once(scenario: CascadeScenario, n_max: int, env_max: int) -> fock.FockState:
     ch = scenario.channel
     if scenario.seed_amplitude != 0 or ch.output_loss != 0:
         raise ValueError("the Fock oracle takes no seed_amplitude and no output_loss: "
@@ -43,8 +41,8 @@ def _run_fock_once(scenario: CascadeScenario, n_max: int) -> fock.FockState:
     state = fock.vacuum_state(n_max=n_max)
     state = fock.apply_two_mode_squeeze(
         state, math.acosh(scenario.prep.gain), scenario.prep.pump_phase)
-    state = fock.apply_loss(state, 0, ch.loss_stokes)
-    state = fock.apply_loss(state, 1, ch.loss_spinwave)
+    state = fock._apply_loss(state, 0, ch.loss_stokes, env_max)
+    state = fock._apply_loss(state, 1, ch.loss_spinwave, env_max)
     state = fock.apply_phase_rotation(state, 0, ch.scan_phase)
     return fock.apply_two_mode_squeeze(
         state, math.acosh(scenario.readout.gain), scenario.readout.pump_phase)
@@ -52,8 +50,9 @@ def _run_fock_once(scenario: CascadeScenario, n_max: int) -> fock.FockState:
 
 def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
     """Run an unseeded cascade without output loss on the Fock oracle,
-    doubling the truncation until every step keeps the edge population
-    below tolerance.
+    truncating a and b at ``n_max`` and the environments at M = min(16, n_max)
+    and doubling whichever fails an edge check: M up to n_max, n_max up to
+    ``N_MAX_LIMIT``.
 
     Raises:
         ValueError: ``n_max`` lies outside [2, N_MAX_LIMIT], or the scenario
@@ -62,28 +61,29 @@ def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
     """
     if not 2 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"truncation must be within [2, {N_MAX_LIMIT}], got {n_max}")
-    n = n_max
+    n, m = n_max, min(16, n_max)
     while True:
         try:
-            return _run_fock_once(scenario, n)
+            return _run_fock_once(scenario, n, m)
+        except fock.EnvironmentTruncationError:
+            m = min(2 * m, n)
         except TruncationError:
-            if 2 * n > N_MAX_LIMIT:
+            if n == N_MAX_LIMIT:
                 raise
-            n *= 2
+            n = min(2 * n, N_MAX_LIMIT)
 
 
 def variance_deviation(scenario: CascadeScenario, n_max: int = 40) -> float:
-    """Max |kernel - Fock| homodyne variance over modes and phases, NaN if
-    either side gives NaN.  The Fock variance of each mode is phase
-    independent on the oracle's Q = 0 sector, so it is read once per mode
-    and compared at every phase."""
+    """Max |kernel - Fock| over each mode's homodyne variance at phase 0 (on
+    the Q = 0 sector it is phase independent) and <ab>, NaN if either side
+    gives NaN; the kernel's <ab> is (V_XaXb - V_YaYb + i (V_XaYb + V_YaXb)) / 4."""
     g = build_cascade(scenario)
     f = run_fock(scenario, n_max)
-    deviations = []
-    for mode in range(2):
-        fv = fock.quadrature_variance(f, mode)
-        deviations += [abs(homodyne_variance(g, mode, phase) - fv) for phase in _CHECK_PHASES]
-    return float(np.max(deviations))
+    deviations = [abs(homodyne_variance(g, mode) - fock.quadrature_variance(f, mode))
+                  for mode in range(2)]
+    cross = g.cov[:2, 2:]
+    ab = complex(cross[0, 0] - cross[1, 1], cross[0, 1] + cross[1, 0]) / 4.0
+    return float(np.max(deviations + [abs(ab - fock.pair_correlation(f))]))
 
 
 def standard_battery() -> list[tuple[str, CascadeScenario]]:

@@ -134,7 +134,7 @@ class NoiseDataset:
         """
         if self.sigma is None:
             return np.ones(self.n_points)
-        w = 1.0 / (self.sigma * self.sigma)
+        w = (self.sigma.min() / self.sigma) ** 2  # in (0, 1]: no 1/sigma^2 overflow
         return w / w.mean()
 
 
@@ -266,7 +266,10 @@ def _linear_solution(design, r, w, hi) -> tuple[np.ndarray, np.ndarray]:
     already lay inside it, in which case that x is the global optimum of its fit.
     """
     sw = np.sqrt(w)
-    alpha, beta, gamma = np.linalg.lstsq(design * sw[:, None], (r * sw).T, rcond=None)[0]
+    a, b = design * sw[:, None], (r * sw).T
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):  # NaN can hang LAPACK
+        raise NumericalError("weighted least squares is not finite; check gq, R and sigma")
+    alpha, beta, gamma = np.linalg.lstsq(a, b, rcond=None)[0]
     p, q = alpha - 1.0, alpha - 1.0 + beta  # u T2 and u T1
     gamma = np.minimum(gamma, 0.0)  # gamma > 0 has no preimage; 0 maps to mu = 1
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,17 +6,17 @@ States are pure: loss on mode a (index 0) or b (index 1) is a beam splitter
 onto a vacuum environment mode of that arm, e_a or e_b.  With charge +1 on
 a and e_a and -1 on b and e_b, every operation conserves
 Q = n_a - n_b + n_ea - n_eb, which is 0 from vacuum, so a state is stored as
-psi[n_a, n_ea, n_eb] with n_b = n_a + n_ea - n_eb implied (U(1)-symmetric
-storage; Singh, Pfeifer and Vidal, PRB 83, 115125, 2011).  An environment
-axis has length 1 until its loss is applied.  Each unitary acts on 1-D
-chains of the store along which its generator is tridiagonal; exp of a
-chain comes from a real symmetric tridiagonal eigensystem and a diagonal
-phase gauge, cached per coupling and truncation.
+psi[n_a, n_ea, n_eb] of shape (n_max + 1, 1 | M + 1, 1 | M + 1), n_b implied
+(U(1)-symmetric storage; Singh, Pfeifer and Vidal, PRB 83, 115125, 2011).
+An environment axis has length 1 until its loss gives it its own
+truncation M <= n_max.  The squeezer acts on the chains of fixed
+c = n_ea - n_eb that the store holds, through cached exponentials of
+tridiagonal generators; a splitter on a vacuum environment is a binomial law.
 
-Truncation adequacy is policed, not assumed: every builder and squeezer
-application checks the population at the truncation edge of all four
-modes and raises TruncationError instead of returning silently wrong
-numbers.
+Truncation adequacy is policed, not assumed: builders and squeezers check
+the population at the edge of all four modes (n_max, or M for an
+environment), and a loss into a truncated environment what it holds from
+level M on; each raises TruncationError instead of silently wrong numbers.
 """
 
 from __future__ import annotations
@@ -36,10 +36,16 @@ EDGE_TOL = 1e-8
 TAIL_TOL = 1e-6
 #: tolerated norm drift through a unitary application
 NORM_TOL = 1e-8
+#: tolerated population of a truncated environment from its last level on
+ENV_TOL = 1e-14  # far below EDGE_TOL: results match the untruncated ones to 1e-12
 
 
 class TruncationError(NumericalError):
     """The requested operation is not representable at this truncation."""
+
+
+class EnvironmentTruncationError(TruncationError):
+    """An environment axis, not n_max, is too short for its loss."""
 
 
 def _check_finite(**values: float) -> None:
@@ -52,19 +58,20 @@ def _check_finite(**values: float) -> None:
 @lru_cache(maxsize=16)
 def _sector(n_max: int, shape: tuple[int, int, int]):
     """For a store of this shape: the implied n_b clipped into [0, n_max],
-    the mask of entries whose n_b leaves [0, n_max] (outside the sector),
-    and the mask of entries with any of the four modes at n_max."""
+    the mask of entries whose n_b leaves [0, n_max] (outside the sector), and
+    the edge mask: a or b at n_max, or a non-vacuum environment at level M."""
     n_a, n_ea, n_eb = np.ogrid[: shape[0], : shape[1], : shape[2]]
     n_b = n_a + n_ea - n_eb
     outside = (n_b < 0) | (n_b > n_max)
-    edge = ~outside & ((n_a == n_max) | (n_ea == n_max) | (n_eb == n_max) | (n_b == n_max))
+    env = ((n_ea == shape[1] - 1) & (shape[1] > 1)) | ((n_eb == shape[2] - 1) & (shape[2] > 1))
+    edge = ~outside & ((n_a == n_max) | (n_b == n_max) | env)
     return np.clip(n_b, 0, n_max), outside, edge
 
 
 @dataclass(frozen=True)
 class FockState:
     """Pure two-mode state on the Q = 0 sector: amplitudes psi[n_a, n_ea, n_eb]
-    of shape (n_max+1, 1 or n_max+1, 1 or n_max+1), zero wherever the
+    of shape (n_max+1, 1 to n_max+1, 1 to n_max+1), zero wherever the
     implied n_b leaves [0, n_max], of norm 1; ``amps`` views the given array."""
 
     n_max: int
@@ -75,7 +82,7 @@ class FockState:
         d = self.n_max + 1
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if amps.ndim != 3 or amps.shape[0] != d or not {amps.shape[1], amps.shape[2]} <= {1, d}:
+        if amps.ndim != 3 or amps.shape[0] != d or max(amps.shape[1:]) > d:
             raise ValueError(f"amps shape {amps.shape} inconsistent with n_max {self.n_max}")
         if np.any(amps[_sector(self.n_max, amps.shape)[1]]):
             raise ValueError("amplitudes outside the Q = 0 sector (n_b out of range)")
@@ -117,47 +124,39 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
 
 
 def edge_population(state: FockState) -> float:
-    """Total population on basis states with any mode, the implied n_b and
-    the environments included, at n = n_max."""
+    """Total population on basis states with a or the implied n_b at n_max
+    or an environment at its truncation M."""
     edge = state.amps[_sector(state.n_max, state.amps.shape)[2]]
     return float(np.vdot(edge, edge).real)
 
 
-def _chain_exp(coupling: complex, weights: np.ndarray, first_column: bool = False):
-    """exp(K) for the chain generator K[k+1, k] = g w_k, K[k, k+1] = -g* w_k
-    (only exp(K) e_0 with ``first_column``).  K = i D T D^dag with T the real
-    symmetric tridiagonal matrix of off-diagonal |g| w and
-    D = diag(e^{i k alpha}), alpha = arg g - pi/2, so
-    exp(K) = D V e^{i Lambda} V^T D^dag from the eigensystem of T."""
-    lam, v = eigh_tridiagonal(np.zeros(len(weights) + 1), abs(coupling) * weights)
+@lru_cache(maxsize=128)
+def _squeeze_block(coupling: complex, n_max: int, c: int) -> np.ndarray:
+    """exp(K) of the squeezer on the chain c = n_b - n_a, n_a from max(0, -c)
+    to n_max - max(0, c): K[k+1, k] = -K[k, k+1]* = g sqrt((n_a + 1)(n_b + 1)).
+    K = i D T D^dag with T real symmetric tridiagonal and D = diag(e^{i k alpha}),
+    alpha = arg g - pi/2, so exp(K) = D V e^{i Lambda} V^T D^dag."""
+    n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
+    weights = abs(coupling) * np.sqrt((n_a + 1.0) * (n_a + 1.0 + c))
+    lam, v = eigh_tridiagonal(np.zeros(len(n_a) + 1), weights)
     gauge = np.exp(1j * (np.angle(coupling) - np.pi / 2.0) * np.arange(len(lam)))
-    right = v[0] * gauge[0].conj() if first_column else v.T * gauge.conj()
-    return (gauge[:, None] * v * np.exp(1j * lam)) @ right
+    block = (gauge[:, None] * v * np.exp(1j * lam)) @ (v.T * gauge.conj())
+    block.setflags(write=False)
+    return block
 
 
 @lru_cache(maxsize=8)
-def _squeeze_blocks(coupling: complex, n_max: int) -> tuple:
-    """exp(K) of the squeezer on each chain of fixed c = n_b - n_a, indexed
-    by c + n_max: the chain runs over n_a in [max(0, -c), n_max - max(0, c)]
-    and K raises n_a and n_b with weight sqrt((n_a + 1)(n_b + 1))."""
-    blocks = []
-    for c in range(-n_max, n_max + 1):
-        n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
-        blocks.append(_chain_exp(coupling, np.sqrt((n_a + 1.0) * (n_a + 1.0 + c))))
-        blocks[-1].setflags(write=False)
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=8)
-def _splitter_columns(theta: float, n_max: int) -> np.ndarray:
-    """Amplitude [s, k] of k photons in a vacuum environment after the
-    splitter theta (m^dag e - m e^dag) acts on s photons in mode m: exp(K) e_0
-    on the chain n_m + n_e = s ordered by n_e, along which K raises n_e with
-    weight -theta sqrt((n_e + 1)(s - n_e)).  Rows s > n_max stay zero."""
-    out = np.zeros((2 * n_max + 1, n_max + 1), dtype=complex)
-    for s in range(n_max + 1):
-        n_e = np.arange(s, dtype=float)
-        out[s, : s + 1] = _chain_exp(-theta, np.sqrt((n_e + 1.0) * (s - n_e)), first_column=True)
+def _splitter_columns(theta: float, n_max: int, env_max: int) -> np.ndarray:
+    """Amplitude [s, k] of k <= env_max photons in a vacuum environment after
+    the splitter theta (m^dag e - m e^dag) acts on s photons in mode m: the
+    binomial law sqrt(C(s, k)) cos^{s-k} theta (-sin theta)^k for k <= s,
+    C(s, k) from log-factorials.  Rows s > n_max stay zero."""
+    s, k = np.ogrid[: n_max + 1, : env_max + 1]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n_max + 1)))))
+    j = np.maximum(s - k, 0)
+    binom = np.exp(0.5 * (log_fact[s] - log_fact[k] - log_fact[j]))
+    out = np.zeros((2 * n_max + 1, env_max + 1))
+    out[: n_max + 1] = np.where(k <= s, binom * np.cos(theta) ** j * (-np.sin(theta)) ** k, 0.0)
     out.setflags(write=False)
     return out
 
@@ -182,7 +181,7 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
     _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")
-    blocks = _squeeze_blocks(complex(r * np.exp(1j * theta)), state.n_max)
+    coupling = complex(r * np.exp(1j * theta))
     d, n_ea, n_eb = state.amps.shape
     flat = state.amps.reshape(d, n_ea * n_eb)
     out = np.zeros_like(flat)
@@ -190,7 +189,7 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
         first, last = max(0, -c), min(n_eb - 1, n_ea - 1 - c)  # n_eb along the diagonal
         cols = slice(c * n_eb + first * (n_eb + 1), c * n_eb + last * (n_eb + 1) + 1, n_eb + 1)
         rows = slice(max(0, -c), d - max(0, c))
-        out[rows, cols] = blocks[c + d - 1] @ flat[rows, cols]
+        out[rows, cols] = _squeeze_block(coupling, state.n_max, c) @ flat[rows, cols]
     out = _unitary_result(state.n_max, out.reshape(d, n_ea, n_eb), "squeezer application")
     pop = edge_population(out)
     if pop >= EDGE_TOL:
@@ -215,11 +214,17 @@ def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
 
 
 def apply_loss(state: FockState, mode: int, loss: float) -> FockState:
-    """Pure-loss channel as a beam splitter of angle arcsin(sqrt(loss))
-    between the mode and its vacuum environment, whose axis this adds to the
-    store.  The environment enters each chain n_m + n_e = s at n_e = 0, so
-    only the first column of a chain's block is needed; after that it is no
-    longer vacuum, so a mode takes one nonzero loss."""
+    """Pure-loss channel as a beam splitter of angle arcsin(sqrt(loss)) between
+    the mode and its vacuum environment, added to the store with n_max + 1 levels."""
+    return _apply_loss(state, mode, loss, state.n_max)
+
+
+def _apply_loss(state: FockState, mode: int, loss: float, env_max: int) -> FockState:
+    """apply_loss into env_max + 1 <= n_max + 1 environment levels.  The
+    environment enters each chain n_m + n_e = s at n_e = 0, so only the
+    first column of a chain's splitter is needed; after that it is no
+    longer vacuum, so a mode takes one nonzero loss.  Below n_max, the
+    environment's population from level env_max on must stay below ENV_TOL."""
     if not 0.0 <= loss <= 1.0:
         raise ValueError("loss must be within [0, 1]")
     if mode not in (0, 1):
@@ -229,12 +234,17 @@ def apply_loss(state: FockState, mode: int, loss: float) -> FockState:
     d, n_ea, n_eb = state.amps.shape
     if (n_ea, n_eb)[mode] != 1:
         raise ValueError(f"mode {mode} already carries a loss; the store holds one per mode")
-    col = _splitter_columns(float(np.arcsin(np.sqrt(loss))), state.n_max)
-    s = np.add.outer(np.arange(d), np.arange(d if mode == 0 else n_ea))  # n_m + n_e
+    col = _splitter_columns(float(np.arcsin(np.sqrt(loss))), state.n_max, env_max)
+    s = np.add.outer(np.arange(d), np.arange(env_max + 1 if mode == 0 else n_ea))  # n_m + n_e
     if mode == 0:  # out[n_a, n_ea, :] = col[s, n_ea] psi[s, 0, :]
-        out = col[s, np.arange(d)][:, :, None] * state.amps[np.minimum(s, d - 1), 0, :]
+        out = col[s, np.arange(env_max + 1)][:, :, None] * state.amps[np.minimum(s, d - 1), 0, :]
     else:  # out[n_a, n_ea, n_eb] = col[s, n_eb] psi[n_a, n_ea, 0], with s = n_b
         out = col[s] * state.amps[:, :, :1]
+    kept = out[:, :-1] if mode == 0 else out[:, :, :-1]  # below level env_max
+    tail = np.vdot(state.amps, state.amps).real - np.vdot(kept, kept).real
+    if env_max < state.n_max and tail >= ENV_TOL:  # a full axis drops nothing
+        raise EnvironmentTruncationError(f"environment e_{'ab'[mode]} population {tail:.2e} "
+                                         f"from level {env_max} on exceeds {ENV_TOL}")
     return _unitary_result(state.n_max, out, "loss channel")
 
 
@@ -263,3 +273,10 @@ def quadrature_variance(state: FockState, mode: int) -> float:
 def mean_photon_number(state: FockState, mode: int) -> float:
     """<n> of one mode."""
     return float(np.arange(state.dim) @ _populations(state, mode))
+
+
+def pair_correlation(state: FockState) -> complex:
+    """<ab>, which pairs psi[n_a] with psi[n_a - 1], weight sqrt(n_a n_b)."""
+    n_b = _sector(state.n_max, state.amps.shape)[0]
+    lowered = np.sqrt(np.arange(state.dim)[:, None, None] * n_b) * state.amps
+    return complex(np.vdot(state.amps[:-1], lowered[1:]))

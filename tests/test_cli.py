@@ -423,6 +423,24 @@ class TestFit:
         err = capsys.readouterr().err
         assert "line 2" in err and "maybe" in err
 
+    @pytest.mark.parametrize(
+        "sigma", [[1e-300] + [0.01] * 4, [1e-200] * 5], ids=["one-tiny", "all-tiny"]
+    )
+    def test_tiny_sigma_ends_without_traceback(self, tmp_path, sigma):
+        """A sigma whose 1/sigma^2 overflows once hung LAPACK inside the
+        fit, which no in-process test can interrupt: run it in a child
+        with a time limit."""
+        path = tmp_path / "tiny.csv"
+        gq = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
+        r = closed_form_noise_reduction(1.17, 0.1, 0.1, gq)
+        path.write_text("gq_linear,R_linear,sigma\n" + "".join(
+            f"{a},{b},{c}\n" for a, b, c in zip(gq, r, sigma)))
+        proc = run_module("fit", str(path), timeout=60)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        if proc.returncode:
+            assert "sigma" in proc.stderr.splitlines()[-1]
+
     def test_nan_cell_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         gq = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
@@ -539,7 +557,7 @@ class TestFringes:
 class TestOracleCheck:
     def test_passing_battery(self, monkeypatch, capsys):
         stub = BatteryResult([("a", 1e-9), ("b", 3e-8)], 0.1)
-        monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: stub)
+        monkeypatch.setattr(crosscheck, "run_battery", lambda battery, n_max: stub)
         assert run_cli("oracle-check") == 0
         out = capsys.readouterr().out
         assert "a,1e-09" in out
@@ -547,12 +565,12 @@ class TestOracleCheck:
 
     def test_failing_battery(self, monkeypatch, capsys):
         stub = BatteryResult([("bad", 5e-4)], 0.1)
-        monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: stub)
+        monkeypatch.setattr(crosscheck, "run_battery", lambda battery, n_max: stub)
         assert run_cli("oracle-check") == 3
         assert "# status = FAIL" in capsys.readouterr().out
 
     def test_truncation_failure_exit_code(self, monkeypatch, capsys):
-        def refuse(n_max):
+        def refuse(battery, n_max):
             raise TruncationError("truncation cap reached")
 
         monkeypatch.setattr(crosscheck, "run_battery", refuse)
@@ -572,6 +590,17 @@ class TestOracleCheck:
         assert err.startswith("numerical failure: ") and "drifted the norm" in err
         assert "Traceback" not in err
 
+    def test_runs_the_paper_battery_too(self, capsys):
+        """The real batteries: the standard one, then the paper one at
+        readout gain 15 dB, in one CSV under one PASS/FAIL rule."""
+        assert run_cli("oracle-check") == 0
+        rows = data_rows(capsys.readouterr().out)[1:]
+        names = [row.split(",")[0] for row in rows]
+        assert names == [name for name, _ in crosscheck.standard_battery() + crosscheck.paper_battery()]
+        paper = [row for row in rows if row.startswith("mu1.17+gq32_")]
+        assert len(paper) == 3
+        assert all(float(row.split(",")[1]) < crosscheck.AGREEMENT_TOL for row in paper)
+
     def test_truncation_flag_validated(self, capsys):
         assert run_cli("oracle-check", "--truncation", "1") == 2
 
@@ -582,7 +611,9 @@ class TestOracleCheck:
         assert err.startswith("error: truncation") and str(N_MAX_LIMIT) in err
         seen = []
         stub = BatteryResult([("a", 1e-9)], 0.1)
-        monkeypatch.setattr(crosscheck, "run_battery", lambda n_max: seen.append(n_max) or stub)
+        monkeypatch.setattr(
+            crosscheck, "run_battery", lambda battery, n_max: seen.append(n_max) or stub
+        )
         assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT)) == 0
         assert seen == [N_MAX_LIMIT]
 
@@ -648,7 +679,7 @@ class TestEntryPoints:
         assert __version__ in proc.stdout
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """``python -m ramansim.cli argv`` in a fresh interpreter."""
     # the child imports the same package as this test, also when that
     # comes from pytest's pythonpath setting rather than the environment
@@ -661,6 +692,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 

@@ -136,10 +136,62 @@ class TestAdaptiveTruncation:
         with pytest.raises(TruncationError):
             run_fock(cascade(1.0, 1.0))
 
+    def test_last_doubling_stops_at_cap(self):
+        """A first truncation that does not double onto the cap still
+        reaches it: 100 -> 160, where the paper battery agrees."""
+        for name, sc in paper_battery():
+            assert run_fock(sc, 100).n_max == N_MAX_LIMIT, name
+            assert variance_deviation(sc, 100) < AGREEMENT_TOL, name
+
     @pytest.mark.parametrize("n_max", [1, N_MAX_LIMIT + 1])
     def test_first_truncation_within_range(self, n_max):
         with pytest.raises(ValueError, match=rf"truncation must be within \[2, {N_MAX_LIMIT}\]"):
             run_fock(LOSSLESS_ALIGNED, n_max)
+
+
+def fock_outputs(state):
+    """The two variances and <ab> of a Fock output."""
+    return [crosscheck.fock.quadrature_variance(state, 0),
+            crosscheck.fock.quadrature_variance(state, 1),
+            crosscheck.fock.pair_correlation(state)]
+
+
+def full_environment(state, sc):
+    """The same circuit with untruncated environments (M = n_max), the store
+    the truncated one must reproduce."""
+    return crosscheck._run_fock_once(sc, state.n_max, state.n_max)
+
+
+class TestEnvironmentTruncation:
+    def test_matches_full_environment_on_random_circuits(self):
+        rng = np.random.default_rng(16)
+        for _ in range(24):
+            r1, r2 = 0.7 * rng.random(2)
+            l1, l2 = rng.random(2)
+            sc = cascade(r1, r2, l1, l2, 2.0 * np.pi * rng.random(),
+                         *rng.uniform(-np.pi, np.pi, size=2))
+            state = run_fock(sc)
+            assert state.amps.shape[1] == state.amps.shape[2] < state.dim, sc
+            full = full_environment(state, sc)
+            assert full.amps.shape == (state.dim,) * 3
+            for fast, slow in zip(fock_outputs(state), fock_outputs(full)):
+                assert abs(fast - slow) <= 1e-12, sc
+
+    def test_environment_doubles_and_agrees(self):
+        """Both truncations double: n_max 40 -> 80 for the prep squeeze,
+        M 16 -> 32 for its environments."""
+        sc = cascade(1.1, l1=0.2, l2=0.2)
+        state = run_fock(sc)
+        assert state.amps.shape == (81, 33, 33)
+        for fast, slow in zip(fock_outputs(state), fock_outputs(full_environment(state, sc))):
+            assert abs(fast - slow) <= 1e-12
+        assert variance_deviation(sc) < AGREEMENT_TOL
+
+    def test_environment_starts_at_most_at_n_max(self):
+        """M starts at min(16, n_max): at n_max 8 the environments get all
+        9 levels, the full store."""
+        state = run_fock(cascade(0.3, l1=1.0, l2=1.0), n_max=8)
+        assert state.amps.shape == (9, 9, 9)
 
 
 class TestBatteryResult:
@@ -183,6 +235,21 @@ class TestHarnessSanity:
         result = run_battery(battery=[("lossless", LOSSLESS_ALIGNED)])
         assert not result.passed
         assert result.worst_circuit == "lossless"
+
+    def test_corrupted_correlation_detected(self, monkeypatch):
+        """A kernel whose cross block is off by 1e-3 in V_XaYb only keeps
+        both variances, and the <ab> comparison alone must catch it."""
+
+        def skewed(scenario):
+            state = build_cascade(scenario)
+            cov = state.cov.copy()
+            cov[0, 3] += 1e-3
+            cov[3, 0] += 1e-3
+            return GaussianState(state.mean, cov)
+
+        monkeypatch.setattr(crosscheck, "build_cascade", skewed)
+        sc = cascade(0.5, 0.5, 0.1, 0.1, np.pi / 2)
+        assert variance_deviation(sc) == pytest.approx(2.5e-4, rel=1e-3)  # Im <ab> moves by 1e-3 / 4
 
     def test_nan_oracle_variance_is_no_agreement(self, monkeypatch):
         """A Fock variance of NaN makes the deviation NaN and fails the

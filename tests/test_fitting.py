@@ -18,6 +18,7 @@ from ramansim.fitting import (
     fit_datasets_shared_loss,
     load_noise_csv,
 )
+from ramansim.gaussian import NumericalError
 from ramansim.model import (
     closed_form_noise_reduction,
     correlation_estimate_from_ratio,
@@ -70,6 +71,28 @@ class TestNoiseDataset:
         )
         assert data.weights.mean() == pytest.approx(1.0, abs=1e-14)
         assert data.weights[1] == data.weights.max()
+
+    def test_weights_are_normalised_inverse_variances(self):
+        sigma = np.array([0.004, 0.002, 0.008, 0.003])
+        data = NoiseDataset(np.array([2.0, 4.0, 8.0, 16.0]), np.array([0.9, 0.7, 0.5, 0.4]), sigma)
+        w = 1.0 / sigma**2
+        assert data.weights == pytest.approx(w / w.mean(), rel=1e-15)
+
+    @pytest.mark.parametrize("sigma", [[1e-300, 0.01, 0.01], [1e-200] * 3], ids=["one", "all"])
+    def test_tiny_sigma_weights_stay_finite(self, sigma):
+        """1/sigma^2 overflows for sigma below ~1e-154; the weights do not."""
+        data = NoiseDataset(np.array([2.0, 4.0, 8.0]), np.array([0.9, 0.7, 0.5]), np.array(sigma))
+        assert np.all(np.isfinite(data.weights))
+        assert data.weights.mean() == pytest.approx(1.0, abs=1e-14)
+        assert data.weights[0] == data.weights.max()
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["design", "r", "weights"])
+    def test_non_finite_least_squares_is_numerical_error(self, which):
+        """No NaN or inf reaches LAPACK, whose SVD can hang on one."""
+        args = [noise_reduction_regressors(GQ_GRID), np.full(GQ_GRID.size, 0.5), np.ones(GQ_GRID.size)]
+        args[which][2] = np.inf
+        with pytest.raises(NumericalError, match="sigma"):
+            fitting._linear_solution(*args, np.ones(3))
 
     def test_unweighted_default(self):
         data = NoiseDataset(np.array([2.0, 4.0]), np.array([0.9, 0.7]))

@@ -17,15 +17,18 @@ from scipy.special import comb
 
 import ramansim.fock as fock
 from ramansim.fock import (
+    EnvironmentTruncationError,
     FockState,
     TruncationError,
+    _apply_loss,
     _splitter_columns,
-    _squeeze_blocks,
+    _squeeze_block,
     apply_loss,
     apply_phase_rotation,
     apply_two_mode_squeeze,
     edge_population,
     mean_photon_number,
+    pair_correlation,
     quadrature_variance,
     two_mode_squeezed_vacuum,
     vacuum_state,
@@ -174,23 +177,44 @@ class TestChainBlocks:
         "n_max, coupling", [(8, 0.6 * np.exp(0.4j)), (40, 2.08)], ids=["n8", "n40"]
     )
     def test_squeezer_blocks_match_expm(self, n_max, coupling):
-        blocks = _squeeze_blocks(complex(coupling), n_max)
         for c in range(-n_max, n_max + 1):
             n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
             k = chain_generator(coupling, np.sqrt((n_a + 1) * (n_a + 1 + c)))
-            assert np.max(np.abs(blocks[c + n_max] - expm(k))) < 1e-12
+            assert np.max(np.abs(_squeeze_block(complex(coupling), n_max, c) - expm(k))) < 1e-12
 
-    @pytest.mark.parametrize("n_max, theta", [(8, 0.3), (40, np.pi / 2)], ids=["n8", "n40"])
-    def test_splitter_columns_match_expm(self, n_max, theta):
-        cols = _splitter_columns(theta, n_max)
-        for s in range(n_max + 1):
+    @pytest.mark.parametrize(
+        "n_max, env_max, theta",
+        [(8, 8, 0.3), (40, 40, np.pi / 2), (40, 16, 0.7), (160, 160, np.pi / 2),
+         (160, 32, np.arcsin(np.sqrt(0.5)))],
+        ids=["n8", "n40", "n40-env16", "n160", "n160-env32"],
+    )
+    def test_splitter_columns_match_expm(self, n_max, env_max, theta):
+        """The binomial columns against the first column of exp of the chain
+        generator, cut at env_max photons in the environment; at n_max 160
+        every 10th photon number and the last."""
+        cols = _splitter_columns(theta, n_max, env_max)
+        assert cols.shape == (2 * n_max + 1, env_max + 1)
+        for s in sorted({*range(0, n_max + 1, 1 if n_max <= 40 else 10), n_max}):
             n_e = np.arange(s, dtype=float)
             k = chain_generator(-theta, np.sqrt((n_e + 1) * (s - n_e)))
-            assert np.max(np.abs(cols[s, : s + 1] - expm(k)[:, 0])) < 1e-12
-            assert not np.any(cols[s, s + 1 :])
+            kept = min(s, env_max) + 1
+            assert np.max(np.abs(cols[s, :kept] - expm(k)[:kept, 0])) < 1e-12
+            assert not np.any(cols[s, kept:])
+        assert not np.any(cols[n_max + 1 :])
 
 
 class TestSqueezeOperation:
+    def test_blocks_built_only_for_chains_in_the_store(self):
+        """The prep squeeze on vacuum environments needs the chain c = 0
+        only; a store with environments of M + 1 levels needs |c| <= M."""
+        _squeeze_block.cache_clear()
+        state = apply_two_mode_squeeze(vacuum_state(20), 0.2)
+        assert _squeeze_block.cache_info().currsize == 1
+        state = _apply_loss(_apply_loss(state, 0, 0.3, 8), 1, 0.2, 8)
+        assert state.amps.shape == (21, 9, 9)
+        apply_two_mode_squeeze(state, 0.2)
+        assert _squeeze_block.cache_info().currsize == 2 * 8 + 1  # c = 0 is shared
+
     def test_edge_policing_on_repeated_squeezing(self):
         state = vacuum_state(16)
         state = apply_two_mode_squeeze(state, 0.6)
@@ -302,6 +326,64 @@ class TestLossChannel:
         out = apply_loss(state, mode, loss)
         assert out.amps.shape == (n_max + 1,) * 3
         assert np.max(np.abs(reduced(dense(out)) - reference)) < 1e-12
+
+
+class TestTruncatedEnvironment:
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_matches_full_environment(self, mode):
+        """A loss into M + 1 environment levels keeps the full store's
+        amplitudes on those levels when the rest holds below ENV_TOL."""
+        state = apply_two_mode_squeeze(vacuum_state(30), 0.4, 0.3)
+        if mode == 1:
+            state = apply_loss(state, 0, 0.3)
+        full = apply_loss(state, mode, 0.6)
+        cut = _apply_loss(state, mode, 0.6, 16)
+        kept = full.amps[:, :17] if mode == 0 else full.amps[:, :, :17]
+        assert cut.amps.shape == kept.shape
+        assert np.max(np.abs(cut.amps - kept)) < 1e-12
+
+    def test_full_axis_equals_apply_loss(self):
+        state = apply_two_mode_squeeze(vacuum_state(12), 0.3)
+        assert np.array_equal(_apply_loss(state, 1, 0.4, 12).amps, apply_loss(state, 1, 0.4).amps)
+
+    @pytest.mark.parametrize("n, loss, edge_level", [(8, 1.0, False), (6, 0.5, True)])
+    def test_overfull_environment_refused(self, n, loss, edge_level):
+        """|n, n> into M = 4 levels: beyond the edge only (full loss puts all
+        n photons in the environment), or at the edge as well."""
+        amps = np.zeros((2 * n + 1, 1, 1), dtype=complex)
+        amps[n] = 1.0
+        with pytest.raises(EnvironmentTruncationError, match="environment e_b") as refusal:
+            _apply_loss(FockState(2 * n, amps), 1, loss, 4)
+        assert isinstance(refusal.value, TruncationError)  # not a norm-drift NumericalError
+        assert (comb(n, 4) * loss**4 * (1 - loss) ** (n - 4) >= 1e-8) == edge_level
+
+    def test_environment_edge_counted(self):
+        amps = np.zeros((6, 3, 1), dtype=complex)
+        amps[1, 2, 0] = 1.0  # n_ea = 2 is the last level of a 3-level environment
+        assert edge_population(FockState(5, amps)) == pytest.approx(1.0, abs=1e-15)
+        amps = np.zeros((6, 3, 3), dtype=complex)
+        amps[1, 1, 1] = 1.0
+        assert edge_population(FockState(5, amps)) == 0.0
+
+    def test_environment_longer_than_modes_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent with n_max"):
+            FockState(4, np.ones((5, 6, 1), dtype=complex) / np.sqrt(30))
+
+
+class TestPairCorrelation:
+    def test_two_mode_squeezed_vacuum(self):
+        # <ab> = e^{i theta} sinh r cosh r
+        state = apply_two_mode_squeeze(vacuum_state(40), R, 0.7)
+        expected = np.exp(0.7j) * math.sinh(R) * math.cosh(R)
+        assert abs(pair_correlation(state) - expected) < 1e-12
+
+    @pytest.mark.parametrize("envs", [(False, False), (True, False), (True, True)])
+    def test_matches_dense_operator(self, envs):
+        dim = 7
+        state = random_state(dim, envs, seed=5)
+        psi = dense(state).reshape(-1)
+        ab = embed(destroy(dim), A) @ embed(destroy(dim), B)
+        assert abs(pair_correlation(state) - np.vdot(psi, ab @ psi)) < 1e-13
 
 
 class TestDenseReference:
