@@ -94,7 +94,6 @@ _SCHEMAS: dict[str, dict] = {
     },
     "fit": {
         "shared_loss": (_parse_bool, False),
-        "starts": (int, 16),
         "mu_max": (float, 10.0),
         "bootstrap": (int, 0),
         "seed": (int, 0),
@@ -118,7 +117,8 @@ _SCHEMAS: dict[str, dict] = {
 _UNREAD = {
     ("gain-sweep", "with sweep = prep-gain"): ("prep_gain",),
     ("gain-sweep", "with sweep = readout-gq"): ("readout_gq", "readout_gq_db"),
-    ("fit", "with shared_loss"): ("starts", "seed", "bootstrap"),
+    ("fit", "with shared_loss"): ("seed", "bootstrap"),
+    ("fit", "without bootstrap"): ("seed",),
     ("correlation", "with from_ratio"): ("prep_gain", "loss_stokes", "loss_spinwave"),
     ("correlation", "without from_ratio"): ("from_ratio", "readout_gq", "readout_gq_db"),
 }
@@ -129,7 +129,8 @@ def _mode(command: str, cfg: dict) -> str:
     if command == "correlation":
         return "without from_ratio" if cfg["from_ratio"] is None else "with from_ratio"
     if command == "fit":
-        return "with shared_loss" if cfg["shared_loss"] else ""
+        return ("with shared_loss" if cfg["shared_loss"]
+                else "without bootstrap" if cfg["bootstrap"] == 0 else "")
     return f"with sweep = {cfg['sweep']}" if command == "gain-sweep" else ""
 
 
@@ -303,9 +304,7 @@ def _cmd_fit(args, cfg: dict) -> int:
     resamples = cfg.get("bootstrap", 0)  # unread with shared_loss
     if resamples != 0 and resamples < 100:
         raise UsageError("bootstrap must be 0 (off) or >= 100 resamples")
-    config = FitConfig(mu_max=cfg["mu_max"], **{
-        field: cfg[key] for key, field in (("starts", "n_starts"), ("seed", "seed")) if key in cfg
-    })
+    config = FitConfig(mu_max=cfg["mu_max"], seed=cfg.get("seed", 0))  # seed: read with bootstrap
     datasets = [load_noise_csv(path) for path in args.inputs]
     if cfg["shared_loss"]:
         fits = fit_datasets_shared_loss(datasets, config)

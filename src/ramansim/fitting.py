@@ -12,19 +12,20 @@ therefore solves one weighted 3x3 linear least-squares problem; when its
 inverse lies inside the box mu in [1, mu_max], losses in [0, 1], it is the
 global optimum and no optimizer runs.  Otherwise the optimum sits on the
 box boundary, and a bounded L-BFGS-B polish with an analytic gradient runs
-from the clipped linear point and ``FitConfig.n_starts`` seeded random
-starts.  The polish works in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1),
-sqrt(1 - L2)), where R is smooth at mu = 1 and polynomial in s1, s2.
-Datasets sharing (L1, L2) are fit jointly in z = (t_1, ..., t_n, s1, s2)
-on their summed objective; the single fit is its one-dataset case, z = x,
-with its own starts.  Every fit must reach a projected gradient below GRAD_TOL.
+in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1), sqrt(1 - L2)), where R is
+smooth at mu = 1 and polynomial in s1, s2.  Datasets sharing (L1, L2) are
+fit jointly in z = (t_1, ..., t_n, s1, s2) on their summed objective; the
+single fit is its one-dataset case, z = x.  Every polish starts from each
+dataset's clipped linear point and the best cells of an (s1, s2) grid with t
+profiled out, as in variable projection (Golub & Pereyra 1973).  Every fit
+must reach a projected gradient below GRAD_TOL.
 
 The residual bootstrap keeps the design fixed and resamples only R, so its
 interior refits share one linear solve, a right-hand side per resample, each
 held to the same gradient gate; only the resamples whose linear inverse
-leaves the box run the boundary polish, with the config's starts and seed.
-A refit fails when a resampled R leaves (0, R_UPPER_SANITY] or its gradient
-gate fails.
+leaves the box run the boundary polish.  The config's seed feeds only the
+resampling.  A refit fails when a resampled R leaves (0, R_UPPER_SANITY] or
+its gradient gate fails.
 
 L1 and L2 become exactly interchangeable in the large-gain limit and
 nearly so at lambda close to 1, so the fit reports the objective for both
@@ -60,6 +61,8 @@ R_UPPER_SANITY = 1.05
 DEGENERACY_TOL = 1e-10
 #: required projected-gradient norm at the returned point
 GRAD_TOL = 1e-8
+#: largest mu_max: the objective and its gradient, ~mu^4, stay below sqrt(max float)
+MU_MAX_LIMIT = np.finfo(float).max ** 0.125
 
 
 class InsufficientDataError(ValueError):
@@ -148,20 +151,20 @@ def _check_integer(name: str, value, minimum: int) -> None:
 class FitConfig:
     """Optimizer settings.
 
-    ``n_starts`` random starts, drawn from ``seed``, feed the boundary
-    polish; ``seed`` also fixes the bootstrap resampling, making runs
-    reproducible.
+    ``n_starts`` grid cells (169 at most) join the linear points as starts
+    of the boundary polish, which draws no random numbers; ``seed`` fixes
+    only the bootstrap resampling.
     """
 
-    n_starts: int = 16
+    n_starts: int = 1
     mu_max: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
         _check_integer("n_starts", self.n_starts, 1)
         _check_integer("seed", self.seed, 0)
-        if not 1.0 < self.mu_max < math.inf:
-            raise ValueError("mu_max must be finite and > 1")
+        if not 1.0 < self.mu_max <= MU_MAX_LIMIT:
+            raise ValueError(f"mu_max must be within (1, {MU_MAX_LIMIT:.3g}]")
 
 
 @dataclass(frozen=True)
@@ -308,10 +311,28 @@ def _check_point_count(n: int, n_points: int) -> None:
         )
 
 
-def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> list[FitResult]:
-    """Fit z to n datasets sharing (L1, L2).  ``starts(terms, hi, config)``
-    gives the start points in z and whether to polish them; unpolished, its
-    one point is the fit.  The objective fields carry the joint objective.
+def _grid_starts(terms, hi, n_cells) -> list[np.ndarray]:
+    """The ``n_cells`` lowest cells (the earliest in a tie) of a 13 x 13 (s1, s2) grid on
+    [0, 1]^2, each dataset's t at its best of 0 and 23 geometric levels from 1e-3 to the bound:
+    with R = X c(t, s1, s2), a dataset's objective is c^T X^T W X c - 2 c^T X^T W r + const."""
+    s = np.linspace(0.0, 1.0, 13)
+    t = np.minimum(np.concatenate([[0.0], np.geomspace(1e-3, hi[0], 23)]), hi[0])
+    tt, s1, s2 = np.meshgrid(t, s, s, indexing="ij")
+    u, c = 2.0 * np.sinh(tt) ** 2, -2.0 * np.sinh(2.0 * tt)
+    coef = np.stack([1.0 + u * s2 * s2, u * (s1 * s1 - s2 * s2), c * s1 * s2], axis=-1)
+    costs = np.array([np.sum((coef @ (x.T @ (w[:, None] * x)) - 2.0 * x.T @ (w * r)) * coef, axis=-1)
+                      for x, r, w in terms])
+    best_t, total = t[np.argmin(costs, axis=1)], np.min(costs, axis=1).sum(axis=0)
+    cells = zip(*np.unravel_index(np.argsort(total, axis=None, kind="stable")[:n_cells], (13, 13)))
+    return [np.array([*best_t[:, i, j], s[i], s[j]]) for i, j in cells]
+
+
+def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None) -> list[FitResult]:
+    """Fit z to n datasets sharing (L1, L2): one dataset's linear inverse
+    inside the box, or else the lowest polish (the earliest start in a tie)
+    from each dataset's clipped linear point, with every dataset's t, and the
+    ``config.n_starts`` cells of :func:`_grid_starts`.  The objective fields
+    carry the joint objective.
 
     Raises:
         InsufficientDataError: fewer than n + 3 points in all.
@@ -322,16 +343,20 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> 
     n = len(datasets)
     _check_point_count(n, sum(d.n_points for d in datasets))
     hi = _box(n, config)
-    terms = [
-        (noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
-        for d in datasets
-    ]
-    zs, polish = starts(terms, hi, config)
-    if polish:  # the lowest objective wins; the earliest start wins a tie
-        z = min((_polish(z0, terms, hi) for z0 in zs), key=lambda zf: zf[1])[0]
+    terms = [(noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
+             for d in datasets]
+    xs, inside = zip(*(_linear_solution(*term, hi[-3:]) for term in terms))
+    if n == 1 and inside[0]:
+        z, n_polished = xs[0], 0
     else:
-        (z,) = zs
+        zs = [np.array([*(x[0] for x in xs), *x[1:]]) for x in xs]
+        zs += _grid_starts(terms, hi, config.n_starts)
+        z = min((_polish(z0, terms, hi) for z0 in zs), key=lambda zf: zf[1])[0]
+        n_polished = len(zs)
     f, norm = _projected_gradient(z, terms, hi)
+    if not norm < GRAD_TOL:  # a fresh L-BFGS-B memory gets past a stalled line search
+        z, n_polished = _polish(z, terms, hi)[0], n_polished + 1
+        f, norm = _projected_gradient(z, terms, hi)
     if not norm < GRAD_TOL:
         raise UnstableFitError(f"projected gradient norm {norm:.2e} at the fit; it did not converge")
     f_swapped = _objective(_swap_losses(z), terms)[0]
@@ -349,7 +374,7 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None, starts) -> 
             loss_ordering_degenerate=bool(abs(f - f_swapped) < DEGENERACY_TOL),
             correlation_x_plus=x_plus,
             correlation_db=x_plus_db,
-            n_restarts_used=len(zs) if polish else 0,
+            n_restarts_used=n_polished,
             projected_grad_norm=norm,
             dataset_label=data.label,
         ))
@@ -360,20 +385,14 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
     """Weighted least-squares fit of (mu, L1, L2) to one dataset.
 
     The linear solve, or the boundary polish when its inverse leaves the
-    box; ``n_restarts_used`` is 0 or the number of polishes.
+    box; ``n_restarts_used`` is 0 or the number of polishes: 1 + n_starts,
+    and one more when the best of them stopped short of the gradient gate.
 
     Raises:
         InsufficientDataError: fewer than 4 points.
         UnstableFitError: the optimizer could not reach a local minimum.
     """
-    def starts(terms, hi, config):
-        x, inside = _linear_solution(*terms[0], hi)
-        if inside:
-            return [x], False
-        rng = np.random.default_rng(config.seed)
-        return [x, *rng.uniform(0.0, hi, (config.n_starts, 3))], True
-
-    return _fit([data], config, starts)[0]
+    return _fit([data], config)[0]
 
 
 def fit_datasets_shared_loss(
@@ -381,23 +400,11 @@ def fit_datasets_shared_loss(
 ) -> list[FitResult]:
     """Joint fit of several datasets sharing (L1, L2), one mu per dataset.
 
-    The polish starts from each dataset's own linear solution, with the t
-    of every dataset's solution, and from its loss-mirrored twin.  Returns
-    one FitResult per dataset; the objective fields carry the total
-    (summed) objective of the joint problem.
+    Two or more datasets always polish; one is the single fit, and none
+    raises InsufficientDataError.  Returns one FitResult per dataset; the
+    objective fields carry the total (summed) objective of the joint problem.
     """
-    if len(datasets) == 0:
-        raise InsufficientDataError("no datasets given")
-    if len(datasets) == 1:
-        return [fit_dataset(datasets[0], config)]
-
-    def starts(terms, hi, _config):
-        linear = [_linear_solution(*term, hi[-3:])[0] for term in terms]
-        ts = [x[0] for x in linear]
-        zs = [np.array([*ts, *x[1:]]) for x in linear]
-        return [start for z in zs for start in (z, _swap_losses(z))], True
-
-    return _fit(datasets, config, starts)
+    return _fit(datasets, config)
 
 
 def bootstrap_uncertainty(
@@ -413,8 +420,8 @@ def bootstrap_uncertainty(
     dataset is refit.  The interior refits share one linear solve, one
     right-hand side per resample, and each must pass the fit's
     projected-gradient gate; only the resamples whose linear inverse
-    leaves the box run the boundary polish of :func:`fit_dataset`, with
-    ``config``'s ``n_starts`` and ``seed``.  A refit fails when a resampled
+    leaves the box run the boundary polish of :func:`fit_dataset`.
+    ``config``'s ``seed`` fixes the resampling.  A refit fails when a resampled
     R leaves (0, R_UPPER_SANITY] or its gradient gate fails.  Returns the
     empirical covariance of (mu, L1, L2) and a 95% percentile interval for
     correlation_db.
@@ -437,8 +444,7 @@ def bootstrap_uncertainty(
     design, w, hi = noise_reduction_regressors(gq), data.weights, _box(1, config)
     xs, inside = _linear_solution(design, rs, w, hi)
 
-    params, corr_db = [], []
-    failures = 0
+    params, corr_db, failures = [], [], 0
     for r, ok, x, interior in zip(rs, valid, xs, inside):
         if ok and interior and _projected_gradient(x, [(design, r, w)], hi)[1] < GRAD_TOL:
             mu, l1, l2, _, x_plus_db = _physical(*x)

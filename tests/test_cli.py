@@ -6,6 +6,7 @@ here and exercised for real by the acceptance suite.
 """
 
 import argparse
+import json
 import os
 import re
 import shlex
@@ -69,7 +70,7 @@ def sweep_csv(tmp_path):
         (("noise-scan", "--readout-gq", "0.5"), "readout_gq"),
         (("noise-scan", "--readout-gq", "nan"), "readout_gq"),
         (("correlation", "--from-ratio", "0.4", "--readout-gq", "0.5"), "readout_gq"),
-        (("fit", "{csv}", "--starts", "0"), "starts"),
+        (("fit", "{csv}", "--bootstrap", "100", "--seed", "-1"), "seed"),
         (("fit", "{csv}", "--mu-max", "1"), "mu_max"),
         (("noise-scan", "--readout-gq-db", "1e300"), "readout_gq_db"),
         (("gain-sweep", "--readout-gq-db", "1e300"), "readout_gq_db"),
@@ -128,13 +129,22 @@ UNREAD_CASES = [
     *[(("correlation", "--prep-gain", "1.2"), "without from_ratio", key, value)
       for key, value in (("readout_gq", "3"), ("readout_gq_db", "20"))],
     *[(("fit", "{csv}", "--shared-loss"), "with shared_loss", key, value)
-      for key, value in (("starts", "3"), ("seed", "5"), ("bootstrap", "100"))],
+      for key, value in (("seed", "5"), ("bootstrap", "100"))],
+    (("fit", "{csv}"), "without bootstrap", "seed", "5"),
 ]
 
 
+def unread_ids():
+    """``command:key``, with the mode too where that pair came before."""
+    seen, ids = set(), []
+    for argv, mode, key, _ in UNREAD_CASES:
+        ids.append(f"{argv[0]} {mode}:{key}" if (argv[0], key) in seen else f"{argv[0]}:{key}")
+        seen.add((argv[0], key))
+    return ids
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("argv, mode, key, value", UNREAD_CASES,
-                         ids=[f"{argv[0]}:{key}" for argv, _, key, _ in UNREAD_CASES])
+@pytest.mark.parametrize("argv, mode, key, value", UNREAD_CASES, ids=unread_ids())
 def test_unread_key_is_rejected(argv, mode, key, value, source, sweep_csv, tmp_path, capsys):
     """A key that the chosen mode does not read, set by a flag or by the
     config file, exits 2 naming the key and the mode, and writes nothing;
@@ -332,6 +342,14 @@ class TestFit:
         assert "mu_max" in err
         assert "Traceback" not in err
 
+    def test_huge_mu_max_on_boundary_data_exits_2(self, tmp_path, capsys):
+        """R == 1 leaves the box, so the fit polishes; at --mu-max 1e300 that
+        once ended in an OverflowError traceback."""
+        flat = write_sweep(tmp_path / "flat.csv", 1.0, 0.0, 0.0)
+        assert run_cli("fit", str(flat), "--mu-max", "1e300") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mu_max") and "Traceback" not in err
+
     def test_negative_seed_exits_2(self, sweep_csv, capsys):
         assert run_cli("fit", str(sweep_csv), "--seed", "-1") == 2
         err = capsys.readouterr().err
@@ -379,7 +397,7 @@ class TestFit:
             outputs.append((capsys.readouterr().out, out.read_text().splitlines()))
         (plain_report, plain), (shared_report, shared) = outputs
         assert plain_report == shared_report
-        unread = ("# bootstrap = 0", "# seed = 0", "# starts = 16")  # left out with shared_loss
+        unread = ("# bootstrap = 0",)  # left out with shared_loss; seed is left out of both
         assert [line for line in plain if line not in unread] == [
             line.replace("# shared_loss = true", "# shared_loss = false") for line in shared
         ]
@@ -681,6 +699,11 @@ class TestEntryPoints:
 
 def run_module(*argv, timeout=None):
     """``python -m ramansim.cli argv`` in a fresh interpreter."""
+    return run_python("-m", "ramansim.cli", *argv, timeout=timeout)
+
+
+def run_python(*args, timeout=None):
+    """``python args`` in a fresh interpreter that imports this package."""
     # the child imports the same package as this test, also when that
     # comes from pytest's pythonpath setting rather than the environment
     src = os.path.dirname(os.path.dirname(ramansim.__file__))
@@ -688,12 +711,112 @@ def run_module(*argv, timeout=None):
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     return subprocess.run(
-        [sys.executable, "-m", "ramansim.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+#: (edge values, typical values) of every flag, by converter
+FUZZ_EDGES = ["", "nan", "inf", "-inf", "-0", "1e300", "-1e300", "1e-300", "0x10", "-1", "0"]
+FUZZ_VALUES = {
+    float: (FUZZ_EDGES + ["1"], ["0.1", "0.5", "1.17", "3", "20"]),
+    int: (FUZZ_EDGES + ["1.5", "4097", "161"], ["2", "4", "16", "100"]),
+    str: (["", "nan"], ["prep-gain", "readout-gq"]),
+    cli._parse_bool: (["", "2"], ["true", "false"]),
+}
+#: the flags that select a mode, one set drawn per case
+FUZZ_MODES = {"correlation": (["--prep-gain=1.17"], ["--from-ratio=0.4", "--readout-gq=3"]),
+              "gain-sweep": (["--sweep=prep-gain"], ["--sweep=readout-gq"])}
+#: cases per subcommand; oracle-check runs its batteries in up to ~1 s
+FUZZ_CASES = {command: 30 for command in cli._COMMANDS} | {"oracle-check": 4}
+
+#: runs each argv of the JSON list in argv[1] through cli.main, with
+#: RuntimeWarning an error, and prints [exit code or traceback, stderr] per case
+FUZZ_CHILD = """
+import contextlib, io, json, sys, traceback, warnings
+warnings.simplefilter("error", RuntimeWarning)
+from ramansim import cli
+results = []
+for argv in json.load(open(sys.argv[1])):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        except BaseException:
+            code = traceback.format_exc()
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def fuzz_csv(rng, path):
+    """A fit CSV: 1-16 points, gq up to 1e300, R from the closed form with
+    0-10% noise, and half the time a sigma column down to 1e-300."""
+    n = int(rng.integers(1, 17))
+    gq = 10.0 ** rng.uniform(0.0, rng.choice([2.0, 300.0]), n)
+    r = closed_form_noise_reduction(1.0 + rng.exponential(0.3), *rng.uniform(0.0, 0.6, 2), gq)
+    r = r * (1.0 + rng.choice([0.0, 0.01, 0.1]) * rng.standard_normal(n))
+    rows = [gq, r]
+    if rng.random() < 0.5:
+        rows.append(np.abs(r) * 10.0 ** -rng.choice([1.0, 2.0, 3.0, 300.0], n))
+    header = "gq_linear,R_linear" + (",sigma" if len(rows) == 3 else "")
+    path.write_text("\n".join([header] + [",".join(str(float(x)) for x in row) for row in zip(*rows)]) + "\n")
+    return str(path)
+
+
+def fuzz_cases(rng, tmp_path):
+    """Seeded argv lists for every subcommand: a few of its flags, each at an
+    edge value 30% of the time and else at a typical one, set by flag or by
+    config file, and --out at stdout, a file, '' or a missing directory."""
+    cases = []
+    for command, count in FUZZ_CASES.items():
+        schema = cli._SCHEMAS[command]
+        for k in range(count):
+            modes = FUZZ_MODES.get(command, ([],))
+            argv = [command, *modes[rng.integers(len(modes))]]
+            if command == "fit":
+                argv += [fuzz_csv(rng, tmp_path / f"fit{k}-{j}.csv")
+                         for j in range(int(rng.integers(1, 3)))]
+            keys = rng.choice(list(schema), size=min(len(schema), int(rng.integers(0, 4))),
+                              replace=False)
+            values = {key: str(rng.choice(FUZZ_VALUES[schema[key][0]][rng.random() < 0.7]))
+                      for key in keys}  # index 1, typical, 70% of the time
+            if values and rng.random() < 0.25:
+                cfg = tmp_path / f"{command}{k}.cfg"
+                cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+                argv += ["--config", str(cfg)]
+            else:
+                for key, value in values.items():
+                    flag = "--" + key.replace("_", "-")
+                    # a bool flag takes no value
+                    argv.append(flag if schema[key][0] is cli._parse_bool else f"{flag}={value}")
+            out = rng.choice(["stdout", "file", "", "missing"], p=[0.45, 0.35, 0.1, 0.1])
+            if out != "stdout":
+                argv.append("--out=" + {"file": str(tmp_path / "out.csv"), "": "",
+                                        "missing": str(tmp_path / "missing" / "out.csv")}[out])
+            cases.append(argv)
+    return cases
+
+
+def test_fuzzed_argv_exit_cleanly(tmp_path):
+    """Seeded argv for every subcommand end in exit 0, 2 or 3, without a
+    traceback or a RuntimeWarning.  One child process runs the whole
+    batch under a time limit, because a hang inside LAPACK cannot be
+    interrupted in-process."""
+    cases = fuzz_cases(np.random.default_rng(0), tmp_path)
+    assert len(cases) <= 200
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(cases))
+    proc = run_python("-c", FUZZ_CHILD, str(path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    bad = [(argv, code, err) for argv, (code, err) in zip(cases, json.loads(proc.stdout))
+           if code not in (0, 2, 3) or "Traceback" in err]
+    assert not bad, bad[:3]
 
 
 #: README examples, with --points 16
