@@ -11,18 +11,18 @@ R = alpha + beta/(1 + lambda^2) + gamma lambda/(1 + lambda^2), and
 therefore solves one weighted 3x3 linear least-squares problem; when its
 inverse lies inside the box mu in [1, mu_max], losses in [0, 1], it is the
 global optimum and no optimizer runs.  Otherwise the optimum sits on the
-box boundary, and a bounded L-BFGS-B polish with an analytic gradient runs
-in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1), sqrt(1 - L2)), where R is
-smooth at mu = 1 and polynomial in s1, s2.  Datasets sharing (L1, L2) are
-fit jointly in z = (t_1, ..., t_n, s1, s2) on their summed objective; the
-single fit is its one-dataset case, z = x.  Every polish starts from each
-dataset's clipped linear point and the best cells of an (s1, s2) grid with t
-profiled out, as in variable projection (Golub & Pereyra 1973).  Every fit
-must reach a projected gradient below GRAD_TOL.
+box boundary, and a projected Levenberg-Marquardt polish of the weighted
+residuals runs in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1), sqrt(1 - L2)),
+where R is smooth at mu = 1 and polynomial in s1, s2.  Datasets sharing
+(L1, L2) are fit jointly in z = (t_1, ..., t_n, s1, s2) on their summed
+objective; the single fit is its one-dataset case, z = x.  Every polish
+starts from each dataset's clipped linear point and the best cells of an
+(s1, s2) grid with t profiled out, as in variable projection (Golub &
+Pereyra 1973).  Every fit must reach a projected gradient below GRAD_TOL.
 
 The residual bootstrap keeps the design fixed and resamples only R, so its
-interior refits share one linear solve, a right-hand side per resample, each
-held to the same gradient gate; only the resamples whose linear inverse
+interior refits share one linear solve, a right-hand side per resample, and
+one broadcast gradient gate; only the resamples whose linear inverse
 leaves the box run the boundary polish.  The config's seed feeds only the
 resampling.  A refit fails when a resampled R leaves (0, R_UPPER_SANITY] or
 its gradient gate fails.
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .gaussian import NumericalError
 from .model import (
@@ -204,60 +203,107 @@ class BootstrapResult:
 
 
 def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta, gamma) at x = (t, s1, s2) and their Jacobian in x.
+    """(alpha, beta, gamma) at x = (t, s1, s2) and their Jacobian in x,
+    broadcast over the leading axes of x: shapes x.shape and x.shape + (3,).
 
     model.noise_reduction_coefficients with u = 2 sinh^2 t, 4 mu nu =
     2 sinh 2t and T_i = s_i^2, written out here because mu = cosh t rounds
     away t below ~1e-8, where R still moves at first order in t.
     """
-    t, s1, s2 = x
-    u, du = 2.0 * math.sinh(t) ** 2, 2.0 * math.sinh(2.0 * t)
-    c, dc = -2.0 * math.sinh(2.0 * t), -4.0 * math.cosh(2.0 * t)
-    coef = np.array([1.0 + u * s2 * s2, u * (s1 * s1 - s2 * s2), c * s1 * s2])
-    jac = np.array(
-        [
-            [du * s2 * s2, 0.0, 2.0 * u * s2],
-            [du * (s1 * s1 - s2 * s2), 2.0 * u * s1, -2.0 * u * s2],
-            [dc * s1 * s2, c * s2, c * s1],
-        ]
-    )
-    return coef, jac
+    t, s1, s2 = x[..., 0], x[..., 1], x[..., 2]
+    u, du = 2.0 * np.sinh(t) ** 2, 2.0 * np.sinh(2.0 * t)
+    c, dc = -du, -4.0 * np.cosh(2.0 * t)
+    q, d, m, u2 = s2 * s2, s1 * s1 - s2 * s2, s1 * s2, 2.0 * u  # T2, T1 - T2, sqrt(T1 T2)
+    out = np.zeros(t.shape + (4, 3))  # the coefficients, then the Jacobian's rows
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = 1.0 + u * q, u * d, c * m
+    out[..., 1, 0], out[..., 1, 2] = du * q, u2 * s2
+    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = du * d, u2 * s1, -u2 * s2
+    out[..., 3, 0], out[..., 3, 1], out[..., 3, 2] = dc * m, c * s2, c * s1
+    return out[..., 0, :], out[..., 1:, :]
 
 
-def _objective(z, terms) -> tuple[float, np.ndarray]:
-    """Weighted sum of squared residuals over the datasets and its gradient
-    in z; ``terms`` holds each dataset's (design, R, weights)."""
-    *ts, s1, s2 = z.tolist()  # Python floats: faster scalar arithmetic than NumPy's
-    f, g_t, g_s1, g_s2 = 0.0, [], 0.0, 0.0
-    for t, (design, r, w) in zip(ts, terms):
-        coef, jac = _coefficients((t, s1, s2))
-        res = design @ coef - r
-        d_t, d_s1, d_s2 = (2.0 * jac.T @ (design.T @ (w * res))).tolist()
-        f += float(w @ (res * res))
-        g_t.append(d_t)
-        g_s1, g_s2 = g_s1 + d_s1, g_s2 + d_s2
-    return f, np.array([*g_t, g_s1, g_s2])
+def _residuals(z, terms) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked weighted residuals sqrt(w) (X c(t_k, s1, s2) - R) of the
+    datasets and their Jacobian in z = (t_1, ..., t_n, s1, s2); ``terms``
+    holds each dataset's (design X, R, weights w).  Broadcasts over the
+    leading axes of z and of the R rows."""
+    n = len(terms)
+    coef, dcoef = _coefficients(z[..., [[k, n, n + 1] for k in range(n)]])
+    res, jac = [], []
+    for k, (design, r, w) in enumerate(terms):
+        sw = np.sqrt(w)
+        a = design * sw[:, None]
+        res.append(coef[..., k, :] @ a.T - r * sw)
+        jac.append(np.zeros(res[-1].shape + (n + 2,)))
+        jac[-1][..., [k, n, n + 1]] = a @ dcoef[..., k, :, :]
+    return np.concatenate(res, axis=-1), np.concatenate(jac, axis=-2)
 
 
-def _swap_losses(z) -> np.ndarray:
-    """z with s1 and s2 exchanged: the other loss ordering."""
-    return np.concatenate([z[:-2], z[:-3:-1]])
+def _objective(z, terms) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted sum of squared residuals, f = r.r, and its gradient
+    2 J^T r in z, broadcast as :func:`_residuals`."""
+    r, jac = _residuals(z, terms)
+    return np.sum(r * r, axis=-1), 2.0 * (r[..., None, :] @ jac)[..., 0, :]
+
+
+def _held(z, g, hi) -> np.ndarray:
+    """The coordinates at a bound (within 1e-12) whose gradient points out of the box."""
+    return ((z <= 1e-12) & (g > 0)) | ((z >= hi - 1e-12) & (g < 0))
+
+
+def _projected_gradient(z, terms, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The objective at z and the norm of its gradient without the held
+    components, broadcast as :func:`_residuals`; np.hypot cannot overflow."""
+    f, g = _objective(z, terms)
+    return f, np.hypot.reduce(np.where(_held(z, g, hi), 0.0, g), axis=-1)
+
+
+#: the polish stops at a projected gradient of _POLISH_TOL unless its last step still halved f
+#: (noiseless data), or after _PATIENCE failed steps in a row, _FLOOR_PATIENCE once the
+#: projected gradient is below _FLOOR_TOL (the roundoff floor of f), or after _MAX_STEPS
+_POLISH_TOL, _FLOOR_TOL = 1e-2 * GRAD_TOL, 1e-1 * GRAD_TOL
+_PATIENCE, _FLOOR_PATIENCE, _MAX_STEPS = 9, 2, 500
 
 
 def _polish(z0, terms, hi) -> tuple[np.ndarray, float]:
-    """Bounded L-BFGS-B on [0, hi] from z0 with the analytic gradient.
-
-    ftol = 0: L-BFGS-B measures the decrease relative to max(|f|, 1), and
-    f is O(n sigma^2), so any positive ftol stops in the flat valleys near
-    mu = 1 long before the gradient reaches GRAD_TOL.
-    """
-    res = optimize.minimize(
-        _objective, z0, args=(terms,), method="L-BFGS-B", jac=True,
-        bounds=optimize.Bounds(0.0, hi),
-        options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 1000},
-    )
-    z = np.clip(res.x, 0.0, hi)
-    return z, _objective(z, terms)[0]
+    """Projected Levenberg-Marquardt on [0, hi] from z0 (More 1978; bounds by
+    projection, as in Coleman & Li 1996): each step holds the coordinates at
+    a bound whose gradient points out of the box, solves the damped normal
+    equations (J^T J + lam max(diag J^T J)) h = -J^T r on the others, clips
+    z + h into the box and is taken only when it lowers f; lam follows the
+    ratio of actual to predicted decrease (Nielsen 1999).  The caller's gate
+    judges the end point."""
+    z = np.clip(z0, 0.0, hi)
+    r, jac = _residuals(z, terms)
+    f, lam, grow, rejected, halved = float(r @ r), 1e-3, 2.0, 0, False
+    for _ in range(_MAX_STEPS):
+        g = 2.0 * (r @ jac)
+        free = ~_held(z, g, hi)
+        norm = np.hypot.reduce(g[free])
+        if (norm <= (0.0 if halved else _POLISH_TOL)
+                or rejected >= (_FLOOR_PATIENCE if norm <= _FLOOR_TOL else _PATIENCE)):
+            break
+        a = jac[:, free]
+        gram = a.T @ a
+        gram.flat[:: len(gram) + 1] += lam * gram.diagonal().max()
+        trial = z.copy()
+        try:
+            trial[free] += np.linalg.solve(gram, -(a.T @ r))
+        except np.linalg.LinAlgError:  # J^T J singular on the free set: a null step, then more damping
+            pass
+        trial = trial.clip(0.0, hi)
+        r_new, jac_new = _residuals(trial, terms)
+        f_new = float(r_new @ r_new)
+        if f_new < f:
+            model = r + jac @ (trial - z)  # the linearised residuals at the trial
+            predicted = f - float(model @ model)
+            rho = (f - f_new) / predicted if predicted > 0.0 else 0.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            halved, grow, rejected = f_new < 0.5 * f, 2.0, 0
+            z, r, jac, f = trial, r_new, jac_new, f_new
+        else:  # beyond 1/eps, lam only shrinks the step below the roundoff of z
+            lam, grow, rejected = min(lam * grow, 1.0 / np.finfo(float).eps), 2.0 * grow, rejected + 1
+    return z, f
 
 
 def _linear_solution(design, r, w, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -289,19 +335,11 @@ def _box(n: int, config: FitConfig) -> np.ndarray:
     return np.array([math.acosh(config.mu_max)] * n + [1.0, 1.0])
 
 
-def _projected_gradient(z, terms, hi) -> tuple[float, float]:
-    """The objective at z and the norm of its gradient without the
-    components that push out of the box."""
-    f, g = _objective(z, terms)
-    g[((z <= 1e-12) & (g > 0)) | ((z >= hi - 1e-12) & (g < 0))] = 0.0
-    return f, float(np.linalg.norm(g))
-
-
-def _physical(t, s1, s2) -> tuple[float, float, float, float, float]:
-    """(mu, L1, L2, X+, X+ in dB relative to 2) at x = (t, s1, s2)."""
-    mu, l1, l2 = math.cosh(t), float(1.0 - s1 * s1), float(1.0 - s2 * s2)
+def _physical(t, s1, s2) -> tuple[np.ndarray, ...]:
+    """(mu, L1, L2, X+, X+ in dB relative to 2) at x = (t, s1, s2), broadcast."""
+    mu, l1, l2 = np.cosh(t), 1.0 - s1 * s1, 1.0 - s2 * s2
     x_plus = joint_quadrature_variance(mu, l1, l2)
-    return mu, l1, l2, x_plus, float(linear_to_db(x_plus / 2.0))
+    return mu, l1, l2, x_plus, linear_to_db(x_plus / 2.0)
 
 
 def _check_point_count(n: int, n_points: int) -> None:
@@ -318,8 +356,7 @@ def _grid_starts(terms, hi, n_cells) -> list[np.ndarray]:
     s = np.linspace(0.0, 1.0, 13)
     t = np.minimum(np.concatenate([[0.0], np.geomspace(1e-3, hi[0], 23)]), hi[0])
     tt, s1, s2 = np.meshgrid(t, s, s, indexing="ij")
-    u, c = 2.0 * np.sinh(tt) ** 2, -2.0 * np.sinh(2.0 * tt)
-    coef = np.stack([1.0 + u * s2 * s2, u * (s1 * s1 - s2 * s2), c * s1 * s2], axis=-1)
+    coef = _coefficients(np.stack([tt, s1, s2], axis=-1))[0]
     costs = np.array([np.sum((coef @ (x.T @ (w[:, None] * x)) - 2.0 * x.T @ (w * r)) * coef, axis=-1)
                       for x, r, w in terms])
     best_t, total = t[np.argmin(costs, axis=1)], np.min(costs, axis=1).sum(axis=0)
@@ -353,17 +390,14 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None) -> list[Fit
         zs += _grid_starts(terms, hi, config.n_starts)
         z = min((_polish(z0, terms, hi) for z0 in zs), key=lambda zf: zf[1])[0]
         n_polished = len(zs)
-    f, norm = _projected_gradient(z, terms, hi)
-    if not norm < GRAD_TOL:  # a fresh L-BFGS-B memory gets past a stalled line search
-        z, n_polished = _polish(z, terms, hi)[0], n_polished + 1
-        f, norm = _projected_gradient(z, terms, hi)
+    f, norm = map(float, _projected_gradient(z, terms, hi))
     if not norm < GRAD_TOL:
         raise UnstableFitError(f"projected gradient norm {norm:.2e} at the fit; it did not converge")
-    f_swapped = _objective(_swap_losses(z), terms)[0]
+    f_swapped = float(_objective(np.concatenate([z[:-2], z[:-3:-1]]), terms)[0])  # s1 and s2 exchanged
     s1, s2 = z[n:]
     results = []
     for t, data, term in zip(z[:n], datasets, terms):
-        mu, l1, l2, x_plus, x_plus_db = _physical(t, s1, s2)
+        mu, l1, l2, x_plus, x_plus_db = map(float, _physical(t, s1, s2))
         results.append(FitResult(
             mu_hat=mu,
             l1_hat=l1,
@@ -385,8 +419,7 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
     """Weighted least-squares fit of (mu, L1, L2) to one dataset.
 
     The linear solve, or the boundary polish when its inverse leaves the
-    box; ``n_restarts_used`` is 0 or the number of polishes: 1 + n_starts,
-    and one more when the best of them stopped short of the gradient gate.
+    box; ``n_restarts_used`` is 0 or the number of polishes, 1 + n_starts.
 
     Raises:
         InsufficientDataError: fewer than 4 points.
@@ -418,9 +451,9 @@ def bootstrap_uncertainty(
     Residuals of the fit are resampled with replacement onto the model
     curve at the data's gains (the design stays fixed), and each synthetic
     dataset is refit.  The interior refits share one linear solve, one
-    right-hand side per resample, and each must pass the fit's
-    projected-gradient gate; only the resamples whose linear inverse
-    leaves the box run the boundary polish of :func:`fit_dataset`.
+    right-hand side per resample, and one broadcast of the fit's gradient
+    gate; only the resamples whose linear inverse leaves the box run the
+    boundary polish of :func:`fit_dataset`.
     ``config``'s ``seed`` fixes the resampling.  A refit fails when a resampled
     R leaves (0, R_UPPER_SANITY] or its gradient gate fails.  Returns the
     empirical covariance of (mu, L1, L2) and a 95% percentile interval for
@@ -439,27 +472,22 @@ def bootstrap_uncertainty(
     gq, n = data.quantum_gain, data.n_points
     model_r = closed_form_noise_reduction(fit.mu_hat, fit.l1_hat, fit.l2_hat, gq)
     residuals = data.noise_ratio - model_r
-    rs = np.array([model_r + residuals[rng.integers(0, n, size=n)] for _ in range(n_resamples)])
+    rs = model_r + residuals[rng.integers(0, n, size=(n_resamples, n))]  # row by row as drawn one by one
     valid = np.all((rs > 0.0) & (rs <= R_UPPER_SANITY), axis=1)
     design, w, hi = noise_reduction_regressors(gq), data.weights, _box(1, config)
     xs, inside = _linear_solution(design, rs, w, hi)
-
-    params, corr_db, failures = [], [], 0
-    for r, ok, x, interior in zip(rs, valid, xs, inside):
-        if ok and interior and _projected_gradient(x, [(design, r, w)], hi)[1] < GRAD_TOL:
-            mu, l1, l2, _, x_plus_db = _physical(*x)
-        elif ok and not interior:
-            try:
-                res = fit_dataset(NoiseDataset(gq, r, data.sigma, data.label), config)
-            except UnstableFitError:
-                failures += 1
-                continue
-            mu, l1, l2, x_plus_db = res.mu_hat, res.l1_hat, res.l2_hat, res.correlation_db
-        else:
+    interior = valid & inside & (_projected_gradient(xs, [(design, rs, w)], hi)[1] < GRAD_TOL)
+    mu, l1, l2, _, x_plus_db = _physical(*xs[interior].T)
+    params, corr_db = np.stack([mu, l1, l2], axis=-1).tolist(), x_plus_db.tolist()
+    failures = int(np.sum(~valid | (inside & ~interior)))
+    for r in rs[valid & ~inside]:
+        try:
+            res = fit_dataset(NoiseDataset(gq, r, data.sigma, data.label), config)
+        except UnstableFitError:
             failures += 1
             continue
-        params.append([mu, l1, l2])
-        corr_db.append(x_plus_db)
+        params.append([res.mu_hat, res.l1_hat, res.l2_hat])
+        corr_db.append(res.correlation_db)
     if failures > 0.2 * n_resamples:
         raise UnstableFitError(
             f"{failures}/{n_resamples} bootstrap refits failed; uncertainty not trustworthy"

@@ -432,9 +432,9 @@ def closed_form_noise_reduction(
     return float(r) if r.ndim == 0 else r
 
 
-def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwave: float) -> float:
+def joint_quadrature_variance(prep_gain, loss_stokes, loss_spinwave):
     """Variance of the summed Stokes/spin-wave quadrature after the prep
-    stage and the inter-stage losses.
+    stage and the inter-stage losses; scalars give a float, arrays broadcast.
 
     This is the infinite-readout-gain limit of 2R: the readout stage at
     lambda -> 1 measures exactly this joint quadrature.  Uncorrelated
@@ -445,13 +445,14 @@ def joint_quadrature_variance(prep_gain: float, loss_stokes: float, loss_spinwav
     [1/(mu + nu) + 2 nu (L1 + L2 - L1 L2)/(1 + sqrt(T1 T2))]/(mu + nu), which
     keep their precision at large gain, where the direct form cancels to 0.
     """
-    mu, l1, l2 = float(prep_gain), loss_stokes, loss_spinwave
+    mu, l1, l2 = np.asarray(prep_gain, dtype=float), loss_stokes, loss_spinwave
     _check_prep_and_losses(mu, l1, l2)
-    nu = math.sqrt((mu - 1.0) * (mu + 1.0))
+    nu = np.sqrt((mu - 1.0) * (mu + 1.0))
     s = mu + nu
-    return 2.0 * nu * nu * (math.sqrt(1.0 - l1) - math.sqrt(1.0 - l2)) ** 2 + 2.0 * (
-        1.0 / s + 2.0 * nu * (l1 + l2 - l1 * l2) / (1.0 + math.sqrt((1.0 - l1) * (1.0 - l2)))
+    x_plus = 2.0 * nu * nu * (np.sqrt(1.0 - l1) - np.sqrt(1.0 - l2)) ** 2 + 2.0 * (
+        1.0 / s + 2.0 * nu * (l1 + l2 - l1 * l2) / (1.0 + np.sqrt((1.0 - l1) * (1.0 - l2)))
     ) / s
+    return float(x_plus) if np.ndim(x_plus) == 0 else x_plus
 
 
 def correlation_estimate_from_ratio(noise_ratio: float) -> float:

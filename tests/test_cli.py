@@ -10,6 +10,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -881,13 +882,60 @@ def readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("ramansim ")]
 
 
-def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+#: the committed noisy sweep that the README's fit example reads
+NOISY_SWEEP = Path(__file__).resolve().parents[1] / "data" / "noisy-sweep.csv"
+
+
+@pytest.fixture()
+def readme_dir(tmp_path, monkeypatch):
+    """A working directory holding the README's data files, as a checkout does."""
+    shutil.copytree(NOISY_SWEEP.parent, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_readme_command_block_runs(readme_dir, capsys):
     """Every command of the README block exits 0, in order, in one directory."""
     commands = readme_commands()
     assert [argv[0] for argv in commands] == list(cli._COMMANDS)
-    monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run_cli(*argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_fit_example_has_a_nonzero_interval(readme_dir, capsys):
+    """The README's ``fit --bootstrap`` example reads noisy data, so its
+    95% interval has a width (a noiseless sweep gives zero width)."""
+    (argv,) = [argv for argv in readme_commands() if argv[0] == "fit"]
+    assert "--bootstrap" in argv
+    assert run_cli(*argv) == 0
+    report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if line)
+    lo, hi = map(float, report["correlation_db_ci_95"].strip("[]").split(", "))
+    assert lo < float(report["correlation_db"]) < hi
+    assert report["bootstrap_failures"] == "0/200"
+
+
+def test_noisy_sweep_is_its_stated_draw(tmp_path):
+    """data/noisy-sweep.csv is the gain sweep its header names plus the
+    noise it states, written to 12 significant digits."""
+    header = [line[2:] for line in NOISY_SWEEP.read_text().splitlines() if line.startswith("# ")]
+    argv = shlex.split(header[0].split("ramansim ", 1)[1])
+    assert "numpy.random.default_rng(2026).normal(0, sigma)" in header[1]
+    assert run_cli(*argv, "--out", str(tmp_path / "sweep.csv")) == 0
+    clean, noisy = load_noise_csv(str(tmp_path / "sweep.csv")), load_noise_csv(str(NOISY_SWEEP))
+    sigma = 0.01 * clean.noise_ratio
+    drawn = clean.noise_ratio + np.random.default_rng(2026).normal(0.0, sigma)
+    assert np.array_equal(noisy.quantum_gain, clean.quantum_gain)
+    assert noisy.sigma == pytest.approx(sigma, rel=1e-11, abs=0.0)
+    assert noisy.noise_ratio == pytest.approx(drawn, rel=1e-11, abs=0.0)
+
+
+def test_fitting_import_leaves_out_the_scipy_optimizer():
+    """The fit has its own polish: importing ramansim.fitting loads no
+    scipy.optimize, which costs a cold CLI process ~0.4 s."""
+    proc = run_python("-c", "import sys, ramansim.fitting; print('scipy.optimize' in sys.modules)",
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_readme_names_only_real_flags():
