@@ -115,7 +115,8 @@ def paper_battery() -> list[tuple[str, CascadeScenario]]:
     reports: prep gain 1.17, readout quantum gain 32 (15 dB), scan phase pi;
     losses 0.1/0.1 and one unequal pair, and a prep pump phase of 0.3 that
     moves the output off the minimum.  Only ``N_MAX_LIMIT`` is adequate
-    here; at phase 0 (the noise maximum) even that truncation refuses."""
+    here, so oracle-check starts it there; at phase 0 (the noise maximum)
+    even that truncation refuses."""
     readout = AmplifierParams.from_quantum_gain(32.0)
     return [
         (f"mu1.17+gq32_phi3.14_L{l1}_{l2}_theta{theta}",

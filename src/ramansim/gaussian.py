@@ -30,6 +30,7 @@ SYMMETRY_RTOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_EYE4 = np.eye(4)
 
 
 class NumericalError(RuntimeError):
@@ -59,7 +60,7 @@ def _is_symplectic(s: np.ndarray) -> bool:
     """S Omega S^T = Omega for every matrix of a ``(..., 2n, 2n)`` stack:
     ``np.allclose(S Omega S^T, Omega, atol=SYMPLECTIC_ATOL)`` written out."""
     omega, bound = _symplectic_check(s.shape[-1] // 2)
-    return bool(np.all(np.abs(s @ omega @ np.swapaxes(s, -1, -2) - omega) <= bound))
+    return bool((np.abs(s @ omega @ s.swapaxes(-1, -2) - omega) <= bound).all())
 
 
 def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
@@ -71,14 +72,12 @@ def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
     symplectic matrix at working precision is a range error naming
     ``name``; its overflow is silenced.
     """
-    gain = np.asarray(gain, dtype=float)
+    gain = np.asarray(gain, dtype=float)[..., None, None]
     c, s = np.cos(pump_phase), np.sin(pump_phase)
-    mat = np.zeros(gain.shape + (4, 4))
-    mat[..., range(4), range(4)] = gain[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.sqrt(gain * gain - 1.0)
-        # X/Y coupling block of the conjugate term g e^{i theta} b^dag
-        mat[..., :2, 2:] = mat[..., 2:, :2] = g[..., None, None] * np.array([[c, s], [s, -c]])
+        # G I + g P(theta), P the X/Y coupling of the conjugate term g e^{i theta} b^dag
+        mat = gain * _EYE4 + np.sqrt(gain * gain - 1.0) * np.array(
+            [[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
         if _is_symplectic(mat):
             return mat
     raise ValueError(f"{name} {np.max(gain):g} is out of range: its squeezer is not "
@@ -92,13 +91,11 @@ def _rotation_matrix(phi) -> np.ndarray:
 
 
 def _attenuate(mean: np.ndarray, cov: np.ndarray, loss: np.ndarray):
-    """Pure loss given per quadrature, ``loss`` of shape ``(..., 2n)``: the
-    mean scales by sqrt(1 - loss), cov by its outer product, and the lost
-    fraction of vacuum noise is added on the diagonal."""
+    """Pure loss given per quadrature by one ``(2n,)`` vector ``loss``: the
+    means ``(..., 2n)`` scale by sqrt(1 - loss), the covs by its outer
+    product, and the lost fraction of vacuum noise is added on the diagonal."""
     scale = np.sqrt(1.0 - loss)
-    cov = cov * scale[..., :, None] * scale[..., None, :]
-    cov[..., range(loss.shape[-1]), range(loss.shape[-1])] += loss
-    return mean * scale, cov
+    return mean * scale, cov * scale[:, None] * scale + np.diag(loss)
 
 
 def _frozen(name: str, value) -> np.ndarray:

@@ -39,6 +39,7 @@ from .gaussian import (
 #: loss-pairing variants of the closed-form noise reduction (see
 #: closed_form_noise_reduction)
 PAIRINGS = ("cascade", "swapped")
+_FLOAT_MAX = np.finfo(float).max
 
 
 def linear_to_db(value):
@@ -102,9 +103,9 @@ def gain_ratio_from_quantum_gain(quantum_gain):
     it tends to 1 for large gain (gq is clamped to the largest float, so infinity maps to exactly 1).
     """
     gq = np.asarray(quantum_gain, dtype=float)
-    if not np.all(gq >= 1.0):
+    if not (gq >= 1.0).all():
         raise ValueError("quantum_gain must be >= 1")
-    gq = np.minimum(gq, np.finfo(float).max)
+    gq = np.minimum(gq, _FLOAT_MAX)
     out = np.sqrt((gq - 1.0) / (gq + 1.0))
     return float(out) if out.ndim == 0 else out
 
@@ -286,7 +287,7 @@ def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
     output transmission and loss, V(phi) = a + b cos(phi) + c sin(phi) with
 
         a = T (tr(C_aa) |p|^2 / 2 + q^T C_bb q) + L,
-        b - i c = 2T (p0 - i p1) (C_ab q)_0 + 2T (p1 + i p0) (C_ab q)_1
+        b = p0 w0 + p1 w1,  c = p1 w0 - p0 w1,  w = 2T C_ab q
 
     (the cross term 2 p^T R(phi) C_ab q); the minimum is a - hypot(b, c) at
     atan2(-c, -b).  An anisotropic C_aa adds the second harmonic
@@ -299,16 +300,16 @@ def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
     t, loss = 1.0 - scenario.channel.output_loss, scenario.channel.output_loss
     c00, c01, c11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
     p_sq = p0 * p0 + p1 * p1
-    w = (cov[..., :2, 2:] @ q[..., None])[..., 0]
+    w = 2.0 * t * (cov[..., :2, 2:] @ q[..., None])[..., 0]
     qcq = (q[..., None, :] @ cov[..., 2:, 2:] @ q[..., None])[..., 0, 0]
     a = t * (0.5 * (c00 + c11) * p_sq + qcq) + loss
-    z = 2.0 * t * ((p0 - 1j * p1) * w[..., 0] + (p1 + 1j * p0) * w[..., 1])
-    b, c = z.real, -z.imag
+    b, c = p0 * w[..., 0] + p1 * w[..., 1], p1 * w[..., 0] - p0 * w[..., 1]
     second = t * p_sq * np.hypot(0.5 * (c00 - c11), c01)
-    if not np.all((second <= _HARMONIC_RTOL * a) & np.isfinite(a) & np.isfinite(z)):
+    minimum = a - np.hypot(b, c)  # not finite when any of a, b, c is not
+    if not ((second <= _HARMONIC_RTOL * a) & np.isfinite(minimum)).all():
         raise HarmonicFitError(f"phase trace is not a first harmonic: second harmonic up "
                                f"to {np.max(second):.3e}, mean level from {np.min(a):.3e}")
-    return np.arctan2(-c, -b) % (2.0 * np.pi), a - np.hypot(b, c)
+    return np.arctan2(-c, -b) % (2.0 * np.pi), minimum
 
 
 def min_noise_over_phase(scenario: CascadeScenario) -> tuple[float, float]:
@@ -348,25 +349,31 @@ def noise_reduction_ratio(scenario: CascadeScenario) -> float:
 # closed forms
 
 
+def _gain_columns(quantum_gain):
+    """The last two columns of :func:`noise_reduction_regressors`, unstacked."""
+    lam = gain_ratio_from_quantum_gain(quantum_gain)
+    denom = 1.0 + lam * lam
+    return 1.0 / denom, lam / denom
+
+
 def noise_reduction_regressors(quantum_gain) -> np.ndarray:
     """Columns ``(1, 1/(1 + lambda^2), lambda/(1 + lambda^2))``, shape
     ``(..., 3)``, in which R is exactly linear (see
     :func:`noise_reduction_coefficients`); gq = infinity gives lambda = 1."""
-    lam = np.asarray(gain_ratio_from_quantum_gain(quantum_gain), dtype=float)
-    denom = 1.0 + lam * lam
-    return np.stack([np.ones_like(lam), 1.0 / denom, lam / denom], axis=-1)
+    x1, x2 = _gain_columns(quantum_gain)
+    return np.stack([np.ones_like(x1), x1, x2], axis=-1)
 
 
 #: largest prep gain whose closed-form terms, up to 4 mu^2, stay finite
-_PREP_GAIN_MAX = math.sqrt(np.finfo(float).max) / 2.0
+_PREP_GAIN_MAX = math.sqrt(_FLOAT_MAX) / 2.0
 
 
 def _check_prep_and_losses(mu, l1, l2) -> None:
     """Reject a prep gain below 1 or above _PREP_GAIN_MAX or a loss outside
     [0, 1], NaN included; scalars or arrays.  One reduction accepts; the
     failing value is found only after."""
-    if np.all((mu >= 1.0) & (mu <= _PREP_GAIN_MAX) & (l1 >= 0.0) & (l1 <= 1.0)
-              & (l2 >= 0.0) & (l2 <= 1.0)):
+    if ((mu >= 1.0) & (mu <= _PREP_GAIN_MAX) & (l1 >= 0.0) & (l1 <= 1.0)
+            & (l2 >= 0.0) & (l2 <= 1.0)).all():
         return
     if not np.all(mu >= 1.0):
         raise ValueError("prep_gain must be >= 1")
@@ -422,13 +429,13 @@ def closed_form_noise_reduction(
     for comparison against data reduced under the other convention.
 
     R is evaluated as alpha + beta/(1 + lambda^2) + gamma lambda/(1 + lambda^2)
-    through :func:`noise_reduction_coefficients` and
+    through :func:`noise_reduction_coefficients` and the columns of
     :func:`noise_reduction_regressors`, the linear form the fitter solves.
     Scalar or broadcastable array arguments are accepted.
     """
     alpha, beta, gamma = noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing)
-    x = noise_reduction_regressors(quantum_gain)
-    r = alpha * x[..., 0] + beta * x[..., 1] + gamma * x[..., 2]
+    x1, x2 = _gain_columns(quantum_gain)
+    r = alpha + beta * x1 + gamma * x2
     return float(r) if r.ndim == 0 else r
 
 

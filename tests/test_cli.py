@@ -634,7 +634,15 @@ class TestOracleCheck:
             crosscheck, "run_battery", lambda battery, n_max: seen.append(n_max) or stub
         )
         assert run_cli("oracle-check", "--truncation", str(N_MAX_LIMIT)) == 0
-        assert seen == [N_MAX_LIMIT]
+        assert seen == [N_MAX_LIMIT, N_MAX_LIMIT]  # the standard battery, then the paper one
+
+    def test_paper_battery_starts_at_the_cap(self, capsys):
+        """The real batteries at the lowest truncation: the standard one
+        doubles from 2, the paper one starts at the cap, where it passes."""
+        assert run_cli("oracle-check", "--truncation", "2") == 0
+        out = capsys.readouterr().out
+        assert f"# start_truncation = standard 2, paper {N_MAX_LIMIT}\n" in out
+        assert "# status = PASS" in out
 
 
 class TestConfigFile:

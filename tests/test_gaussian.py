@@ -16,7 +16,9 @@ from ramansim.gaussian import (
     mean_amplitude,
     mean_photon_number,
     phase_shift,
+    _attenuate,
     _is_symplectic,
+    _squeezer_matrix,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_squeezer,
@@ -190,6 +192,52 @@ class TestTwoModeSqueezer:
         raises no RuntimeWarning."""
         with pytest.raises(ValueError, match="gain .* is out of range"):
             two_mode_squeezer(0, 1, gain)
+
+
+class TestBroadcastBuildsAgainstEntrywise:
+    """The cascade kernel's squeezer and loss builds against the entry-by-entry
+    forms they replace, on random stacks."""
+
+    @staticmethod
+    def entrywise_squeezer(gain, pump_phase):
+        gain = np.asarray(gain, dtype=float)
+        c, s = np.cos(pump_phase), np.sin(pump_phase)
+        mat = np.zeros(gain.shape + (4, 4))
+        mat[..., range(4), range(4)] = gain[..., None]
+        g = np.sqrt(gain * gain - 1.0)
+        mat[..., :2, 2:] = mat[..., 2:, :2] = g[..., None, None] * np.array([[c, s], [s, -c]])
+        return mat
+
+    def test_squeezer_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(4101)
+        for shape in [(), (5,), (3, 4)]:
+            for _ in range(100):
+                gain = 1.0 + 10.0 ** rng.uniform(-12.0, 3.0, size=shape)
+                pump_phase = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
+                got = _squeezer_matrix(gain, pump_phase, "gain")
+                want = self.entrywise_squeezer(gain, pump_phase)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # at gain 1 only the sign of a zero coupling entry may differ
+        for pump_phase in (0.0, 2.0, np.pi):
+            assert np.array_equal(_squeezer_matrix([1.0, 1.0], pump_phase, "gain"),
+                                  self.entrywise_squeezer([1.0, 1.0], pump_phase))
+
+    def test_attenuate_matches_fancy_index(self):
+        rng = np.random.default_rng(4102)
+        for n_quad in (2, 4, 6):
+            for shape in [(), (7,)]:
+                a = rng.normal(size=shape + (n_quad, n_quad))
+                cov = a @ np.swapaxes(a, -1, -2) + np.eye(n_quad)
+                mean = rng.normal(size=shape + (n_quad,))
+                loss = np.where(rng.random(n_quad) < 0.2, rng.integers(2, size=n_quad),
+                                rng.random(n_quad))
+                scale = np.sqrt(1.0 - loss)
+                want = cov * scale[..., :, None] * scale[..., None, :]
+                want[..., range(n_quad), range(n_quad)] += loss
+                got_mean, got_cov = _attenuate(mean, cov, loss)
+                np.testing.assert_array_max_ulp(got_cov, want, maxulp=1)
+                np.testing.assert_array_max_ulp(got_mean, mean * scale, maxulp=1)
 
 
 class TestPhaseShift:

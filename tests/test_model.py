@@ -29,6 +29,7 @@ from ramansim.model import (
     min_noise_over_phase,
     noise_reduction_coefficients,
     noise_reduction_ratio,
+    noise_reduction_regressors,
     noise_vs_phase,
     prep_gain_sweep,
     quantum_gain_sweep,
@@ -391,6 +392,22 @@ class TestClosedForm:
                 closed_form_noise_reduction(mu, l1, l2, gq), abs=1e-9
             )
 
+    def test_equals_coefficients_on_regressors(self):
+        """Bit for bit the dot product of the coefficients with the stacked
+        regressors, on arrays and scalars, gq = 1 and infinity included."""
+        rng = np.random.default_rng(14)
+        mu, l1, l2 = 1.0 + 2.0 * rng.random(64), rng.random(64), rng.random(64)
+        gq = np.concatenate([[1.0, np.inf], 1.0 + 10.0 ** rng.uniform(-9.0, 9.0, 62)])
+        cases = [(mu, l1, l2, gq)] + [tuple(float(v[i]) for v in (mu, l1, l2, gq)) for i in range(6)]
+        for pairing in model.PAIRINGS:
+            for args in cases:
+                alpha, beta, gamma = noise_reduction_coefficients(*args[:3], pairing)
+                x = noise_reduction_regressors(args[3])
+                want = alpha * x[..., 0] + beta * x[..., 1] + gamma * x[..., 2]
+                got = closed_form_noise_reduction(*args, pairing)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
     def test_pairings_coincide_for_equal_losses(self):
         a = closed_form_noise_reduction(1.4, 0.25, 0.25, 12.0, pairing="cascade")
         b = closed_form_noise_reduction(1.4, 0.25, 0.25, 12.0, pairing="swapped")
@@ -537,6 +554,28 @@ class TestSweeps:
         np.testing.assert_array_equal(trace.values, gqs)
         assert np.all(np.diff(trace.variance_linear) < 0)
         assert trace.variance_linear[-1] > HEADLINE_X_PLUS / 2.0
+
+
+    @pytest.mark.parametrize("gain", [1e8, 1e200])
+    def test_squeezer_range_error_through_model_paths(self, gain, recwarn):
+        """A gain beyond working precision, on either stage of the phase
+        minimum, the scan and the sweeps, is a range error naming it."""
+        big, small = AmplifierParams(gain), AmplifierParams(1.2)
+        calls = [
+            ("prep_gain", lambda: min_noise_over_phase(CascadeScenario(big, small))),
+            ("readout gain", lambda: min_noise_over_phase(CascadeScenario(small, big))),
+            ("prep_gain", lambda: noise_vs_phase(CascadeScenario(big, small), 8)),
+            ("readout gain", lambda: noise_vs_phase(CascadeScenario(small, big), 8)),
+            ("prep_gain", lambda: prep_gain_sweep([1.2, gain], small, ChannelParams(0.1, 0.2))),
+            ("readout gain", lambda: prep_gain_sweep([1.2, 1.5], big, ChannelParams(0.1, 0.2))),
+            ("prep_gain", lambda: quantum_gain_sweep([2.0, 8.0], big, ChannelParams(0.1, 0.2))),
+            ("readout gain", lambda: quantum_gain_sweep([2.0, min(2.0 * gain * gain - 1.0, 1e300)],
+                                                        small, ChannelParams(0.1, 0.2))),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"^{name} .* is out of range"):
+                call()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestFringes:
