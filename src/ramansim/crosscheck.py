@@ -55,12 +55,14 @@ def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
     ``N_MAX_LIMIT``.
 
     Raises:
-        ValueError: ``n_max`` lies outside [2, N_MAX_LIMIT], or the scenario
-            has a seed or an output loss.
+        ValueError: ``n_max`` is not an integer (a bool is not one) within
+            [2, N_MAX_LIMIT], or the scenario has a seed or an output loss.
         TruncationError: the circuit still fails at ``N_MAX_LIMIT``.
     """
-    if not 2 <= n_max <= N_MAX_LIMIT:
-        raise ValueError(f"truncation must be within [2, {N_MAX_LIMIT}], got {n_max}")
+    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
+            or not 2 <= n_max <= N_MAX_LIMIT):
+        raise ValueError(f"truncation must be an integer within [2, {N_MAX_LIMIT}], "
+                         f"got {n_max!r}")
     n, m = n_max, min(16, n_max)
     while True:
         try:

@@ -11,7 +11,8 @@ psi[n_a, n_ea, n_eb] of shape (n_max + 1, 1 | M + 1, 1 | M + 1), n_b implied
 An environment axis has length 1 until its loss gives it its own
 truncation M <= n_max.  The squeezer acts on the chains of fixed
 c = n_ea - n_eb that the store holds, through cached exponentials of
-tridiagonal generators; a splitter on a vacuum environment is a binomial law.
+tridiagonal generators; being symmetric in a and b, it gives chains c and -c
+one block.  A splitter on a vacuum environment is a binomial law.
 
 Truncation adequacy is policed, not assumed: builders and squeezers check
 the population at the edge of all four modes (n_max, or M for an
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .gaussian import NumericalError
 
@@ -109,12 +109,12 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
     """TMSV in Schmidt form: psi(n, n) = (e^{i theta} tanh r)^n / cosh r.
 
     Refuses (TruncationError) when the highest retained coefficient is not
-    negligible, i.e. tanh(r)^n_max / cosh(r) >= 1e-6.
+    negligible against the first, i.e. tanh(r)^n_max >= TAIL_TOL.
     """
     _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")
-    tail = np.tanh(r) ** n_max / np.cosh(r)
+    tail = np.tanh(r) ** n_max
     if tail >= TAIL_TOL:
         raise TruncationError(
             f"TMSV r={r} tail amplitude {tail:.2e} at n_max={n_max} exceeds {TAIL_TOL}"
@@ -132,15 +132,26 @@ def edge_population(state: FockState) -> float:
 
 @lru_cache(maxsize=128)
 def _squeeze_block(coupling: complex, n_max: int, c: int) -> np.ndarray:
-    """exp(K) of the squeezer on the chain c = n_b - n_a, n_a from max(0, -c)
-    to n_max - max(0, c): K[k+1, k] = -K[k, k+1]* = g sqrt((n_a + 1)(n_b + 1)).
+    """exp(K) of the squeezer on the chains n_b - n_a = c and -c, c >= 0,
+    which share it: with k counting from a chain's first entry,
+    K[k+1, k] = -K[k, k+1]* = g sqrt((k + 1)(k + 1 + c)).
     K = i D T D^dag with T real symmetric tridiagonal and D = diag(e^{i k alpha}),
-    alpha = arg g - pi/2, so exp(K) = D V e^{i Lambda} V^T D^dag."""
-    n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
-    weights = abs(coupling) * np.sqrt((n_a + 1.0) * (n_a + 1.0 + c))
-    lam, v = eigh_tridiagonal(np.zeros(len(n_a) + 1), weights)
-    gauge = np.exp(1j * (np.angle(coupling) - np.pi / 2.0) * np.arange(len(lam)))
-    block = (gauge[:, None] * v * np.exp(1j * lam)) @ (v.T * gauge.conj())
+    alpha = arg g - pi/2.  T couples even k to odd k only, through
+    B = T[0::2, 1::2] = U S V^T (reduced SVD), so exp(iT) = cos T + i sin T
+    has the even-even part I + U (cos S - 1) U^T (an odd-length chain has
+    one more even k, a zero mode of T outside U), the odd-odd part
+    V cos(S) V^T and the even-odd part i U sin(S) V^T."""
+    k = np.arange(n_max - c, dtype=float)
+    weights = abs(coupling) * np.sqrt((k + 1.0) * (k + 1.0 + c))
+    u, s, vt = np.linalg.svd((np.diag(weights, 1) + np.diag(weights, -1))[0::2, 1::2],
+                             full_matrices=False)
+    block = np.empty((len(k) + 1,) * 2, dtype=complex)
+    block[0::2, 0::2] = np.eye(len(u)) + (u * (np.cos(s) - 1.0)) @ u.T
+    block[1::2, 1::2] = (vt.T * np.cos(s)) @ vt
+    block[0::2, 1::2] = 1j * ((u * np.sin(s)) @ vt)
+    block[1::2, 0::2] = block[0::2, 1::2].T
+    gauge = np.exp(1j * (np.angle(coupling) - np.pi / 2.0) * np.arange(len(block)))
+    block *= gauge[:, None] * gauge.conj()
     block.setflags(write=False)
     return block
 
@@ -175,9 +186,9 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
     """Apply exp(r (e^{i theta} a^dag b^dag - h.c.)), which is symmetric in
     the two modes.  The chains run along n_a; the (n_ea, n_eb) columns
     sharing c = n_ea - n_eb lie on one diagonal of the environment plane, a
-    strided slice, and share a block.  Norm preservation is verified to
-    1e-8 and the edge population of the result must stay below 1e-8,
-    otherwise TruncationError."""
+    strided slice, and share a block with the diagonal of -c.  Norm
+    preservation is verified to 1e-8 and the edge population of the result
+    must stay below 1e-8, otherwise TruncationError."""
     _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -189,7 +200,7 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
         first, last = max(0, -c), min(n_eb - 1, n_ea - 1 - c)  # n_eb along the diagonal
         cols = slice(c * n_eb + first * (n_eb + 1), c * n_eb + last * (n_eb + 1) + 1, n_eb + 1)
         rows = slice(max(0, -c), d - max(0, c))
-        out[rows, cols] = _squeeze_block(coupling, state.n_max, c) @ flat[rows, cols]
+        out[rows, cols] = _squeeze_block(coupling, state.n_max, abs(c)) @ flat[rows, cols]
     out = _unitary_result(state.n_max, out.reshape(d, n_ea, n_eb), "squeezer application")
     pop = edge_population(out)
     if pop >= EDGE_TOL:

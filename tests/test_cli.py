@@ -946,6 +946,17 @@ def test_fitting_import_leaves_out_the_scipy_optimizer():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_scipy():
+    """NumPy is the only runtime dependency: importing the CLI and the
+    modules its subcommands load on demand, the Fock oracle among them,
+    loads no scipy module."""
+    proc = run_python("-c", "import sys, ramansim.cli, ramansim.crosscheck, ramansim.fitting; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_readme_names_only_real_flags():
     """Every ``--flag`` from the README's command-line usage on is accepted
     by some subcommand's parser or by the top-level one."""

@@ -143,10 +143,14 @@ class TestAdaptiveTruncation:
             assert run_fock(sc, 100).n_max == N_MAX_LIMIT, name
             assert variance_deviation(sc, 100) < AGREEMENT_TOL, name
 
-    @pytest.mark.parametrize("n_max", [1, N_MAX_LIMIT + 1])
+    @pytest.mark.parametrize("n_max", [1, N_MAX_LIMIT + 1, 40.0, 40.5, "40", True])
     def test_first_truncation_within_range(self, n_max):
-        with pytest.raises(ValueError, match=rf"truncation must be within \[2, {N_MAX_LIMIT}\]"):
+        """Out of range, or not an integer (a bool is not one either)."""
+        match = rf"truncation must be an integer within \[2, {N_MAX_LIMIT}\], got {n_max!r}"
+        with pytest.raises(ValueError, match=match):
             run_fock(LOSSLESS_ALIGNED, n_max)
+        with pytest.raises(ValueError, match=match):
+            variance_deviation(LOSSLESS_ALIGNED, n_max)
 
 
 def fock_outputs(state):

@@ -159,6 +159,15 @@ class TestTwoModeSqueezedVacuum:
         with pytest.raises(TruncationError):
             two_mode_squeezed_vacuum(1.0, n_max=10)
 
+    @pytest.mark.parametrize("r", [15.0, 800.0])
+    def test_tail_is_relative_to_the_first_term(self, r):
+        """tanh(r)^40 is ~1 at both: the truncation cannot hold the state,
+        even though the tail divided by cosh r is below TAIL_TOL (r = 15,
+        where the variance would read 40 against cosh 2r = 5.3e12) or cosh r
+        overflows (r = 800)."""
+        with pytest.raises(TruncationError, match="tail amplitude"):
+            two_mode_squeezed_vacuum(r, n_max=40)
+
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             two_mode_squeezed_vacuum(-0.1)
@@ -174,13 +183,20 @@ def chain_generator(coupling, weights):
 
 class TestChainBlocks:
     @pytest.mark.parametrize(
-        "n_max, coupling", [(8, 0.6 * np.exp(0.4j)), (40, 2.08)], ids=["n8", "n40"]
+        "n_max, coupling, step",
+        [(8, 0.6 * np.exp(0.4j), 1), (40, 2.08, 1),
+         (160, math.acosh(math.sqrt(16.5)) * np.exp(0.7j), 9)],
+        ids=["n8", "n40", "n160-paper"],
     )
-    def test_squeezer_blocks_match_expm(self, n_max, coupling):
-        for c in range(-n_max, n_max + 1):
+    def test_squeezer_blocks_match_expm(self, n_max, coupling, step):
+        """The block of |c| against expm of the signed chain-c generator,
+        n_a from max(0, -c), for every c (at n_max 160, the paper's readout
+        coupling acosh sqrt(16.5), every 9th c and the ends)."""
+        for c in sorted({*range(-n_max, n_max + 1, step), -n_max + 1, n_max - 1, n_max}):
             n_a = np.arange(max(0, -c), n_max - max(0, c), dtype=float)
             k = chain_generator(coupling, np.sqrt((n_a + 1) * (n_a + 1 + c)))
-            assert np.max(np.abs(_squeeze_block(complex(coupling), n_max, c) - expm(k))) < 1e-12
+            block = _squeeze_block(complex(coupling), n_max, abs(c))
+            assert np.max(np.abs(block - expm(k))) < 1e-12, c
 
     @pytest.mark.parametrize(
         "n_max, env_max, theta",
@@ -206,14 +222,15 @@ class TestChainBlocks:
 class TestSqueezeOperation:
     def test_blocks_built_only_for_chains_in_the_store(self):
         """The prep squeeze on vacuum environments needs the chain c = 0
-        only; a store with environments of M + 1 levels needs |c| <= M."""
+        only; a store with environments of M + 1 levels needs |c| <= M, one
+        block for each pair of chains c and -c."""
         _squeeze_block.cache_clear()
         state = apply_two_mode_squeeze(vacuum_state(20), 0.2)
         assert _squeeze_block.cache_info().currsize == 1
         state = _apply_loss(_apply_loss(state, 0, 0.3, 8), 1, 0.2, 8)
         assert state.amps.shape == (21, 9, 9)
         apply_two_mode_squeeze(state, 0.2)
-        assert _squeeze_block.cache_info().currsize == 2 * 8 + 1  # c = 0 is shared
+        assert _squeeze_block.cache_info().currsize == 8 + 1  # c = 0 is shared
 
     def test_edge_policing_on_repeated_squeezing(self):
         state = vacuum_state(16)
