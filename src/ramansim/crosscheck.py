@@ -6,11 +6,10 @@ kernel's :func:`~ramansim.model.build_cascade` gives its covariance; the
 Fock oracle replays the same five steps in the number basis with squeeze
 parameter r = acosh(gain), and the homodyne variances of the two outputs
 and their correlation <ab> are compared.  The Fock side is a pure state:
-each lossy step appends a vacuum environment mode with its own truncation
-M <= n_max.  Whenever a step reports an inadequate edge population, the run
-repeats with the truncation that failed doubled (n_max 40 -> 80 -> 160, M
-from 16 up to n_max); it refuses beyond the cap rather than returning an
-unconverged number.
+each lossy step appends a vacuum environment mode, truncated at the M <= n_max
+its binomial law fixes.  Whenever a step reports an inadequate edge
+population, the run repeats with n_max doubled (40 -> 80 -> 160); it refuses
+beyond the cap rather than returning an unconverged number.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import fock
 from .fock import TruncationError
-from .gaussian import homodyne_variance
+from .gaussian import _is_integer, homodyne_variance
 from .model import AmplifierParams, CascadeScenario, ChannelParams, build_cascade
 
 #: tolerance on the Gaussian-vs-Fock deviation of the variances and <ab>
@@ -33,7 +32,7 @@ AGREEMENT_TOL = 1e-6
 N_MAX_LIMIT = 160
 
 
-def _run_fock_once(scenario: CascadeScenario, n_max: int, env_max: int) -> fock.FockState:
+def _run_fock_once(scenario: CascadeScenario, n_max: int) -> fock.FockState:
     ch = scenario.channel
     if scenario.seed_amplitude != 0 or ch.output_loss != 0:
         raise ValueError("the Fock oracle takes no seed_amplitude and no output_loss: "
@@ -41,8 +40,8 @@ def _run_fock_once(scenario: CascadeScenario, n_max: int, env_max: int) -> fock.
     state = fock.vacuum_state(n_max=n_max)
     state = fock.apply_two_mode_squeeze(
         state, math.acosh(scenario.prep.gain), scenario.prep.pump_phase)
-    state = fock._apply_loss(state, 0, ch.loss_stokes, env_max)
-    state = fock._apply_loss(state, 1, ch.loss_spinwave, env_max)
+    state = fock.apply_loss(state, 0, ch.loss_stokes)
+    state = fock.apply_loss(state, 1, ch.loss_spinwave)
     state = fock.apply_phase_rotation(state, 0, ch.scan_phase)
     return fock.apply_two_mode_squeeze(
         state, math.acosh(scenario.readout.gain), scenario.readout.pump_phase)
@@ -50,29 +49,24 @@ def _run_fock_once(scenario: CascadeScenario, n_max: int, env_max: int) -> fock.
 
 def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
     """Run an unseeded cascade without output loss on the Fock oracle,
-    truncating a and b at ``n_max`` and the environments at M = min(16, n_max)
-    and doubling whichever fails an edge check: M up to n_max, n_max up to
-    ``N_MAX_LIMIT``.
+    truncating a and b at ``n_max`` and doubling it up to ``N_MAX_LIMIT``
+    while an edge check fails; each loss sizes its own environment.
 
     Raises:
         ValueError: ``n_max`` is not an integer (a bool is not one) within
             [2, N_MAX_LIMIT], or the scenario has a seed or an output loss.
         TruncationError: the circuit still fails at ``N_MAX_LIMIT``.
     """
-    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
-            or not 2 <= n_max <= N_MAX_LIMIT):
+    if not _is_integer(n_max) or not 2 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"truncation must be an integer within [2, {N_MAX_LIMIT}], "
                          f"got {n_max!r}")
-    n, m = n_max, min(16, n_max)
     while True:
         try:
-            return _run_fock_once(scenario, n, m)
-        except fock.EnvironmentTruncationError:
-            m = min(2 * m, n)
+            return _run_fock_once(scenario, n_max)
         except TruncationError:
-            if n == N_MAX_LIMIT:
+            if n_max == N_MAX_LIMIT:
                 raise
-            n = min(2 * n, N_MAX_LIMIT)
+            n_max = min(2 * n_max, N_MAX_LIMIT)
 
 
 def variance_deviation(scenario: CascadeScenario, n_max: int = 40) -> float:

@@ -8,16 +8,16 @@ a and e_a and -1 on b and e_b, every operation conserves
 Q = n_a - n_b + n_ea - n_eb, which is 0 from vacuum, so a state is stored as
 psi[n_a, n_ea, n_eb] of shape (n_max + 1, 1 | M + 1, 1 | M + 1), n_b implied
 (U(1)-symmetric storage; Singh, Pfeifer and Vidal, PRB 83, 115125, 2011).
-An environment axis has length 1 until its loss gives it its own
-truncation M <= n_max.  The squeezer acts on the chains of fixed
-c = n_ea - n_eb that the store holds, through cached exponentials of
-tridiagonal generators; being symmetric in a and b, it gives chains c and -c
-one block.  A splitter on a vacuum environment is a binomial law.
+A splitter on a vacuum environment is a binomial law, so an environment axis
+has length 1 until its loss gives it levels 0..M, M <= n_max the lowest
+level from which that law puts less than ENV_TOL into it.  The squeezer acts
+on the chains of fixed c = n_ea - n_eb that the store holds, through cached
+exponentials of tridiagonal generators; being symmetric in a and b, it gives
+chains c and -c one block.
 
 Truncation adequacy is policed, not assumed: builders and squeezers check
 the population at the edge of all four modes (n_max, or M for an
-environment), and a loss into a truncated environment what it holds from
-level M on; each raises TruncationError instead of silently wrong numbers.
+environment) and raise TruncationError instead of silently wrong numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import NumericalError
+from .gaussian import NumericalError, _is_integer
 
 #: maximum tolerated population at the truncation edge
 EDGE_TOL = 1e-8
@@ -44,8 +44,16 @@ class TruncationError(NumericalError):
     """The requested operation is not representable at this truncation."""
 
 
-class EnvironmentTruncationError(TruncationError):
-    """An environment axis, not n_max, is too short for its loss."""
+def _check_truncation(n_max: int) -> None:
+    """The one check of a truncation: an integer (a bool is not one) >= 1."""
+    if not _is_integer(n_max) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+
+
+def _check_mode(mode: int) -> None:
+    """The one check of a mode index: the integer 0 (a) or 1 (b), no bool."""
+    if not _is_integer(mode) or mode not in (0, 1):
+        raise ValueError(f"mode index must be 0 or 1, got {mode!r}")
 
 
 def _check_finite(**values: float) -> None:
@@ -78,10 +86,9 @@ class FockState:
     amps: np.ndarray
 
     def __post_init__(self):
+        _check_truncation(self.n_max)
         amps = np.asarray(self.amps, dtype=complex)
         d = self.n_max + 1
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
         if amps.ndim != 3 or amps.shape[0] != d or max(amps.shape[1:]) > d:
             raise ValueError(f"amps shape {amps.shape} inconsistent with n_max {self.n_max}")
         if np.any(amps[_sector(self.n_max, amps.shape)[1]]):
@@ -100,6 +107,7 @@ class FockState:
 
 def vacuum_state(n_max: int) -> FockState:
     """Both modes in |0>."""
+    _check_truncation(n_max)
     amps = np.zeros((n_max + 1, 1, 1), dtype=complex)
     amps[0, 0, 0] = 1.0
     return FockState(n_max, amps)
@@ -111,6 +119,7 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
     Refuses (TruncationError) when the highest retained coefficient is not
     negligible against the first, i.e. tanh(r)^n_max >= TAIL_TOL.
     """
+    _check_truncation(n_max)
     _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -157,16 +166,16 @@ def _squeeze_block(coupling: complex, n_max: int, c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _splitter_columns(theta: float, n_max: int, env_max: int) -> np.ndarray:
-    """Amplitude [s, k] of k <= env_max photons in a vacuum environment after
+def _splitter_columns(theta: float, n_max: int) -> np.ndarray:
+    """Amplitude [s, k] of k <= n_max photons in a vacuum environment after
     the splitter theta (m^dag e - m e^dag) acts on s photons in mode m: the
     binomial law sqrt(C(s, k)) cos^{s-k} theta (-sin theta)^k for k <= s,
     C(s, k) from log-factorials.  Rows s > n_max stay zero."""
-    s, k = np.ogrid[: n_max + 1, : env_max + 1]
+    s, k = np.ogrid[: n_max + 1, : n_max + 1]
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n_max + 1)))))
     j = np.maximum(s - k, 0)
     binom = np.exp(0.5 * (log_fact[s] - log_fact[k] - log_fact[j]))
-    out = np.zeros((2 * n_max + 1, env_max + 1))
+    out = np.zeros((2 * n_max + 1, n_max + 1))
     out[: n_max + 1] = np.where(k <= s, binom * np.cos(theta) ** j * (-np.sin(theta)) ** k, 0.0)
     out.setflags(write=False)
     return out
@@ -214,8 +223,7 @@ def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> Fo
 def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
     """Apply e^{i phi n} on one mode; on b, n_b = n_a + n_ea - n_eb."""
     _check_finite(phi=phi)
-    if mode not in (0, 1):
-        raise ValueError("mode index out of range")
+    _check_mode(mode)
     d, n_ea, n_eb = state.amps.shape
     phases = np.exp(1j * phi * np.arange(d))[:, None, None]
     if mode == 1:
@@ -226,43 +234,33 @@ def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
 
 def apply_loss(state: FockState, mode: int, loss: float) -> FockState:
     """Pure-loss channel as a beam splitter of angle arcsin(sqrt(loss)) between
-    the mode and its vacuum environment, added to the store with n_max + 1 levels."""
-    return _apply_loss(state, mode, loss, state.n_max)
-
-
-def _apply_loss(state: FockState, mode: int, loss: float, env_max: int) -> FockState:
-    """apply_loss into env_max + 1 <= n_max + 1 environment levels.  The
-    environment enters each chain n_m + n_e = s at n_e = 0, so only the
-    first column of a chain's splitter is needed; after that it is no
-    longer vacuum, so a mode takes one nonzero loss.  Below n_max, the
-    environment's population from level env_max on must stay below ENV_TOL."""
+    the mode and its vacuum environment.  The environment enters each chain
+    n_m + n_e = s at n_e = 0, so only the first column of a chain's splitter
+    is needed; after that it is no longer vacuum, so a mode takes one nonzero
+    loss.  It keeps levels 0..M, M the lowest level from which the binomial
+    law of the mode's populations holds less than ENV_TOL (else n_max)."""
     if not 0.0 <= loss <= 1.0:
         raise ValueError("loss must be within [0, 1]")
-    if mode not in (0, 1):
-        raise ValueError("mode index out of range")
+    _check_mode(mode)
     if loss == 0.0:
         return state
     d, n_ea, n_eb = state.amps.shape
     if (n_ea, n_eb)[mode] != 1:
         raise ValueError(f"mode {mode} already carries a loss; the store holds one per mode")
-    col = _splitter_columns(float(np.arcsin(np.sqrt(loss))), state.n_max, env_max)
-    s = np.add.outer(np.arange(d), np.arange(env_max + 1 if mode == 0 else n_ea))  # n_m + n_e
+    col = _splitter_columns(float(np.arcsin(np.sqrt(loss))), state.n_max)
+    tail = np.cumsum((_populations(state, mode) @ col[:d] ** 2)[::-1])  # from level n_max down
+    m = min(int(np.count_nonzero(tail >= ENV_TOL)), state.n_max)  # a tail falls as its level rises
+    s = np.add.outer(np.arange(d), np.arange(m + 1 if mode == 0 else n_ea))  # n_m + n_e
     if mode == 0:  # out[n_a, n_ea, :] = col[s, n_ea] psi[s, 0, :]
-        out = col[s, np.arange(env_max + 1)][:, :, None] * state.amps[np.minimum(s, d - 1), 0, :]
+        out = col[s, np.arange(m + 1)][:, :, None] * state.amps[np.minimum(s, d - 1), 0, :]
     else:  # out[n_a, n_ea, n_eb] = col[s, n_eb] psi[n_a, n_ea, 0], with s = n_b
-        out = col[s] * state.amps[:, :, :1]
-    kept = out[:, :-1] if mode == 0 else out[:, :, :-1]  # below level env_max
-    tail = np.vdot(state.amps, state.amps).real - np.vdot(kept, kept).real
-    if env_max < state.n_max and tail >= ENV_TOL:  # a full axis drops nothing
-        raise EnvironmentTruncationError(f"environment e_{'ab'[mode]} population {tail:.2e} "
-                                         f"from level {env_max} on exceeds {ENV_TOL}")
+        out = col[s, : m + 1] * state.amps[:, :, :1]
     return _unitary_result(state.n_max, out, "loss channel")
 
 
 def _populations(state: FockState, mode: int) -> np.ndarray:
     """Photon-number populations p_n of one mode."""
-    if mode not in (0, 1):
-        raise ValueError("mode index out of range")
+    _check_mode(mode)
     p = state.amps.real**2 + state.amps.imag**2
     if mode == 0:
         return p.sum(axis=(1, 2))

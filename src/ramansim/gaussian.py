@@ -108,10 +108,17 @@ def _frozen(name: str, value) -> np.ndarray:
     return _readonly(arr)
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _quadratures(n_modes: int | None, *modes: int) -> tuple[int, list[int]]:
     """``n_modes`` (default: the largest index + 1) and the quadrature
     indices X_m, Y_m of each of ``modes``, in order; the one check that a
-    mode index lies within [0, n_modes)."""
+    mode index is an integer within [0, n_modes)."""
+    if not all(map(_is_integer, modes)):
+        raise ValueError(f"mode indices {modes} must be integers")
     if n_modes is None:
         n_modes = max(modes) + 1
     if not all(0 <= m < n_modes for m in modes):

@@ -160,14 +160,29 @@ def fock_outputs(state):
             crosscheck.fock.pair_correlation(state)]
 
 
-def full_environment(state, sc):
-    """The same circuit with untruncated environments (M = n_max), the store
-    the truncated one must reproduce."""
-    return crosscheck._run_fock_once(sc, state.n_max, state.n_max)
+def full_environment(state, sc, monkeypatch):
+    """The same circuit with untruncated environments (ENV_TOL 0 forces
+    M = n_max), the store the truncated one must reproduce."""
+    with monkeypatch.context() as patch:
+        patch.setattr(crosscheck.fock, "ENV_TOL", 0.0)
+        return crosscheck._run_fock_once(sc, state.n_max)
+
+
+@pytest.fixture
+def attempts(monkeypatch):
+    """The truncation of every oracle attempt, in order."""
+    seen, run_once = [], crosscheck._run_fock_once
+
+    def counted(scenario, n_max):
+        seen.append(n_max)
+        return run_once(scenario, n_max)
+
+    monkeypatch.setattr(crosscheck, "_run_fock_once", counted)
+    return seen
 
 
 class TestEnvironmentTruncation:
-    def test_matches_full_environment_on_random_circuits(self):
+    def test_matches_full_environment_on_random_circuits(self, monkeypatch):
         rng = np.random.default_rng(16)
         for _ in range(24):
             r1, r2 = 0.7 * rng.random(2)
@@ -175,27 +190,44 @@ class TestEnvironmentTruncation:
             sc = cascade(r1, r2, l1, l2, 2.0 * np.pi * rng.random(),
                          *rng.uniform(-np.pi, np.pi, size=2))
             state = run_fock(sc)
-            assert state.amps.shape[1] == state.amps.shape[2] < state.dim, sc
-            full = full_environment(state, sc)
+            assert max(state.amps.shape[1:]) < state.dim, sc
+            full = full_environment(state, sc, monkeypatch)
             assert full.amps.shape == (state.dim,) * 3
             for fast, slow in zip(fock_outputs(state), fock_outputs(full)):
                 assert abs(fast - slow) <= 1e-12, sc
 
-    def test_environment_doubles_and_agrees(self):
-        """Both truncations double: n_max 40 -> 80 for the prep squeeze,
-        M 16 -> 32 for its environments."""
+    def test_environment_doubles_and_agrees(self, attempts, monkeypatch):
+        """n_max doubles 40 -> 80 for the prep squeeze; each environment then
+        keeps levels 0..M, M = 25 the lowest level from which the
+        full-environment store holds less than ENV_TOL there."""
         sc = cascade(1.1, l1=0.2, l2=0.2)
         state = run_fock(sc)
-        assert state.amps.shape == (81, 33, 33)
-        for fast, slow in zip(fock_outputs(state), fock_outputs(full_environment(state, sc))):
+        assert attempts == [40, 80]
+        assert state.amps.shape == (81, 26, 26)
+        full = full_environment(state, sc, monkeypatch)
+        p_eb = np.sum(np.abs(full.amps) ** 2, axis=(0, 1))
+        assert np.flatnonzero(np.cumsum(p_eb[::-1])[::-1] < crosscheck.fock.ENV_TOL)[0] == 25
+        for fast, slow in zip(fock_outputs(state), fock_outputs(full)):
             assert abs(fast - slow) <= 1e-12
         assert variance_deviation(sc) < AGREEMENT_TOL
 
     def test_environment_starts_at_most_at_n_max(self):
-        """M starts at min(16, n_max): at n_max 8 the environments get all
-        9 levels, the full store."""
+        """M never exceeds n_max: at n_max 8 full loss leaves more than
+        ENV_TOL at level 8, so the environments get all 9 levels."""
         state = run_fock(cascade(0.3, l1=1.0, l2=1.0), n_max=8)
         assert state.amps.shape == (9, 9, 9)
+
+
+class TestAttempts:
+    """A restart reruns a whole circuit from vacuum; only n_max restarts."""
+
+    def test_standard_battery_runs_each_circuit_once(self, attempts):
+        assert run_battery().passed
+        assert attempts == [40] * 38
+
+    def test_paper_battery_runs_each_circuit_once_at_the_cap(self, attempts):
+        assert run_battery(paper_battery(), n_max=N_MAX_LIMIT).passed
+        assert attempts == [N_MAX_LIMIT] * 3
 
 
 class TestBatteryResult:

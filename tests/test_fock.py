@@ -17,10 +17,8 @@ from scipy.special import comb
 
 import ramansim.fock as fock
 from ramansim.fock import (
-    EnvironmentTruncationError,
     FockState,
     TruncationError,
-    _apply_loss,
     _splitter_columns,
     _squeeze_block,
     apply_loss,
@@ -199,36 +197,33 @@ class TestChainBlocks:
             assert np.max(np.abs(block - expm(k))) < 1e-12, c
 
     @pytest.mark.parametrize(
-        "n_max, env_max, theta",
-        [(8, 8, 0.3), (40, 40, np.pi / 2), (40, 16, 0.7), (160, 160, np.pi / 2),
-         (160, 32, np.arcsin(np.sqrt(0.5)))],
-        ids=["n8", "n40", "n40-env16", "n160", "n160-env32"],
+        "n_max, theta",
+        [(8, 0.3), (40, np.pi / 2), (160, np.pi / 2)],
+        ids=["n8", "n40", "n160"],
     )
-    def test_splitter_columns_match_expm(self, n_max, env_max, theta):
+    def test_splitter_columns_match_expm(self, n_max, theta):
         """The binomial columns against the first column of exp of the chain
-        generator, cut at env_max photons in the environment; at n_max 160
-        every 10th photon number and the last."""
-        cols = _splitter_columns(theta, n_max, env_max)
-        assert cols.shape == (2 * n_max + 1, env_max + 1)
+        generator; at n_max 160 every 10th photon number and the last."""
+        cols = _splitter_columns(theta, n_max)
+        assert cols.shape == (2 * n_max + 1, n_max + 1)
         for s in sorted({*range(0, n_max + 1, 1 if n_max <= 40 else 10), n_max}):
             n_e = np.arange(s, dtype=float)
             k = chain_generator(-theta, np.sqrt((n_e + 1) * (s - n_e)))
-            kept = min(s, env_max) + 1
-            assert np.max(np.abs(cols[s, :kept] - expm(k)[:kept, 0])) < 1e-12
-            assert not np.any(cols[s, kept:])
+            assert np.max(np.abs(cols[s, : s + 1] - expm(k)[:, 0])) < 1e-12
+            assert not np.any(cols[s, s + 1 :])
         assert not np.any(cols[n_max + 1 :])
 
 
 class TestSqueezeOperation:
     def test_blocks_built_only_for_chains_in_the_store(self):
         """The prep squeeze on vacuum environments needs the chain c = 0
-        only; a store with environments of M + 1 levels needs |c| <= M, one
-        block for each pair of chains c and -c."""
+        only; a store with environments of M_a + 1 and M_b + 1 levels needs
+        -M_b <= c <= M_a, one block for each pair of chains c and -c."""
         _squeeze_block.cache_clear()
         state = apply_two_mode_squeeze(vacuum_state(20), 0.2)
         assert _squeeze_block.cache_info().currsize == 1
-        state = _apply_loss(_apply_loss(state, 0, 0.3, 8), 1, 0.2, 8)
-        assert state.amps.shape == (21, 9, 9)
+        state = apply_loss(apply_loss(state, 0, 0.3), 1, 0.2)
+        assert state.amps.shape == (21, 9, 8)
         apply_two_mode_squeeze(state, 0.2)
         assert _squeeze_block.cache_info().currsize == 8 + 1  # c = 0 is shared
 
@@ -347,32 +342,34 @@ class TestLossChannel:
 
 class TestTruncatedEnvironment:
     @pytest.mark.parametrize("mode", [0, 1])
-    def test_matches_full_environment(self, mode):
-        """A loss into M + 1 environment levels keeps the full store's
-        amplitudes on those levels when the rest holds below ENV_TOL."""
+    def test_matches_full_environment(self, mode, monkeypatch):
+        """A loss keeps environment levels 0..M, M the lowest level from which
+        the full environment (ENV_TOL 0 forces M = n_max) holds less than
+        ENV_TOL, and the full store's amplitudes on those levels."""
         state = apply_two_mode_squeeze(vacuum_state(30), 0.4, 0.3)
         if mode == 1:
             state = apply_loss(state, 0, 0.3)
+        cut, env_tol = apply_loss(state, mode, 0.6), fock.ENV_TOL
+        monkeypatch.setattr(fock, "ENV_TOL", 0.0)
         full = apply_loss(state, mode, 0.6)
-        cut = _apply_loss(state, mode, 0.6, 16)
-        kept = full.amps[:, :17] if mode == 0 else full.amps[:, :, :17]
+        assert full.amps.shape[1 + mode] == 31
+        pop = np.sum(np.abs(full.amps) ** 2, axis=(0, 2 - mode))  # per environment level
+        tail = np.cumsum(pop[::-1])[::-1]  # held from each level on
+        m = np.flatnonzero(tail < env_tol)[0]
+        assert m < 30
+        kept = full.amps[:, : m + 1] if mode == 0 else full.amps[:, :, : m + 1]
         assert cut.amps.shape == kept.shape
         assert np.max(np.abs(cut.amps - kept)) < 1e-12
 
-    def test_full_axis_equals_apply_loss(self):
-        state = apply_two_mode_squeeze(vacuum_state(12), 0.3)
-        assert np.array_equal(_apply_loss(state, 1, 0.4, 12).amps, apply_loss(state, 1, 0.4).amps)
-
-    @pytest.mark.parametrize("n, loss, edge_level", [(8, 1.0, False), (6, 0.5, True)])
-    def test_overfull_environment_refused(self, n, loss, edge_level):
-        """|n, n> into M = 4 levels: beyond the edge only (full loss puts all
-        n photons in the environment), or at the edge as well."""
+    @pytest.mark.parametrize("n", [1, 6, 8])
+    def test_full_loss_keeps_one_level_past_n(self, n):
+        """|n, n> under full loss puts all n photons of b into e_b, which
+        holds nothing from level n + 1 on: it keeps levels 0..n + 1."""
         amps = np.zeros((2 * n + 1, 1, 1), dtype=complex)
         amps[n] = 1.0
-        with pytest.raises(EnvironmentTruncationError, match="environment e_b") as refusal:
-            _apply_loss(FockState(2 * n, amps), 1, loss, 4)
-        assert isinstance(refusal.value, TruncationError)  # not a norm-drift NumericalError
-        assert (comb(n, 4) * loss**4 * (1 - loss) ** (n - 4) >= 1e-8) == edge_level
+        out = apply_loss(FockState(2 * n, amps), 1, 1.0)
+        assert out.amps.shape == (2 * n + 1, 1, n + 2)
+        assert abs(out.amps[n, 0, n]) == pytest.approx(1.0, abs=1e-15)
 
     def test_environment_edge_counted(self):
         amps = np.zeros((6, 3, 1), dtype=complex)
@@ -492,6 +489,37 @@ class TestValidation:
     def test_non_finite_parameter_rejected(self, call, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
             call(bad)
+
+    @pytest.mark.parametrize("mode", [2, -1, 1.0, True, np.True_])
+    @pytest.mark.parametrize("call", [
+        lambda state, mode: apply_loss(state, mode, 0.1),
+        lambda state, mode: apply_phase_rotation(state, mode, 0.3),
+        quadrature_variance,
+        mean_photon_number,
+    ], ids=["loss", "rotation", "variance", "photons"])
+    def test_every_mode_index_has_one_check(self, call, mode):
+        """Out of range, or not an integer (a bool is not one)."""
+        state = two_mode_squeezed_vacuum(0.1, n_max=10)
+        with pytest.raises(ValueError, match=rf"^mode index must be 0 or 1, got {mode!r}$"):
+            call(state, mode)
+
+    def test_numpy_integer_mode_index_accepted(self):
+        state = apply_loss(two_mode_squeezed_vacuum(0.1, n_max=10), np.int64(1), 0.5)
+        assert quadrature_variance(state, np.int32(1)) == quadrature_variance(state, 1)
+
+    @pytest.mark.parametrize("n_max", [True, 4.0, 0, -2])
+    @pytest.mark.parametrize("build", [
+        vacuum_state,
+        lambda n_max: two_mode_squeezed_vacuum(0.1, n_max=n_max),
+        lambda n_max: FockState(n_max, vacuum_state(max(int(n_max), 1)).amps),
+    ], ids=["vacuum", "tmsv", "state"])
+    def test_truncation_must_be_a_positive_integer(self, build, n_max):
+        """One check for the state and its builders; a bool is not an integer."""
+        with pytest.raises(ValueError, match=rf"^n_max must be an integer >= 1, got {n_max!r}$"):
+            build(n_max)
+
+    def test_numpy_integer_truncation_accepted(self):
+        assert vacuum_state(np.int64(4)).amps.shape == (5, 1, 1)
 
     def test_sector_enforced(self):
         amps = np.zeros((5, 5, 5), dtype=complex)

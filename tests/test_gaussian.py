@@ -332,10 +332,22 @@ class TestStateAndOpValidation:
         lambda: homodyne_variance(vacuum(2), -1),
         lambda: mean_amplitude(vacuum(1), 1),
         lambda: mean_photon_number(vacuum(2), -1),
+        lambda: apply_loss(vacuum(2), 1.0, 0.1),
+        lambda: phase_shift(1.0, 0.3),
+        lambda: two_mode_squeezer(0, 1.0, 1.5),
+        lambda: apply_loss(vacuum(2), True, 0.1),
+        lambda: homodyne_variance(vacuum(2), True),
+        lambda: displacement(True, 1.0),
     ])
     def test_every_mode_index_has_one_check(self, call):
-        with pytest.raises(ValueError, match=r"mode indices \(.*\) must lie within \[0, \d\)"):
+        """Out of range, or not an integer (a bool is not one)."""
+        with pytest.raises(ValueError, match=r"mode indices \(.*\) must "
+                                             r"(lie within \[0, \d\)|be integers)$"):
             call()
+
+    def test_numpy_integer_mode_index_accepted(self):
+        state = apply_loss(vacuum(2), np.int64(1), 1.0)
+        assert homodyne_variance(state, np.int32(1)) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_moments_rejected(self, bad):
