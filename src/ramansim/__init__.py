@@ -32,7 +32,6 @@ from .model import (
     gain_ratio_from_quantum_gain,
     joint_quadrature_variance,
     min_noise_over_phase,
-    noise_reduction_ratio,
     noise_vs_phase,
     prep_gain_sweep,
     quantum_gain_sweep,
@@ -58,7 +57,6 @@ __all__ = [
     "build_cascade",
     "noise_vs_phase",
     "min_noise_over_phase",
-    "noise_reduction_ratio",
     "closed_form_noise_reduction",
     "joint_quadrature_variance",
     "prep_gain_sweep",

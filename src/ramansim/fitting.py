@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import NumericalError
+from .gaussian import NumericalError, _check_integer
 from .model import (
     closed_form_noise_reduction,
     joint_quadrature_variance,
@@ -138,12 +138,6 @@ class NoiseDataset:
             return np.ones(self.n_points)
         w = (self.sigma.min() / self.sigma) ** 2  # in (0, 1]: no 1/sigma^2 overflow
         return w / w.mean()
-
-
-def _check_integer(name: str, value, minimum: int) -> None:
-    """Accept a Python or NumPy integer >= minimum; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

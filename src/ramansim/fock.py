@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import NumericalError, _is_integer
+from .gaussian import NumericalError, _check_integer, _is_integer
 
 #: maximum tolerated population at the truncation edge
 EDGE_TOL = 1e-8
@@ -42,12 +42,6 @@ ENV_TOL = 1e-14  # far below EDGE_TOL: results match the untruncated ones to 1e-
 
 class TruncationError(NumericalError):
     """The requested operation is not representable at this truncation."""
-
-
-def _check_truncation(n_max: int) -> None:
-    """The one check of a truncation: an integer (a bool is not one) >= 1."""
-    if not _is_integer(n_max) or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
 
 
 def _check_mode(mode: int) -> None:
@@ -86,7 +80,7 @@ class FockState:
     amps: np.ndarray
 
     def __post_init__(self):
-        _check_truncation(self.n_max)
+        _check_integer("n_max", self.n_max, 1)
         amps = np.asarray(self.amps, dtype=complex)
         d = self.n_max + 1
         if amps.ndim != 3 or amps.shape[0] != d or max(amps.shape[1:]) > d:
@@ -107,7 +101,7 @@ class FockState:
 
 def vacuum_state(n_max: int) -> FockState:
     """Both modes in |0>."""
-    _check_truncation(n_max)
+    _check_integer("n_max", n_max, 1)
     amps = np.zeros((n_max + 1, 1, 1), dtype=complex)
     amps[0, 0, 0] = 1.0
     return FockState(n_max, amps)
@@ -119,7 +113,7 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> F
     Refuses (TruncationError) when the highest retained coefficient is not
     negligible against the first, i.e. tanh(r)^n_max >= TAIL_TOL.
     """
-    _check_truncation(n_max)
+    _check_integer("n_max", n_max, 1)
     _check_finite(r=r, theta=theta)
     if r < 0:
         raise ValueError("r must be non-negative")

@@ -17,6 +17,7 @@ updates, so everything here is plain NumPy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,6 +25,9 @@ import numpy as np
 
 #: absolute tolerance for the symplectic-matrix check S Omega S^T = Omega
 SYMPLECTIC_ATOL = 1e-10
+#: largest squeezer gain G: the zero entries of S Omega S^T carry roundoff of
+#: about eps G^2 / 2, which stays within SYMPLECTIC_ATOL up to this G (~949)
+SQUEEZER_GAIN_MAX = math.sqrt(2.0 * SYMPLECTIC_ATOL / np.finfo(float).eps)
 #: tolerance for covariance-matrix symmetry on construction
 SYMMETRY_RTOL = 1e-12
 #: slack on the physicality bound: symplectic eigenvalues >= 1 - this
@@ -64,24 +68,24 @@ def _is_symplectic(s: np.ndarray) -> bool:
 
 
 def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
-    """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``,
-    checked symplectic.
+    """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``.
 
     ``gain`` broadcasts; ``pump_phase`` is one scalar.  See
-    :func:`two_mode_squeezer` for the convention.  A gain too large for a
-    symplectic matrix at working precision is a range error naming
-    ``name``; its overflow is silenced.
+    :func:`two_mode_squeezer` for the convention.  A gain outside
+    [1, SQUEEZER_GAIN_MAX], NaN included, is a range error naming ``name``,
+    raised before anything is built; within that range the matrix is
+    symplectic to SYMPLECTIC_ATOL.
     """
-    gain = np.asarray(gain, dtype=float)[..., None, None]
+    gain = np.asarray(gain, dtype=float)
+    ok = (gain >= 1.0) & (gain <= SQUEEZER_GAIN_MAX)
+    if not ok.all():
+        raise ValueError(f"{name} {gain[~ok].flat[0]:g} is out of range: a squeezer gain "
+                         f"must lie within [1, {SQUEEZER_GAIN_MAX:.6g}]")
+    gain = gain[..., None, None]
     c, s = np.cos(pump_phase), np.sin(pump_phase)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # G I + g P(theta), P the X/Y coupling of the conjugate term g e^{i theta} b^dag
-        mat = gain * _EYE4 + np.sqrt(gain * gain - 1.0) * np.array(
-            [[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
-        if _is_symplectic(mat):
-            return mat
-    raise ValueError(f"{name} {np.max(gain):g} is out of range: its squeezer is not "
-                     "symplectic to working precision")
+    # G I + g P(theta), P the X/Y coupling of the conjugate term g e^{i theta} b^dag
+    return gain * _EYE4 + np.sqrt(gain * gain - 1.0) * np.array(
+        [[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
 
 
 def _rotation_matrix(phi) -> np.ndarray:
@@ -111,6 +115,12 @@ def _frozen(name: str, value) -> np.ndarray:
 def _is_integer(value) -> bool:
     """A Python or NumPy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """The one count check: an integer (see :func:`_is_integer`) >= minimum."""
+    if not (_is_integer(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _quadratures(n_modes: int | None, *modes: int) -> tuple[int, list[int]]:
@@ -200,8 +210,7 @@ class SymplecticOp:
 
 def vacuum(n_modes: int) -> GaussianState:
     """Vacuum state of ``n_modes`` modes (zero mean, identity covariance)."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    _check_integer("n_modes", n_modes, 1)
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
@@ -217,15 +226,13 @@ def two_mode_squeezer(mode_a: int, mode_b: int, gain: float, pump_phase: float =
     Args:
         mode_a: first mode index.
         mode_b: second mode index, distinct from ``mode_a``.
-        gain: amplitude gain G >= 1.
+        gain: amplitude gain G within [1, SQUEEZER_GAIN_MAX].
         pump_phase: phase theta of the pump term.
         n_modes: total mode count of the returned op (default: max index + 1).
 
     Returns:
         SymplecticOp acting on ``n_modes`` modes.
     """
-    if not gain >= 1.0:
-        raise ValueError("gain must be >= 1")
     if mode_a == mode_b:
         raise ValueError("two_mode_squeezer needs two distinct modes")
     return _placed(n_modes, mode_a, mode_b, block=_squeezer_matrix(gain, pump_phase, "gain"))

@@ -32,6 +32,7 @@ from .gaussian import (
     GaussianState,
     NumericalError,
     _attenuate,
+    _check_integer,
     _rotation_matrix,
     _squeezer_matrix,
 )
@@ -264,11 +265,15 @@ def noise_vs_phase(scenario: CascadeScenario, n_points: int = 256) -> NoiseTrace
     trace sit exactly pi apart; with both pump phases 0 the maximum is at
     phi = 0 and the minimum at phi = pi.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    phis = _scan_phases(n_points)
     _, cov = _cascade_moments(scenario, phis)
     return NoiseTrace(phis, cov[:, 0, 0])
+
+
+def _scan_phases(n_points) -> np.ndarray:
+    """``n_points`` (an integer >= 2) scan phases evenly spaced over [0, 2*pi)."""
+    _check_integer("n_points", n_points, 2)
+    return np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
 
 
 class HarmonicFitError(NumericalError):
@@ -338,13 +343,6 @@ def _reference_variance(quantum_gain, output_loss: float):
     return (1.0 - output_loss) * quantum_gain + output_loss
 
 
-def noise_reduction_ratio(scenario: CascadeScenario) -> float:
-    """R: minimum-over-phase cascade variance over the uncorrelated
-    reference.  R < 1 is the noise reduction from the pre-correlation."""
-    _, var_min = min_noise_over_phase(scenario)
-    return var_min / reference_variance(scenario)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -368,13 +366,16 @@ def noise_reduction_regressors(quantum_gain) -> np.ndarray:
 _PREP_GAIN_MAX = math.sqrt(_FLOAT_MAX) / 2.0
 
 
-def _check_prep_and_losses(mu, l1, l2) -> None:
-    """Reject a prep gain below 1 or above _PREP_GAIN_MAX or a loss outside
-    [0, 1], NaN included; scalars or arrays.  One reduction accepts; the
-    failing value is found only after."""
+def _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave):
+    """(mu, L1, L2) as float arrays; a prep gain below 1 or above
+    _PREP_GAIN_MAX or a loss outside [0, 1], NaN included, is rejected.
+    One reduction accepts; the failing value is found only after."""
+    mu = np.asarray(prep_gain, dtype=float)
+    l1 = np.asarray(loss_stokes, dtype=float)
+    l2 = np.asarray(loss_spinwave, dtype=float)
     if ((mu >= 1.0) & (mu <= _PREP_GAIN_MAX) & (l1 >= 0.0) & (l1 <= 1.0)
             & (l2 >= 0.0) & (l2 <= 1.0)).all():
-        return
+        return mu, l1, l2
     if not np.all(mu >= 1.0):
         raise ValueError("prep_gain must be >= 1")
     if not np.all(mu <= _PREP_GAIN_MAX):
@@ -396,10 +397,7 @@ def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing:
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}")
-    mu = np.asarray(prep_gain, dtype=float)
-    l1 = np.asarray(loss_stokes, dtype=float)
-    l2 = np.asarray(loss_spinwave, dtype=float)
-    _check_prep_and_losses(mu, l1, l2)
+    mu, l1, l2 = _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave)
     if pairing == "swapped":
         l1, l2 = l2, l1
     nu2 = mu * mu - 1.0
@@ -452,8 +450,7 @@ def joint_quadrature_variance(prep_gain, loss_stokes, loss_spinwave):
     [1/(mu + nu) + 2 nu (L1 + L2 - L1 L2)/(1 + sqrt(T1 T2))]/(mu + nu), which
     keep their precision at large gain, where the direct form cancels to 0.
     """
-    mu, l1, l2 = np.asarray(prep_gain, dtype=float), loss_stokes, loss_spinwave
-    _check_prep_and_losses(mu, l1, l2)
+    mu, l1, l2 = _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave)
     nu = np.sqrt((mu - 1.0) * (mu + 1.0))
     s = mu + nu
     x_plus = 2.0 * nu * nu * (np.sqrt(1.0 - l1) - np.sqrt(1.0 - l2)) ** 2 + 2.0 * (
@@ -510,8 +507,8 @@ def quantum_gain_sweep(
 def _gain_array(values, name: str) -> np.ndarray:
     """A sweep's gains as a non-empty 1-d array of finite values >= 1."""
     out = np.atleast_1d(np.asarray(values, dtype=float))
-    if out.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+    if out.ndim != 1 or out.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence, got shape {out.shape}")
     if not np.all(np.isfinite(out) & (out >= 1.0)):
         raise ValueError(f"{name} must be finite and >= 1")
     return out
@@ -530,9 +527,7 @@ def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
             "fringe_scan needs a nonzero seed_amplitude; for vacuum-seeded "
             "noise scans use noise_vs_phase"
         )
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    phis = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    phis = _scan_phases(n_points)
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cov = _cascade_moments(scenario, phis)
         # |<a>|^2 = (<X>^2 + <Y>^2)/4; noise photons (V_XX + V_YY - 2)/4

@@ -216,6 +216,9 @@ class TestNoiseScan:
             ("--readout-gq", "1e300", "readout gain"),
             ("--prep-gain", "1e200", "prep_gain"),
             ("--prep-gain", "1e6", "prep_gain"),
+            ("--prep-gain", "3000", "prep_gain"),
+            ("--prep-gain", "4000", "prep_gain"),
+            ("--readout-gq", "2e6", "readout gain"),
         ],
     )
     def test_huge_gain_is_range_error(self, flag, value, name, recwarn, capsys):
@@ -374,6 +377,17 @@ class TestFit:
         assert report["bootstrap_failures"] == "0/100"
         for name in ("mu", "l1", "l2"):
             assert len(report[f"covariance_{name}"].split(",")) == 3
+
+    def test_bootstrap_with_most_refits_failing_exits_3(self, tmp_path, capsys):
+        """R alternating 1.05, 0.95 on criterion 6's gains: 82 of 100 refits
+        fail, so the bootstrap refuses to report an uncertainty."""
+        zigzag = tmp_path / "zigzag.csv"
+        gq = [2, 4, 8, 12, 16, 24, 32, 64]
+        zigzag.write_text("gq_linear,R_linear\n" + "".join(
+            f"{g},{1.05 if i % 2 == 0 else 0.95}\n" for i, g in enumerate(gq)))
+        assert run_cli("fit", str(zigzag), "--bootstrap", "100") == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: 82/100 bootstrap refits failed; uncertainty not trustworthy\n"
 
     def test_shared_loss_report_and_csv(self, tmp_path, capsys):
         a = write_sweep(tmp_path / "a.csv", 1.17, 0.1, 0.2)

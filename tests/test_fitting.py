@@ -483,6 +483,14 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="n_resamples"):
             bootstrap_uncertainty(data, fit_dataset(data), n_resamples=n_resamples)
 
+    def test_more_than_a_fifth_failed_is_unstable(self):
+        """R alternating 1.05, 0.95 on criterion 6's gains: its resamples
+        mostly leave (0, R_UPPER_SANITY] or fail the gate."""
+        data = NoiseDataset(GQ_GRID, np.where(np.arange(GQ_GRID.size) % 2, 0.95, 1.05))
+        fit = fit_dataset(data)
+        with pytest.raises(UnstableFitError, match=r"^82/100 bootstrap refits failed"):
+            bootstrap_uncertainty(data, fit, n_resamples=100)
+
     def test_too_few_points_rejected_before_resampling(self):
         fit = fit_dataset(synthetic_dataset(1.2, 0.1, 0.2))
         data = NoiseDataset(GQ_GRID[:3], closed_form_noise_reduction(1.2, 0.1, 0.2, GQ_GRID[:3]))
@@ -711,6 +719,27 @@ class TestSharedLossFit:
             assert loss_recovery_error(f, 0.15, 0.05) < 1e-6
         assert fits[0].l1_hat == fits[1].l1_hat
         assert fits[0].l2_hat == fits[1].l2_hat
+
+    def test_singular_polish_step_is_a_null_step(self, monkeypatch):
+        """A singular damped system takes a null step and more damping: with
+        the polish's first solve raising LinAlgError, the fit still passes the
+        gate at the objective of the unpatched fit."""
+        rng = np.random.default_rng(31)
+        sets = [noisy_dataset(rng, mu, 0.2, 0.3) for mu in (1.5, 1.3)]
+        reference = fit_datasets_shared_loss(sets)[0]
+        solve, calls = np.linalg.solve, []
+
+        def singular_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        fit = fit_datasets_shared_loss(sets)[0]
+        assert len(calls) > 1
+        assert fit.projected_grad_norm < fitting.GRAD_TOL
+        assert fit.objective == pytest.approx(reference.objective, rel=0.0, abs=1e-12)
 
 
 class TestCsvLoader:

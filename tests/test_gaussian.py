@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ramansim.gaussian import (
+    SQUEEZER_GAIN_MAX,
     SYMPLECTIC_ATOL,
     GaussianState,
     SymplecticOp,
@@ -59,8 +60,10 @@ class TestVacuum:
         assert vacuum(2).is_physical()
 
     def test_mode_count_validation(self):
-        with pytest.raises(ValueError):
-            vacuum(0)
+        for n_modes in (0, -1, True, 2.0, np.float64(1.0), "2"):
+            with pytest.raises(ValueError, match=r"^n_modes must be an integer >= 1, got "):
+                vacuum(n_modes)
+        assert vacuum(np.int64(2)).n_modes == 2
 
 
 class TestSymplecticForm:
@@ -186,12 +189,28 @@ class TestTwoModeSqueezer:
         with pytest.raises(ValueError):
             two_mode_squeezer(**kwargs)
 
-    @pytest.mark.parametrize("gain", [1e8, 1e200, np.inf])
+    @pytest.mark.parametrize("gain", [0.5, np.nan, 3000.0, 4000.0, 1e8, 1e200, np.inf])
     def test_gain_beyond_working_precision_is_range_error(self, gain):
-        """The op and the cascade kernel share one range rule; its overflow
-        raises no RuntimeWarning."""
-        with pytest.raises(ValueError, match="gain .* is out of range"):
+        """The op and the cascade kernel share one range rule, checked before
+        anything is built, so no RuntimeWarning."""
+        with pytest.raises(ValueError, match=r"^gain .* is out of range"):
             two_mode_squeezer(0, 1, gain)
+
+    @pytest.mark.parametrize("pump_phase", [0.0, 0.3, 1.0, 2.5, np.pi / 2])
+    def test_accepted_gains_are_one_range_of_symplectic_builds(self, pump_phase):
+        """G swept geometrically over [1, 2e4]: exactly the gains up to
+        SQUEEZER_GAIN_MAX are accepted, and each of them builds a matrix that
+        passes the symplectic check."""
+        top = np.nextafter(SQUEEZER_GAIN_MAX, np.inf)
+        gains = np.sort(np.concatenate([np.geomspace(1.0, 2e4, 2001), [SQUEEZER_GAIN_MAX, top]]))
+        accepted = []
+        for gain in gains:
+            try:
+                accepted.append(_is_symplectic(_squeezer_matrix(gain, pump_phase, "gain")))
+            except ValueError:
+                accepted.append(False)
+        assert np.array_equal(accepted, gains <= SQUEEZER_GAIN_MAX)
+        assert 949.0 < SQUEEZER_GAIN_MAX < 949.1
 
 
 class TestBroadcastBuildsAgainstEntrywise:
@@ -212,7 +231,7 @@ class TestBroadcastBuildsAgainstEntrywise:
         rng = np.random.default_rng(4101)
         for shape in [(), (5,), (3, 4)]:
             for _ in range(100):
-                gain = 1.0 + 10.0 ** rng.uniform(-12.0, 3.0, size=shape)
+                gain = 1.0 + 10.0 ** rng.uniform(-12.0, np.log10(SQUEEZER_GAIN_MAX - 1.0), size=shape)
                 pump_phase = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
                 got = _squeezer_matrix(gain, pump_phase, "gain")
                 want = self.entrywise_squeezer(gain, pump_phase)

@@ -28,7 +28,6 @@ from ramansim.model import (
     linear_to_db,
     min_noise_over_phase,
     noise_reduction_coefficients,
-    noise_reduction_ratio,
     noise_reduction_regressors,
     noise_vs_phase,
     prep_gain_sweep,
@@ -290,6 +289,19 @@ class TestNoiseScan:
         _, var_min = min_noise_over_phase(sc)
         assert var_min == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n_points", [1, 0, -3, 3.0, np.float64(4.0), True, "8"])
+    def test_scans_take_an_integer_point_count_of_two_or_more(self, n_points):
+        sc = scenario(seed=1.0 + 0j)
+        for scan in (noise_vs_phase, fringe_scan):
+            with pytest.raises(ValueError, match=r"^n_points must be an integer >= 2, got "):
+                scan(sc, n_points)
+
+    def test_scans_accept_a_numpy_integer_point_count(self):
+        sc = scenario(seed=1.0 + 0j)
+        np.testing.assert_array_equal(noise_vs_phase(sc, np.int64(16)).values,
+                                      noise_vs_phase(sc, 16).values)
+        np.testing.assert_array_equal(fringe_scan(sc, np.int32(2)).phases, [0.0, np.pi])
+
 
 def interstage_covariance(stokes_block, cross_block, spinwave_block):
     """A 4x4 covariance from its Stokes, cross and spin-wave 2x2 blocks."""
@@ -365,14 +377,16 @@ class TestHarmonicAgainstSampledKernel:
             trace = prep_gain_sweep(mus, sc.readout, sc.channel)
             for mu, r in zip(mus, trace.variance_linear):
                 point = CascadeScenario(AmplifierParams(mu), sc.readout, sc.channel)
-                assert r == pytest.approx(noise_reduction_ratio(point), rel=1e-12)
+                assert r == pytest.approx(
+                    min_noise_over_phase(point)[1] / reference_variance(point), rel=1e-12)
             gqs = 10.0 ** rng.uniform(0.0, 6.0, size=6)
             trace = quantum_gain_sweep(gqs, sc.prep, sc.channel)
             for gq, r in zip(gqs, trace.variance_linear):
                 point = CascadeScenario(
                     sc.prep, AmplifierParams.from_quantum_gain(gq), sc.channel
                 )
-                assert r == pytest.approx(noise_reduction_ratio(point), rel=1e-12)
+                assert r == pytest.approx(
+                    min_noise_over_phase(point)[1] / reference_variance(point), rel=1e-12)
 
 
 class TestClosedForm:
@@ -388,7 +402,7 @@ class TestClosedForm:
             l1, l2 = 0.9 * rng.random(), 0.9 * rng.random()
             gq = 1.0 + 80.0 * rng.random()
             sc = scenario(mu, gq, l1, l2)
-            assert noise_reduction_ratio(sc) == pytest.approx(
+            assert min_noise_over_phase(sc)[1] / reference_variance(sc) == pytest.approx(
                 closed_form_noise_reduction(mu, l1, l2, gq), abs=1e-9
             )
 
@@ -501,6 +515,15 @@ class TestJointQuadrature:
         with pytest.raises(ValueError, match="out of range"):
             joint_quadrature_variance(1e200, 0.1, 0.1)
 
+    def test_sequences_broadcast_like_arrays(self):
+        """Lists of any argument broadcast, as in noise_reduction_coefficients."""
+        got = joint_quadrature_variance(1.2, [0.1, 0.2], 0.1)
+        assert got.shape == (2,)
+        assert got.tolist() == [joint_quadrature_variance(1.2, l1, 0.1) for l1 in (0.1, 0.2)]
+        got = joint_quadrature_variance([1.2, 1.5], 0.3, [[0.0], [0.4]])
+        assert got.shape == (2, 2)
+        assert got[1, 0] == joint_quadrature_variance(1.2, 0.3, 0.4)
+
     @pytest.mark.parametrize(
         "args, key",
         [((0.9, 0.1, 0.1), "prep_gain"), ((np.nan, 0.1, 0.1), "prep_gain"),
@@ -548,6 +571,13 @@ class TestSweeps:
         with pytest.raises(ValueError):
             quantum_gain_sweep([4.0, bad], AmplifierParams(1.2), ChannelParams())
 
+    @pytest.mark.parametrize("gains", [[], [[1.2, 1.3]], [[1.2], [1.3]], np.ones((2, 2, 2))])
+    def test_sweeps_reject_gains_that_are_not_1d(self, gains):
+        with pytest.raises(ValueError, match=r"^prep_gains must be a non-empty 1-d sequence"):
+            prep_gain_sweep(gains, AmplifierParams(2.0), ChannelParams())
+        with pytest.raises(ValueError, match=r"^quantum_gains must be a non-empty 1-d sequence"):
+            quantum_gain_sweep(gains, AmplifierParams(1.2), ChannelParams())
+
     def test_quantum_gain_sweep_monotone_for_equal_losses(self):
         gqs = np.linspace(1.5, 64.0, 12)
         trace = quantum_gain_sweep(gqs, AmplifierParams(1.17), ChannelParams(0.1, 0.1))
@@ -556,7 +586,7 @@ class TestSweeps:
         assert trace.variance_linear[-1] > HEADLINE_X_PLUS / 2.0
 
 
-    @pytest.mark.parametrize("gain", [1e8, 1e200])
+    @pytest.mark.parametrize("gain", [3000.0, 4000.0, 1e8, 1e200])
     def test_squeezer_range_error_through_model_paths(self, gain, recwarn):
         """A gain beyond working precision, on either stage of the phase
         minimum, the scan and the sweeps, is a range error naming it."""
