@@ -350,10 +350,6 @@ def _cmd_correlation(args, cfg: dict) -> int:
 
 
 def _cmd_fringes(args, cfg: dict) -> int:
-    if cfg["seed_amplitude"] == 0.0:
-        raise UsageError(
-            "fringes needs a nonzero seed-amplitude; for vacuum input use noise-scan"
-        )
     _check_points(cfg, 2)
     scenario = CascadeScenario(
         _prep(cfg),

@@ -13,7 +13,8 @@ inverse lies inside the box mu in [1, mu_max], losses in [0, 1], it is the
 global optimum and no optimizer runs.  Otherwise the optimum sits on the
 box boundary, and a projected Levenberg-Marquardt polish of the weighted
 residuals runs in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1), sqrt(1 - L2)),
-where R is smooth at mu = 1 and polynomial in s1, s2.  Datasets sharing
+the coordinates of model._coefficients, in which R is smooth at mu = 1 and
+polynomial in s1, s2; this module adds only their Jacobian.  Datasets sharing
 (L1, L2) are fit jointly in z = (t_1, ..., t_n, s1, s2) on their summed
 objective; the single fit is its one-dataset case, z = x.  Every polish
 starts from each dataset's clipped linear point and the best cells of an
@@ -23,9 +24,9 @@ Pereyra 1973).  Every fit must reach a projected gradient below GRAD_TOL.
 The residual bootstrap keeps the design fixed and resamples only R, so its
 interior refits share one linear solve, a right-hand side per resample, and
 one broadcast gradient gate; only the resamples whose linear inverse
-leaves the box run the boundary polish.  The config's seed feeds only the
-resampling.  A refit fails when a resampled R leaves (0, R_UPPER_SANITY] or
-its gradient gate fails.
+leaves the box run the boundary polish, on the same design and weights.
+The config's seed feeds only the resampling.  A refit fails when a
+resampled R leaves (0, R_UPPER_SANITY] or its gradient gate fails.
 
 L1 and L2 become exactly interchangeable in the large-gain limit and
 nearly so at lambda close to 1, so the fit reports the objective for both
@@ -48,6 +49,7 @@ import numpy as np
 
 from .gaussian import NumericalError, _check_integer
 from .model import (
+    _coefficients as _model_coefficients,
     closed_form_noise_reduction,
     joint_quadrature_variance,
     linear_to_db,
@@ -197,22 +199,15 @@ class BootstrapResult:
 
 
 def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta, gamma) at x = (t, s1, s2) and their Jacobian in x,
-    broadcast over the leading axes of x: shapes x.shape and x.shape + (3,).
-
-    model.noise_reduction_coefficients with u = 2 sinh^2 t, 4 mu nu =
-    2 sinh 2t and T_i = s_i^2, written out here because mu = cosh t rounds
-    away t below ~1e-8, where R still moves at first order in t.
-    """
+    """model._coefficients at x = (t, s1, s2) and their Jacobian in x,
+    broadcast over the leading axes of x: shapes x.shape and x.shape + (3,)."""
     t, s1, s2 = x[..., 0], x[..., 1], x[..., 2]
-    u, du = 2.0 * np.sinh(t) ** 2, 2.0 * np.sinh(2.0 * t)
-    c, dc = -du, -4.0 * np.cosh(2.0 * t)
-    q, d, m, u2 = s2 * s2, s1 * s1 - s2 * s2, s1 * s2, 2.0 * u  # T2, T1 - T2, sqrt(T1 T2)
+    u2, du, dc = 4.0 * np.sinh(t) ** 2, 2.0 * np.sinh(2.0 * t), -4.0 * np.cosh(2.0 * t)
     out = np.zeros(t.shape + (4, 3))  # the coefficients, then the Jacobian's rows
-    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = 1.0 + u * q, u * d, c * m
-    out[..., 1, 0], out[..., 1, 2] = du * q, u2 * s2
-    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = du * d, u2 * s1, -u2 * s2
-    out[..., 3, 0], out[..., 3, 1], out[..., 3, 2] = dc * m, c * s2, c * s1
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = _model_coefficients(t, s1, s2)
+    out[..., 1, 0], out[..., 1, 2] = du * (s2 * s2), u2 * s2
+    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = du * (s1 * s1 - s2 * s2), u2 * s1, -u2 * s2
+    out[..., 3, 0], out[..., 3, 1], out[..., 3, 2] = dc * (s1 * s2), -du * s2, -du * s1
     return out[..., 0, :], out[..., 1:, :]
 
 
@@ -350,7 +345,7 @@ def _grid_starts(terms, hi, n_cells) -> list[np.ndarray]:
     s = np.linspace(0.0, 1.0, 13)
     t = np.minimum(np.concatenate([[0.0], np.geomspace(1e-3, hi[0], 23)]), hi[0])
     tt, s1, s2 = np.meshgrid(t, s, s, indexing="ij")
-    coef = _coefficients(np.stack([tt, s1, s2], axis=-1))[0]
+    coef = np.stack(_model_coefficients(tt, s1, s2), axis=-1)
     costs = np.array([np.sum((coef @ (x.T @ (w[:, None] * x)) - 2.0 * x.T @ (w * r)) * coef, axis=-1)
                       for x, r, w in terms])
     best_t, total = t[np.argmin(costs, axis=1)], np.min(costs, axis=1).sum(axis=0)
@@ -358,12 +353,11 @@ def _grid_starts(terms, hi, n_cells) -> list[np.ndarray]:
     return [np.array([*best_t[:, i, j], s[i], s[j]]) for i, j in cells]
 
 
-def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None) -> list[FitResult]:
-    """Fit z to n datasets sharing (L1, L2): one dataset's linear inverse
-    inside the box, or else the lowest polish (the earliest start in a tie)
-    from each dataset's clipped linear point, with every dataset's t, and the
-    ``config.n_starts`` cells of :func:`_grid_starts`.  The objective fields
-    carry the joint objective.
+def _fit(terms, labels: Sequence[str], config: FitConfig | None) -> list[FitResult]:
+    """Fit z to n datasets sharing (L1, L2), given as their (design X, R, weights w) and labels:
+    one dataset's linear inverse inside the box, or else the lowest polish (the earliest start
+    in a tie) from each dataset's clipped linear point, with every dataset's t, and the
+    ``config.n_starts`` cells of :func:`_grid_starts`.  The objective fields are joint.
 
     Raises:
         InsufficientDataError: fewer than n + 3 points in all.
@@ -371,11 +365,9 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None) -> list[Fit
     """
     if config is None:
         config = FitConfig()
-    n = len(datasets)
-    _check_point_count(n, sum(d.n_points for d in datasets))
+    n = len(terms)
+    _check_point_count(n, sum(r.size for _, r, _ in terms))
     hi = _box(n, config)
-    terms = [(noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
-             for d in datasets]
     xs, inside = zip(*(_linear_solution(*term, hi[-3:]) for term in terms))
     if n == 1 and inside[0]:
         z, n_polished = xs[0], 0
@@ -390,13 +382,13 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None) -> list[Fit
     f_swapped = float(_objective(np.concatenate([z[:-2], z[:-3:-1]]), terms)[0])  # s1 and s2 exchanged
     s1, s2 = z[n:]
     results = []
-    for t, data, term in zip(z[:n], datasets, terms):
+    for t, label, term in zip(z[:n], labels, terms):
         mu, l1, l2, x_plus, x_plus_db = map(float, _physical(t, s1, s2))
         results.append(FitResult(
             mu_hat=mu,
             l1_hat=l1,
             l2_hat=l2,
-            residual_rms=math.sqrt(_objective(np.array([t, s1, s2]), [term])[0] / data.n_points),
+            residual_rms=math.sqrt(_objective(np.array([t, s1, s2]), [term])[0] / term[1].size),
             objective=f,
             objective_swapped_losses=f_swapped,
             loss_ordering_degenerate=bool(abs(f - f_swapped) < DEGENERACY_TOL),
@@ -404,7 +396,7 @@ def _fit(datasets: Sequence[NoiseDataset], config: FitConfig | None) -> list[Fit
             correlation_db=x_plus_db,
             n_restarts_used=n_polished,
             projected_grad_norm=norm,
-            dataset_label=data.label,
+            dataset_label=label,
         ))
     return results
 
@@ -419,7 +411,7 @@ def fit_dataset(data: NoiseDataset, config: FitConfig | None = None) -> FitResul
         InsufficientDataError: fewer than 4 points.
         UnstableFitError: the optimizer could not reach a local minimum.
     """
-    return _fit([data], config)[0]
+    return fit_datasets_shared_loss([data], config)[0]
 
 
 def fit_datasets_shared_loss(
@@ -431,7 +423,9 @@ def fit_datasets_shared_loss(
     raises InsufficientDataError.  Returns one FitResult per dataset; the
     objective fields carry the total (summed) objective of the joint problem.
     """
-    return _fit(datasets, config)
+    terms = [(noise_reduction_regressors(d.quantum_gain), d.noise_ratio, d.weights)
+             for d in datasets]
+    return _fit(terms, [d.label for d in datasets], config)
 
 
 def bootstrap_uncertainty(
@@ -476,7 +470,7 @@ def bootstrap_uncertainty(
     failures = int(np.sum(~valid | (inside & ~interior)))
     for r in rs[valid & ~inside]:
         try:
-            res = fit_dataset(NoiseDataset(gq, r, data.sigma, data.label), config)
+            res = _fit([(design, r, w)], [data.label], config)[0]
         except UnstableFitError:
             failures += 1
             continue

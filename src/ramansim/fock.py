@@ -94,6 +94,15 @@ class FockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _result(cls, n_max: int, amps: np.ndarray) -> FockState:
+        """A state over ``amps``, output of a step that keeps norm and sector: no check runs."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_max", n_max)
+        object.__setattr__(state, "amps", amps.view())
+        state.amps.setflags(write=False)
+        return state
+
     @property
     def dim(self) -> int:
         return self.n_max + 1
@@ -182,7 +191,7 @@ def _unitary_result(n_max: int, amps: np.ndarray, what: str) -> FockState:
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NumericalError(f"{what} drifted the norm to {norm}")
     amps /= norm
-    return FockState(n_max, amps)
+    return FockState._result(n_max, amps)
 
 
 def apply_two_mode_squeeze(state: FockState, r: float, theta: float = 0.0) -> FockState:
@@ -223,7 +232,7 @@ def apply_phase_rotation(state: FockState, mode: int, phi: float) -> FockState:
     if mode == 1:
         phases = phases * np.exp(1j * phi * np.arange(n_ea))[:, None]
         phases = phases * np.exp(-1j * phi * np.arange(n_eb))
-    return FockState(state.n_max, state.amps * phases)
+    return FockState._result(state.n_max, state.amps * phases)
 
 
 def apply_loss(state: FockState, mode: int, loss: float) -> FockState:

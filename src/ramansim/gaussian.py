@@ -72,15 +72,18 @@ def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
 
     ``gain`` broadcasts; ``pump_phase`` is one scalar.  See
     :func:`two_mode_squeezer` for the convention.  A gain outside
-    [1, SQUEEZER_GAIN_MAX], NaN included, is a range error naming ``name``,
-    raised before anything is built; within that range the matrix is
-    symplectic to SYMPLECTIC_ATOL.
+    [1, SQUEEZER_GAIN_MAX], NaN included, is a range error naming ``name``
+    and the gain's quantum noise gain 2G^2 - 1, raised before anything is
+    built; within that range the matrix is symplectic to SYMPLECTIC_ATOL.
     """
     gain = np.asarray(gain, dtype=float)
     ok = (gain >= 1.0) & (gain <= SQUEEZER_GAIN_MAX)
     if not ok.all():
-        raise ValueError(f"{name} {gain[~ok].flat[0]:g} is out of range: a squeezer gain "
-                         f"must lie within [1, {SQUEEZER_GAIN_MAX:.6g}]")
+        bad = float(gain[~ok].flat[0])  # as a Python float, 2G^2 - 1 overflows to inf quietly
+        raise ValueError(
+            f"{name} {bad:g} (quantum noise gain {2.0 * bad * bad - 1.0:g}) is out of range: a "
+            f"squeezer gain must lie within [1, {SQUEEZER_GAIN_MAX:.6g}], its quantum noise gain "
+            f"within [1, {2.0 * SQUEEZER_GAIN_MAX**2 - 1.0:.4g}]")
     gain = gain[..., None, None]
     c, s = np.cos(pump_phase), np.sin(pump_phase)
     # G I + g P(theta), P the X/Y coupling of the conjugate term g e^{i theta} b^dag

@@ -385,24 +385,27 @@ def _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave):
             raise ValueError(f"{name} must be within [0, 1]")
 
 
+def _coefficients(t, s1, s2):
+    """R's coefficients at t = arcsinh(nu), s_i = sqrt(T_i), broadcast: with u = 2 sinh^2 t,
+    alpha = 1 + u T2, beta = u (T1 - T2), gamma = -2 sinh(2t) s1 s2 = -4 mu nu sqrt(T1 T2).  The
+    fit's coordinates: mu = cosh t rounds away t below ~1e-8, where R still moves at first order."""
+    u = 2.0 * np.sinh(t) ** 2
+    return 1.0 + u * (s2 * s2), u * (s1 * s1 - s2 * s2), -2.0 * np.sinh(2.0 * t) * (s1 * s2)
+
+
 def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing: str = "cascade"):
-    """Coefficients (alpha, beta, gamma) of R on :func:`noise_reduction_regressors`.
-
-    With nu = sqrt(mu^2 - 1), u = 2 nu^2 and T_i = 1 - L_i:
-
-        alpha = 1 + u T2,  beta = u (L2 - L1),  gamma = -4 mu nu sqrt(T1 T2)
-
-    for the "cascade" pairing; "swapped" exchanges L1 and L2.  Scalar or
-    broadcastable array arguments are accepted.
+    """Coefficients (alpha, beta, gamma) of R on :func:`noise_reduction_regressors`:
+    :func:`_coefficients` at nu = sqrt(mu^2 - 1) and T_i = 1 - L_i for the "cascade"
+    pairing; "swapped" exchanges L1 and L2.  Scalar or broadcastable array arguments
+    are accepted.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}")
     mu, l1, l2 = _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave)
     if pairing == "swapped":
         l1, l2 = l2, l1
-    nu2 = mu * mu - 1.0
-    u = 2.0 * nu2
-    return 1.0 + u * (1.0 - l2), u * (l2 - l1), -4.0 * mu * np.sqrt(nu2 * (1.0 - l1) * (1.0 - l2))
+    t = np.arcsinh(np.sqrt((mu - 1.0) * (mu + 1.0)))
+    return _coefficients(t, np.sqrt(1.0 - l1), np.sqrt(1.0 - l2))
 
 
 def closed_form_noise_reduction(
@@ -524,8 +527,8 @@ def fringe_scan(scenario: CascadeScenario, n_points: int = 256) -> FringeTrace:
     """
     if scenario.seed_amplitude == 0:
         raise ValueError(
-            "fringe_scan needs a nonzero seed_amplitude; for vacuum-seeded "
-            "noise scans use noise_vs_phase"
+            "fringe_scan needs a nonzero seed_amplitude; for a vacuum-seeded "
+            "noise scan use noise_vs_phase (the noise-scan command)"
         )
     phis = _scan_phases(n_points)
     with np.errstate(over="ignore", invalid="ignore"):

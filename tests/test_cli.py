@@ -227,6 +227,14 @@ class TestNoiseScan:
         assert f"error: {name} " in err and "is out of range" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_sweep_range_error_names_the_typed_quantum_gain(self, capsys):
+        """A readout sweep past the bound names the gq the user typed as well
+        as the amplitude gain it maps to."""
+        argv = ("gain-sweep", "--sweep", "readout-gq", "--start", "2", "--stop", "3e6")
+        assert run_cli(*argv, "--points", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: readout gain 1224.7") and "quantum noise gain 3e+06" in err
+
     def test_points_limit(self, capsys):
         assert run_cli("noise-scan", "--points", str(cli.MAX_POINTS)) == 0
         assert len(data_rows(capsys.readouterr().out)) == cli.MAX_POINTS + 1
@@ -451,6 +459,11 @@ class TestFit:
             assert run_cli("fit", str(a), str(b), *extra, "--out", str(out)) == 0
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
+        (tmp_path / "no.cfg").write_text("shared_loss = no\n")
+        for extra in ((), ("--config", str(tmp_path / "no.cfg"))):
+            assert run_cli("fit", str(a), str(b), *extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[2] == outputs[3] != outputs[0][0]  # "no" is the default: separate fits
         (tmp_path / "maybe.cfg").write_text("# fit options\nshared_loss = maybe\n")
         assert run_cli("fit", str(a), str(b), "--config", str(tmp_path / "maybe.cfg")) == 2
         err = capsys.readouterr().err
@@ -684,6 +697,9 @@ class TestConfigFile:
         cfg.write_text("points = many\n")
         assert run_cli("noise-scan", "--config", str(cfg)) == 2
         assert "line 1" in capsys.readouterr().err
+        cfg.write_text("# scan\npoints 4\n")
+        assert run_cli("noise-scan", "--config", str(cfg)) == 2
+        assert "line 2: expected 'key = value'" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ramansim.crosscheck as crosscheck
+import ramansim.fock as fock
 from ramansim.crosscheck import (
     AGREEMENT_TOL,
     N_MAX_LIMIT,
@@ -228,6 +229,24 @@ class TestAttempts:
     def test_paper_battery_runs_each_circuit_once_at_the_cap(self, attempts):
         assert run_battery(paper_battery(), n_max=N_MAX_LIMIT).passed
         assert attempts == [N_MAX_LIMIT] * 3
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("scenario", [cascade(0.5, 0.3, 0.1, 0.5, np.pi / 2.0),
+                                          paper_battery()[1][1]])
+    def test_only_the_vacuum_runs_the_public_checks(self, scenario, monkeypatch):
+        """The oracle's own steps keep the sector and the norm, so their
+        results skip FockState's checks; the vacuum a run starts from is
+        the one state built through them."""
+        built, check = [], fock.FockState.__post_init__
+
+        def counting(state):
+            built.append(state.amps.shape)
+            check(state)
+        monkeypatch.setattr(fock.FockState, "__post_init__", counting)
+        out = crosscheck._run_fock_once(scenario, N_MAX_LIMIT)
+        assert built == [(N_MAX_LIMIT + 1, 1, 1)]
+        assert out.amps.shape[1:] != (1, 1) and not out.amps.flags.writeable
 
 
 class TestBatteryResult:

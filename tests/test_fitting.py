@@ -110,6 +110,7 @@ class TestNoiseDataset:
             ([2.0, np.inf], [0.9, 0.8]),
             ([2.0, 4.0], [0.9, np.nan]),
             ([2.0, 4.0], [0.9, -np.inf]),
+            ([2.0, 4.0, 8.0], [0.9, 0.8]),
         ],
     )
     def test_validation(self, gq, r):
@@ -120,6 +121,8 @@ class TestNoiseDataset:
     def test_sigma_validation(self, bad):
         with pytest.raises(ValueError):
             NoiseDataset(np.array([2.0, 4.0]), np.array([0.9, 0.8]), np.array([0.01, bad]))
+        with pytest.raises(ValueError, match="sigma must match the data length"):
+            NoiseDataset(np.array([2.0, 4.0]), np.array([0.9, 0.8]), np.array([0.01]))
 
     def test_constant_design_rejected(self):
         with pytest.raises(DegenerateDesignError):
@@ -236,6 +239,14 @@ class TestLinearAgainstPolish:
                 fd = (fitting._coefficients(x + step)[0]
                       - fitting._coefficients(x - step)[0]) / (2 * h)
                 assert jac[:, i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+    def test_fit_coordinates_keep_t_below_cosh_resolution(self):
+        """At t = 1e-9, where mu = cosh t rounds to 1, the kernel still gives
+        gamma = -2 sinh(2t) = -4t and its slope -4 cosh(2t) = -4."""
+        coef, jac = fitting._coefficients(np.array([1e-9, 1.0, 1.0]))
+        assert coef[2] == pytest.approx(-4e-9, rel=1e-12)
+        assert jac[2, 0] == pytest.approx(-4.0, rel=1e-12)
+        assert noise_reduction_coefficients(math.cosh(1e-9), 0.0, 0.0)[2] == 0.0
 
     @pytest.mark.parametrize("n_sets", [1, 3])
     def test_joint_objective_gradient(self, n_sets):
@@ -567,7 +578,7 @@ class TestBootstrapSharedSolve:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"fit_dataset": 0, "_polish": 0}
+        counts = {"_fit": 0, "_polish": 0}
 
         def counting(name):
             inner = getattr(fitting, name)
@@ -584,20 +595,35 @@ class TestBootstrapSharedSolve:
     def test_interior_resamples_neither_refit_nor_polish(self, calls):
         data = synthetic_dataset(1.5, 0.2, 0.3, sigma_rel=0.01, seed=901)
         fit = fit_dataset(data)
-        calls.update(fit_dataset=0, _polish=0)
+        calls.update(_fit=0, _polish=0)
         boot = bootstrap_uncertainty(data, fit, n_resamples=100)
         assert boot.n_failures == 0
-        assert calls == {"fit_dataset": 0, "_polish": 0}
+        assert calls == {"_fit": 0, "_polish": 0}
 
     def test_only_box_leaving_resamples_refit(self, calls):
         data, config = synthetic_dataset(**BOUNDARY_SET), FitConfig()
         fit = fit_dataset(data, config)
         expected = linear_boundary_resamples(data, fit, 100, config)
         assert expected == 10
-        calls.update(fit_dataset=0, _polish=0)
+        calls.update(_fit=0, _polish=0)
         bootstrap_uncertainty(data, fit, n_resamples=100, config=config)
-        assert calls["fit_dataset"] == expected
+        assert calls["_fit"] == expected
         assert calls["_polish"] == expected * (1 + config.n_starts)
+
+    def test_refits_build_no_dataset(self, calls, monkeypatch):
+        """The box-leaving refits reuse the bootstrap's design and weights:
+        no resample is re-sorted or re-validated as a NoiseDataset."""
+        data = synthetic_dataset(**BOUNDARY_SET)
+        fit = fit_dataset(data)
+        built, check = [], NoiseDataset.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+        monkeypatch.setattr(NoiseDataset, "__post_init__", counting)
+        calls.update(_fit=0, _polish=0)
+        bootstrap_uncertainty(data, fit, n_resamples=100)
+        assert calls["_fit"] == 10 and built == []
 
 
 #: every key a rejection by the public fitting API may name; "points" for too few
@@ -779,4 +805,7 @@ class TestCsvLoader:
         path = tmp_path / "empty.csv"
         path.write_text("gq_linear,R_linear\n")
         with pytest.raises(InsufficientDataError):
+            load_noise_csv(str(path))
+        path.write_text("# comments only\n\n# no header\n")
+        with pytest.raises(ValueError, match="no header row found"):
             load_noise_csv(str(path))

@@ -169,6 +169,8 @@ class TestTwoModeSqueezedVacuum:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             two_mode_squeezed_vacuum(-0.1)
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            apply_two_mode_squeeze(vacuum_state(4), -0.1)
 
 
 def chain_generator(coupling, weights):

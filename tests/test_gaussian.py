@@ -331,6 +331,23 @@ class TestStateAndOpValidation:
     def test_non_symplectic_matrix_rejected(self):
         with pytest.raises(ValueError):
             SymplecticOp(2.0 * np.eye(4))
+        with pytest.raises(ValueError, match="square with even dimension"):
+            SymplecticOp(np.eye(4)[:2])
+        with pytest.raises(ValueError, match="displacement length must match"):
+            SymplecticOp(np.eye(4), np.zeros(2))
+
+    @pytest.mark.parametrize("mean, cov, message", [
+        (np.zeros(3), np.eye(3), "flat vector of even length"),
+        (np.zeros(2), np.eye(4), r"cov shape \(4, 4\) does not match mean length 2"),
+        (np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]), "cov must be symmetric"),
+    ])
+    def test_inconsistent_moments_rejected(self, mean, cov, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianState(mean, cov)
+
+    def test_op_and_state_mode_counts_must_match(self):
+        with pytest.raises(ValueError, match="op acts on 2 modes but state has 1"):
+            apply_symplectic(vacuum(1), two_mode_squeezer(0, 1, 1.5))
 
     def test_scaled_identity_below_vacuum_unphysical(self):
         state = GaussianState(np.zeros(2), 0.5 * np.eye(2))

@@ -103,6 +103,11 @@ class TestAmplifierParams:
         with pytest.raises(ValueError):
             AmplifierParams(gain)
 
+    @pytest.mark.parametrize("phase", [np.nan, np.inf])
+    def test_pump_phase_validation(self, phase):
+        with pytest.raises(ValueError, match="pump_phase must be finite"):
+            AmplifierParams(1.2, phase)
+
 
 class TestGainRatio:
     def test_quoted_value(self):
@@ -443,6 +448,19 @@ class TestClosedForm:
         assert np.array_equal(closed_form_noise_reduction(mu, l1, l2, gq, "swapped"),
                               closed_form_noise_reduction(mu, l2, l1, gq))
 
+    def test_matches_textbook_mu_form(self):
+        """R from (1 + 2 nu^2 T2, 2 nu^2 (T1 - T2), -4 mu nu sqrt(T1 T2)),
+        written out in (mu, nu), against the closed form's (t, s1, s2) kernel."""
+        rng = np.random.default_rng(27)
+        mu, (l1, l2) = rng.uniform(1.0, 2.5, 2000), rng.uniform(0.0, 0.9, (2, 2000))
+        gq = 10.0 ** rng.uniform(0.0, 6.0, 2000)
+        nu, t1, t2 = np.sqrt(mu * mu - 1.0), 1.0 - l1, 1.0 - l2
+        alpha, beta = 1.0 + 2.0 * nu**2 * t2, 2.0 * nu**2 * (t1 - t2)
+        gamma = -4.0 * mu * nu * np.sqrt(t1 * t2)
+        lam = np.sqrt((gq - 1.0) / (gq + 1.0))
+        want = alpha + (beta + gamma * lam) / (1.0 + lam * lam)
+        assert np.max(np.abs(closed_form_noise_reduction(mu, l1, l2, gq) - want)) <= 1e-12
+
     def test_lossless_infinite_gain_limit(self):
         mu = 1.3
         nu = math.sqrt(mu * mu - 1.0)
@@ -639,6 +657,13 @@ class TestFringes:
         assert fringe_visibility(sc) == pytest.approx(0.0, abs=1e-12)
         assert np.ptp(trace.seed_intensity) == pytest.approx(0.0, abs=1e-9)
 
+    def test_both_paths_blocked_gives_zero_visibility(self):
+        assert fringe_visibility(scenario(mu=1.5, l1=1.0, l2=1.0, seed=1.0 + 0j)) == 0.0
+
+    def test_zero_seed_names_both_noise_scans(self):
+        with pytest.raises(ValueError, match="nonzero seed_amplitude.*noise_vs_phase.*noise-scan"):
+            fringe_scan(scenario(mu=1.5), 8)
+
     def test_balanced_lossless_visibility_near_one(self):
         sc = CascadeScenario(
             AmplifierParams(3.0),
@@ -660,6 +685,12 @@ class TestTraceTypes:
     def test_noise_trace_validation(self):
         with pytest.raises(ValueError):
             NoiseTrace(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            NoiseTrace(np.array([0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+
+    def test_fringe_trace_rejects_mismatched_arrays(self):
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            FringeTrace(np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([0.5]))
 
     def test_fringe_trace_totals(self):
         trace = FringeTrace(
