@@ -34,9 +34,6 @@ N_MAX_LIMIT = 160
 
 def _run_fock_once(scenario: CascadeScenario, n_max: int) -> fock.FockState:
     ch = scenario.channel
-    if scenario.seed_amplitude != 0 or ch.output_loss != 0:
-        raise ValueError("the Fock oracle takes no seed_amplitude and no output_loss: "
-                         "it has no displacement and one loss per arm")
     state = fock.vacuum_state(n_max=n_max)
     state = fock.apply_two_mode_squeeze(
         state, math.acosh(scenario.prep.gain), scenario.prep.pump_phase)
@@ -60,6 +57,9 @@ def run_fock(scenario: CascadeScenario, n_max: int = 40) -> fock.FockState:
     if not _is_integer(n_max) or not 2 <= n_max <= N_MAX_LIMIT:
         raise ValueError(f"truncation must be an integer within [2, {N_MAX_LIMIT}], "
                          f"got {n_max!r}")
+    if scenario.seed_amplitude != 0 or scenario.channel.output_loss != 0:
+        raise ValueError("the Fock oracle takes no seed_amplitude and no output_loss: "
+                         "it has no displacement and one loss per arm")
     while True:
         try:
             return _run_fock_once(scenario, n_max)

@@ -13,8 +13,8 @@ inverse lies inside the box mu in [1, mu_max], losses in [0, 1], it is the
 global optimum and no optimizer runs.  Otherwise the optimum sits on the
 box boundary, and a projected Levenberg-Marquardt polish of the weighted
 residuals runs in x = (t, s1, s2) = (arccosh mu, sqrt(1 - L1), sqrt(1 - L2)),
-the coordinates of model._coefficients, in which R is smooth at mu = 1 and
-polynomial in s1, s2; this module adds only their Jacobian.  Datasets sharing
+in which R is smooth at mu = 1 and polynomial in s1, s2; this module adds only the
+Jacobian of model._coefficients at u = 2 sinh^2 t, v = sinh 2t.  Datasets sharing
 (L1, L2) are fit jointly in z = (t_1, ..., t_n, s1, s2) on their summed
 objective; the single fit is its one-dataset case, z = x.  Every polish
 starts from each dataset's clipped linear point and the best cells of an
@@ -199,12 +199,13 @@ class BootstrapResult:
 
 
 def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
-    """model._coefficients at x = (t, s1, s2) and their Jacobian in x,
-    broadcast over the leading axes of x: shapes x.shape and x.shape + (3,)."""
+    """model._coefficients at x = (t, s1, s2), with u = 2 sinh^2 t and v = sinh 2t, and their
+    Jacobian in x, broadcast over the leading axes of x: shapes x.shape and x.shape + (3,)."""
     t, s1, s2 = x[..., 0], x[..., 1], x[..., 2]
-    u2, du, dc = 4.0 * np.sinh(t) ** 2, 2.0 * np.sinh(2.0 * t), -4.0 * np.cosh(2.0 * t)
+    u, v = 2.0 * np.sinh(t) ** 2, np.sinh(2.0 * t)
+    u2, du, dc = 2.0 * u, 2.0 * v, -4.0 * np.cosh(2.0 * t)
     out = np.zeros(t.shape + (4, 3))  # the coefficients, then the Jacobian's rows
-    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = _model_coefficients(t, s1, s2)
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = _model_coefficients(u, v, s1, s2)
     out[..., 1, 0], out[..., 1, 2] = du * (s2 * s2), u2 * s2
     out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = du * (s1 * s1 - s2 * s2), u2 * s1, -u2 * s2
     out[..., 3, 0], out[..., 3, 1], out[..., 3, 2] = dc * (s1 * s2), -du * s2, -du * s1
@@ -345,7 +346,8 @@ def _grid_starts(terms, hi, n_cells) -> list[np.ndarray]:
     s = np.linspace(0.0, 1.0, 13)
     t = np.minimum(np.concatenate([[0.0], np.geomspace(1e-3, hi[0], 23)]), hi[0])
     tt, s1, s2 = np.meshgrid(t, s, s, indexing="ij")
-    coef = np.stack(_model_coefficients(tt, s1, s2), axis=-1)
+    u, v = 2.0 * np.sinh(tt) ** 2, np.sinh(2.0 * tt)
+    coef = np.stack(_model_coefficients(u, v, s1, s2), axis=-1)
     costs = np.array([np.sum((coef @ (x.T @ (w[:, None] * x)) - 2.0 * x.T @ (w * r)) * coef, axis=-1)
                       for x, r, w in terms])
     best_t, total = t[np.argmin(costs, axis=1)], np.min(costs, axis=1).sum(axis=0)

@@ -15,9 +15,9 @@ on the chains of fixed c = n_ea - n_eb that the store holds, through cached
 exponentials of tridiagonal generators; being symmetric in a and b, it gives
 chains c and -c one block.
 
-Truncation adequacy is policed, not assumed: builders and squeezers check
-the population at the edge of all four modes (n_max, or M for an
-environment) and raise TruncationError instead of silently wrong numbers.
+Truncation adequacy is policed, not assumed: the squeezer checks the
+population at the edge of all four modes (n_max, or M for an environment)
+and raises TruncationError instead of silently wrong numbers.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .gaussian import NumericalError, _check_integer, _is_integer
 
 #: maximum tolerated population at the truncation edge
 EDGE_TOL = 1e-8
-#: maximum tolerated relative amplitude of the highest retained TMSV term
-TAIL_TOL = 1e-6
 #: tolerated norm drift through a unitary application
 NORM_TOL = 1e-8
 #: tolerated population of a truncated environment from its last level on
@@ -114,25 +112,6 @@ def vacuum_state(n_max: int) -> FockState:
     amps = np.zeros((n_max + 1, 1, 1), dtype=complex)
     amps[0, 0, 0] = 1.0
     return FockState(n_max, amps)
-
-
-def two_mode_squeezed_vacuum(r: float, theta: float = 0.0, n_max: int = 40) -> FockState:
-    """TMSV in Schmidt form: psi(n, n) = (e^{i theta} tanh r)^n / cosh r.
-
-    Refuses (TruncationError) when the highest retained coefficient is not
-    negligible against the first, i.e. tanh(r)^n_max >= TAIL_TOL.
-    """
-    _check_integer("n_max", n_max, 1)
-    _check_finite(r=r, theta=theta)
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    tail = np.tanh(r) ** n_max
-    if tail >= TAIL_TOL:
-        raise TruncationError(
-            f"TMSV r={r} tail amplitude {tail:.2e} at n_max={n_max} exceeds {TAIL_TOL}"
-        )
-    coeff = (np.exp(1j * theta) * np.tanh(r)) ** np.arange(n_max + 1) / np.cosh(r)
-    return FockState(n_max, (coeff / np.linalg.norm(coeff))[:, None, None])
 
 
 def edge_population(state: FockState) -> float:

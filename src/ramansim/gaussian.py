@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,23 +47,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), _J)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=None)
-def _symplectic_check(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Omega and the bound of :func:`_is_symplectic`, per mode count."""
-    omega = _readonly(symplectic_form(n_modes))
-    return omega, _readonly(SYMPLECTIC_ATOL + 1e-5 * np.abs(omega))
-
-
 def _is_symplectic(s: np.ndarray) -> bool:
-    """S Omega S^T = Omega for every matrix of a ``(..., 2n, 2n)`` stack:
-    ``np.allclose(S Omega S^T, Omega, atol=SYMPLECTIC_ATOL)`` written out."""
-    omega, bound = _symplectic_check(s.shape[-1] // 2)
-    return bool((np.abs(s @ omega @ s.swapaxes(-1, -2) - omega) <= bound).all())
+    """S Omega S^T = Omega to SYMPLECTIC_ATOL for every matrix of a ``(..., 2n, 2n)`` stack."""
+    omega = symplectic_form(s.shape[-1] // 2)
+    return np.allclose(s @ omega @ s.swapaxes(-1, -2), omega, atol=SYMPLECTIC_ATOL)
 
 
 def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
@@ -112,7 +98,8 @@ def _frozen(name: str, value) -> np.ndarray:
     bad = arr[~np.isfinite(arr)]
     if bad.size:
         raise ValueError(f"{name} must be finite, got {bad[0]}")
-    return _readonly(arr)
+    arr.setflags(write=False)
+    return arr
 
 
 def _is_integer(value) -> bool:
@@ -276,8 +263,10 @@ def apply_loss(state: GaussianState, mode: int, loss: float) -> GaussianState:
 def homodyne_variance(state: GaussianState, mode: int, lo_phase: float = 0.0) -> float:
     """Variance of X_phi = cos(phi) X + sin(phi) Y measured on one mode.
 
-    Vacuum gives 1 for every ``lo_phase``.
+    Vacuum gives 1 for every ``lo_phase``; a non-finite ``lo_phase`` is a ValueError.
     """
+    if not math.isfinite(lo_phase):
+        raise ValueError(f"lo_phase must be finite, got {lo_phase}")
     idx = _quadratures(state.n_modes, mode)[1]
     u = np.array([np.cos(lo_phase), np.sin(lo_phase)])
     return float(u @ state.cov[np.ix_(idx, idx)] @ u)

@@ -385,12 +385,11 @@ def _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave):
             raise ValueError(f"{name} must be within [0, 1]")
 
 
-def _coefficients(t, s1, s2):
-    """R's coefficients at t = arcsinh(nu), s_i = sqrt(T_i), broadcast: with u = 2 sinh^2 t,
-    alpha = 1 + u T2, beta = u (T1 - T2), gamma = -2 sinh(2t) s1 s2 = -4 mu nu sqrt(T1 T2).  The
-    fit's coordinates: mu = cosh t rounds away t below ~1e-8, where R still moves at first order."""
-    u = 2.0 * np.sinh(t) ** 2
-    return 1.0 + u * (s2 * s2), u * (s1 * s1 - s2 * s2), -2.0 * np.sinh(2.0 * t) * (s1 * s2)
+def _coefficients(u, v, s1, s2):
+    """R's coefficients at u = 2 nu^2, v = 2 mu nu, s_i = sqrt(T_i), broadcast: alpha = 1 + u T2,
+    beta = u (T1 - T2), gamma = -2 v s1 s2.  The fit passes u = 2 sinh^2 t, v = sinh 2t at
+    t = arcsinh(nu): mu = cosh t rounds away t below ~1e-8, where R still moves at first order."""
+    return 1.0 + u * (s2 * s2), u * (s1 * s1 - s2 * s2), -2.0 * v * (s1 * s2)
 
 
 def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing: str = "cascade"):
@@ -404,8 +403,8 @@ def noise_reduction_coefficients(prep_gain, loss_stokes, loss_spinwave, pairing:
     mu, l1, l2 = _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave)
     if pairing == "swapped":
         l1, l2 = l2, l1
-    t = np.arcsinh(np.sqrt((mu - 1.0) * (mu + 1.0)))
-    return _coefficients(t, np.sqrt(1.0 - l1), np.sqrt(1.0 - l2))
+    nu2 = (mu - 1.0) * (mu + 1.0)
+    return _coefficients(2.0 * nu2, 2.0 * mu * np.sqrt(nu2), np.sqrt(1.0 - l1), np.sqrt(1.0 - l2))
 
 
 def closed_form_noise_reduction(

@@ -120,9 +120,11 @@ class TestVarianceDeviation:
         "change", [dict(seed_amplitude=0.1j), dict(channel=ChannelParams(output_loss=0.2))],
         ids=["seed", "output-loss"],
     )
-    def test_oracle_refuses_what_it_cannot_run(self, change):
-        with pytest.raises(ValueError):
+    def test_oracle_refuses_what_it_cannot_run(self, change, attempts):
+        """Refused once, before the first attempt."""
+        with pytest.raises(ValueError, match="takes no seed_amplitude and no output_loss"):
             run_fock(dataclasses.replace(LOSSLESS_ALIGNED, **change))
+        assert attempts == []
 
 
 class TestAdaptiveTruncation:

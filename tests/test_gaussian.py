@@ -357,6 +357,11 @@ class TestStateAndOpValidation:
         with pytest.raises(ValueError):
             homodyne_variance(vacuum(1), 1)
 
+    @pytest.mark.parametrize("lo_phase", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lo_phase_rejected(self, lo_phase):
+        with pytest.raises(ValueError, match=f"^lo_phase must be finite, got {lo_phase}$"):
+            homodyne_variance(vacuum(1), 0, lo_phase)
+
     @pytest.mark.parametrize("call", [
         lambda: two_mode_squeezer(-1, 1, 1.5),
         lambda: two_mode_squeezer(0, 2, 1.5, n_modes=2),

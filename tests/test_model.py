@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import ramansim.gaussian as gaussian
 import ramansim.model as model
 from ramansim.model import (
     AmplifierParams,
@@ -679,6 +680,31 @@ class TestFringes:
         for fn in (fringe_scan, fringe_visibility):
             with pytest.raises(ValueError, match="seed_amplitude"):
                 fn(sc)
+
+
+class TestNoSymplecticCheckOnModelPaths:
+    def test_model_paths_never_run_the_check(self, monkeypatch):
+        """The model's squeezers pass the gain range rule, not SymplecticOp's
+        symplectic check: no model path calls it, while one public op does."""
+        calls, check = [], gaussian._is_symplectic
+
+        def counted(s):
+            calls.append(s.shape)
+            return check(s)
+        monkeypatch.setattr(gaussian, "_is_symplectic", counted)
+        sc, seeded = scenario(l2=0.3, phi=1.0, out=0.2), scenario(mu=1.5, seed=1.0 + 0j)
+        channel = ChannelParams(0.1, 0.2)
+        min_noise_over_phase(sc)
+        prep_gain_sweep([1.0, 1.2, 1.5], AmplifierParams.from_quantum_gain(32.0), channel)
+        quantum_gain_sweep([2.0, 8.0, 32.0], AmplifierParams(1.17), channel)
+        noise_vs_phase(sc, 16)
+        fringe_scan(seeded, 16)
+        build_cascade(sc)
+        build_cascade(seeded)
+        closed_form_noise_reduction(1.17, 0.1, 0.1, 32.0)
+        assert calls == []
+        two_mode_squeezer(0, 1, 1.5)
+        assert calls == [(4, 4)]
 
 
 class TestTraceTypes:
