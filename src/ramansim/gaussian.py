@@ -53,6 +53,11 @@ def _is_symplectic(s: np.ndarray) -> bool:
     return np.allclose(s @ omega @ s.swapaxes(-1, -2), omega, atol=SYMPLECTIC_ATOL)
 
 
+def _every(ok) -> bool:
+    """Whether every entry of the conditions ``ok`` holds; a NumPy bool is read without a reduction."""
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
 def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
     """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``.
 
@@ -62,18 +67,17 @@ def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
     and the gain's quantum noise gain 2G^2 - 1, raised before anything is
     built; within that range the matrix is symplectic to SYMPLECTIC_ATOL.
     """
-    gain = np.asarray(gain, dtype=float)
+    gain = np.asarray(gain, dtype=float)[()]
     ok = (gain >= 1.0) & (gain <= SQUEEZER_GAIN_MAX)
-    if not ok.all():
+    if not _every(ok):
         bad = float(gain[~ok].flat[0])  # as a Python float, 2G^2 - 1 overflows to inf quietly
         raise ValueError(
             f"{name} {bad:g} (quantum noise gain {2.0 * bad * bad - 1.0:g}) is out of range: a "
             f"squeezer gain must lie within [1, {SQUEEZER_GAIN_MAX:.6g}], its quantum noise gain "
             f"within [1, {2.0 * SQUEEZER_GAIN_MAX**2 - 1.0:.4g}]")
-    gain = gain[..., None, None]
     c, s = np.cos(pump_phase), np.sin(pump_phase)
     # G I + g P(theta), P the X/Y coupling of the conjugate term g e^{i theta} b^dag
-    return gain * _EYE4 + np.sqrt(gain * gain - 1.0) * np.array(
+    return gain[..., None, None] * _EYE4 + np.sqrt(gain * gain - 1.0)[..., None, None] * np.array(
         [[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
 
 

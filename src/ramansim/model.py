@@ -33,6 +33,7 @@ from .gaussian import (
     NumericalError,
     _attenuate,
     _check_integer,
+    _every,
     _rotation_matrix,
     _squeezer_matrix,
 )
@@ -103,8 +104,8 @@ def gain_ratio_from_quantum_gain(quantum_gain):
     With gq = 2G^2 - 1 and g^2 = G^2 - 1 this is sqrt((gq - 1)/(gq + 1));
     it tends to 1 for large gain (gq is clamped to the largest float, so infinity maps to exactly 1).
     """
-    gq = np.asarray(quantum_gain, dtype=float)
-    if not (gq >= 1.0).all():
+    gq = np.asarray(quantum_gain, dtype=float)[()]
+    if not _every(gq >= 1.0):
         raise ValueError("quantum_gain must be >= 1")
     gq = np.minimum(gq, _FLOAT_MAX)
     out = np.sqrt((gq - 1.0) / (gq + 1.0))
@@ -226,7 +227,7 @@ def _interstage_moments(scenario: CascadeScenario, prep_gain):
     # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
     seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
     return _attenuate(
-        prep @ seed, prep @ np.swapaxes(prep, -1, -2),
+        prep @ seed, prep @ prep.swapaxes(-1, -2),
         np.array([ch.loss_stokes, ch.loss_stokes, ch.loss_spinwave, ch.loss_spinwave]),
     )
 
@@ -301,17 +302,18 @@ def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
     """
     _, cov = _interstage_moments(scenario, prep_gain)
     row = _squeezer_matrix(readout_gain, scenario.readout.pump_phase, "readout gain")[..., 0, :]
-    p0, p1, q = row[..., 0], row[..., 1], row[..., 2:]
+    p0, p1, q = row[..., 0][()], row[..., 1][()], row[..., 2:]
     t, loss = 1.0 - scenario.channel.output_loss, scenario.channel.output_loss
-    c00, c01, c11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 1]
+    c00, c01, c11 = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
     p_sq = p0 * p0 + p1 * p1
     w = 2.0 * t * (cov[..., :2, 2:] @ q[..., None])[..., 0]
-    qcq = (q[..., None, :] @ cov[..., 2:, 2:] @ q[..., None])[..., 0, 0]
+    w0, w1 = w[..., 0][()], w[..., 1][()]
+    qcq = (q[..., None, :] @ cov[..., 2:, 2:] @ q[..., None])[..., 0, 0][()]
     a = t * (0.5 * (c00 + c11) * p_sq + qcq) + loss
-    b, c = p0 * w[..., 0] + p1 * w[..., 1], p1 * w[..., 0] - p0 * w[..., 1]
+    b, c = p0 * w0 + p1 * w1, p1 * w0 - p0 * w1
     second = t * p_sq * np.hypot(0.5 * (c00 - c11), c01)
     minimum = a - np.hypot(b, c)  # not finite when any of a, b, c is not
-    if not ((second <= _HARMONIC_RTOL * a) & np.isfinite(minimum)).all():
+    if not _every((second <= _HARMONIC_RTOL * a) & np.isfinite(minimum)):
         raise HarmonicFitError(f"phase trace is not a first harmonic: second harmonic up "
                                f"to {np.max(second):.3e}, mean level from {np.min(a):.3e}")
     return np.arctan2(-c, -b) % (2.0 * np.pi), minimum
@@ -367,14 +369,14 @@ _PREP_GAIN_MAX = math.sqrt(_FLOAT_MAX) / 2.0
 
 
 def _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave):
-    """(mu, L1, L2) as float arrays; a prep gain below 1 or above
+    """(mu, L1, L2) as float arrays, a scalar as an np.float64; a prep gain below 1 or above
     _PREP_GAIN_MAX or a loss outside [0, 1], NaN included, is rejected.
     One reduction accepts; the failing value is found only after."""
-    mu = np.asarray(prep_gain, dtype=float)
-    l1 = np.asarray(loss_stokes, dtype=float)
-    l2 = np.asarray(loss_spinwave, dtype=float)
-    if ((mu >= 1.0) & (mu <= _PREP_GAIN_MAX) & (l1 >= 0.0) & (l1 <= 1.0)
-            & (l2 >= 0.0) & (l2 <= 1.0)).all():
+    mu = np.asarray(prep_gain, dtype=float)[()]
+    l1 = np.asarray(loss_stokes, dtype=float)[()]
+    l2 = np.asarray(loss_spinwave, dtype=float)[()]
+    if _every((mu >= 1.0) & (mu <= _PREP_GAIN_MAX) & (l1 >= 0.0) & (l1 <= 1.0)
+              & (l2 >= 0.0) & (l2 <= 1.0)):
         return mu, l1, l2
     if not np.all(mu >= 1.0):
         raise ValueError("prep_gain must be >= 1")
@@ -454,8 +456,8 @@ def joint_quadrature_variance(prep_gain, loss_stokes, loss_spinwave):
     """
     mu, l1, l2 = _check_prep_and_losses(prep_gain, loss_stokes, loss_spinwave)
     nu = np.sqrt((mu - 1.0) * (mu + 1.0))
-    s = mu + nu
-    x_plus = 2.0 * nu * nu * (np.sqrt(1.0 - l1) - np.sqrt(1.0 - l2)) ** 2 + 2.0 * (
+    s, d = mu + nu, np.sqrt(1.0 - l1) - np.sqrt(1.0 - l2)
+    x_plus = 2.0 * nu * nu * (d * d) + 2.0 * (
         1.0 / s + 2.0 * nu * (l1 + l2 - l1 * l2) / (1.0 + np.sqrt((1.0 - l1) * (1.0 - l2)))
     ) / s
     return float(x_plus) if np.ndim(x_plus) == 0 else x_plus
@@ -550,19 +552,10 @@ def fringe_visibility(scenario: CascadeScenario) -> float:
     Zero when either interfering path vanishes (prep gain 1, i.e. nu = 0,
     or a fully blocked arm); a seed whose intensity is not finite is
     rejected as in :func:`fringe_scan`."""
-    ch = scenario.channel
-    a = (
-        scenario.readout.gain
-        * scenario.prep.gain
-        * math.sqrt(1.0 - ch.loss_stokes)
-        * abs(scenario.seed_amplitude)
-    )
-    b = (
-        scenario.readout.cross_gain
-        * scenario.prep.cross_gain
-        * math.sqrt(1.0 - ch.loss_spinwave)
-        * abs(scenario.seed_amplitude)
-    )
+    prep, readout = scenario.prep, scenario.readout
+    ch, amp = scenario.channel, abs(scenario.seed_amplitude)
+    a = readout.gain * prep.gain * math.sqrt(1.0 - ch.loss_stokes) * amp
+    b = readout.cross_gain * prep.cross_gain * math.sqrt(1.0 - ch.loss_spinwave) * amp
     denom = a * a + b * b
     if not math.isfinite(denom):
         raise _seed_range_error(scenario)

@@ -472,11 +472,15 @@ class TestValidation:
             fock._unitary_result(4, np.full((5, 1, 1), np.nan, dtype=complex), "probe")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    # each id is the one pytest first generated, fixed so that deleting a case renames no other
     @pytest.mark.parametrize("call, name", [
-        (lambda x: apply_two_mode_squeeze(vacuum_state(10), x), "r"),
-        (lambda x: apply_two_mode_squeeze(vacuum_state(10), 0.1, x), "theta"),
-        (lambda x: apply_phase_rotation(two_mode_squeezed_vacuum(0.1, n_max=10), 0, x), "phi"),
-        (lambda x: apply_phase_rotation(two_mode_squeezed_vacuum(0.1, n_max=10), 1, x), "phi"),
+        pytest.param(lambda x: apply_two_mode_squeeze(vacuum_state(10), x), "r", id="<lambda>-r"),
+        pytest.param(lambda x: apply_two_mode_squeeze(vacuum_state(10), 0.1, x), "theta",
+                     id="<lambda>-theta"),
+        pytest.param(lambda x: apply_phase_rotation(two_mode_squeezed_vacuum(0.1, n_max=10), 0, x),
+                     "phi", id="<lambda>-phi0"),
+        pytest.param(lambda x: apply_phase_rotation(two_mode_squeezed_vacuum(0.1, n_max=10), 1, x),
+                     "phi", id="<lambda>-phi1"),
     ])
     def test_non_finite_parameter_rejected(self, call, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):

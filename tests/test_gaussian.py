@@ -362,23 +362,24 @@ class TestStateAndOpValidation:
         with pytest.raises(ValueError, match=f"^lo_phase must be finite, got {lo_phase}$"):
             homodyne_variance(vacuum(1), 0, lo_phase)
 
+    # each id is the one pytest first generated, fixed so that deleting a case renames no other
     @pytest.mark.parametrize("call", [
-        lambda: two_mode_squeezer(-1, 1, 1.5),
-        lambda: two_mode_squeezer(0, 2, 1.5, n_modes=2),
-        lambda: phase_shift(-1, 0.3),
-        lambda: phase_shift(2, 0.3, n_modes=2),
-        lambda: displacement(-1, 1.0),
-        lambda: displacement(1, 1.0, n_modes=1),
-        lambda: apply_loss(vacuum(2), 2, 0.1),
-        lambda: homodyne_variance(vacuum(2), -1),
-        lambda: mean_amplitude(vacuum(1), 1),
-        lambda: mean_photon_number(vacuum(2), -1),
-        lambda: apply_loss(vacuum(2), 1.0, 0.1),
-        lambda: phase_shift(1.0, 0.3),
-        lambda: two_mode_squeezer(0, 1.0, 1.5),
-        lambda: apply_loss(vacuum(2), True, 0.1),
-        lambda: homodyne_variance(vacuum(2), True),
-        lambda: displacement(True, 1.0),
+        pytest.param(lambda: two_mode_squeezer(-1, 1, 1.5), id="<lambda>0"),
+        pytest.param(lambda: two_mode_squeezer(0, 2, 1.5, n_modes=2), id="<lambda>1"),
+        pytest.param(lambda: phase_shift(-1, 0.3), id="<lambda>2"),
+        pytest.param(lambda: phase_shift(2, 0.3, n_modes=2), id="<lambda>3"),
+        pytest.param(lambda: displacement(-1, 1.0), id="<lambda>4"),
+        pytest.param(lambda: displacement(1, 1.0, n_modes=1), id="<lambda>5"),
+        pytest.param(lambda: apply_loss(vacuum(2), 2, 0.1), id="<lambda>6"),
+        pytest.param(lambda: homodyne_variance(vacuum(2), -1), id="<lambda>7"),
+        pytest.param(lambda: mean_amplitude(vacuum(1), 1), id="<lambda>8"),
+        pytest.param(lambda: mean_photon_number(vacuum(2), -1), id="<lambda>9"),
+        pytest.param(lambda: apply_loss(vacuum(2), 1.0, 0.1), id="<lambda>10"),
+        pytest.param(lambda: phase_shift(1.0, 0.3), id="<lambda>11"),
+        pytest.param(lambda: two_mode_squeezer(0, 1.0, 1.5), id="<lambda>12"),
+        pytest.param(lambda: apply_loss(vacuum(2), True, 0.1), id="<lambda>13"),
+        pytest.param(lambda: homodyne_variance(vacuum(2), True), id="<lambda>14"),
+        pytest.param(lambda: displacement(True, 1.0), id="<lambda>15"),
     ])
     def test_every_mode_index_has_one_check(self, call):
         """Out of range, or not an integer (a bool is not one)."""

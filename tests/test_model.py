@@ -50,6 +50,11 @@ HEADLINE_R = 0.38552058689655255
 HEADLINE_X_PLUS = 0.7697917240107415
 
 
+def forms(value):
+    """``value`` as a Python float, an np.float64 and a one-element array."""
+    return [float(value), np.float64(value), np.array([value])]
+
+
 def scenario(mu=1.17, gq=32.0, l1=0.1, l2=0.1, phi=0.0, out=0.0, seed=0j):
     return CascadeScenario(
         AmplifierParams(mu),
@@ -123,12 +128,10 @@ class TestGainRatio:
         assert out == pytest.approx([0.0, math.sqrt(0.5), 1.0], abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gain_ratio_from_quantum_gain(0.5)
-        with pytest.raises(ValueError):
-            gain_ratio_from_quantum_gain(np.nan)
-        with pytest.raises(ValueError):
-            gain_ratio_from_quantum_gain(np.array([2.0, np.nan]))
+        for bad in (0.5, np.nan, -np.inf):
+            for gq in forms(bad) + [np.array([2.0, bad])]:
+                with pytest.raises(ValueError, match=r"^quantum_gain must be >= 1$"):
+                    gain_ratio_from_quantum_gain(gq)
 
 
 class TestCascadePipeline:
@@ -478,16 +481,70 @@ class TestClosedForm:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            closed_form_noise_reduction(0.9, 0.1, 0.1, 32.0)
-        with pytest.raises(ValueError):
-            closed_form_noise_reduction(1.2, 1.1, 0.1, 32.0)
-        with pytest.raises(ValueError):
+        """Each rejected value keeps its message as a Python float, an
+        np.float64 and a one-element array."""
+        with pytest.raises(ValueError, match=r"^pairing must be one of"):
             closed_form_noise_reduction(1.2, 0.1, 0.1, 32.0, pairing="other")
-        for args in [(np.nan, 0.1, 0.1, 32.0), (1.2, np.nan, 0.1, 32.0),
-                     (1.2, 0.1, np.nan, 32.0), (1.2, 0.1, 0.1, np.nan)]:
-            with pytest.raises(ValueError):
-                closed_form_noise_reduction(*args)
+        too_low, loss = r"^prep_gain must be >= 1$", r"^{} must be within \[0, 1\]$"
+        rejected = [(0, v, too_low) for v in (0.9, np.nan, -np.inf)] + [
+            (0, np.inf, r"^prep_gain inf is out of range: the closed form overflows$"),
+            (0, 1e200, r"^prep_gain 1e\+200 is out of range: the closed form overflows$")] + [
+            (k, v, loss.format(name)) for k, name in ((1, "loss_stokes"), (2, "loss_spinwave"))
+            for v in (-0.1, 1.1, np.nan, np.inf, -np.inf)] + [
+            (3, v, r"^quantum_gain must be >= 1$") for v in (0.5, np.nan, -np.inf)]
+        for position, bad, message in rejected:
+            for value in forms(bad):
+                args = [1.2, 0.1, 0.1, 32.0]
+                args[position] = value
+                with pytest.raises(ValueError, match=message):
+                    closed_form_noise_reduction(*args)
+
+
+class TestScalarAndArrayCalls:
+    """A scalar call and a one-element-array call give the same bits; a scalar
+    returns a float (np.float64 for each coefficient)."""
+
+    def test_closed_forms_agree_to_the_last_bit(self):
+        # at the first case and at draws 332 and 926 of the random ones, NumPy's pow for an
+        # np.float64 ** 2 and its square for an array round (sqrt T1 - sqrt T2)^2 differently
+        rng = np.random.default_rng(7)
+        mu = np.append(1.3342206687953606, 1.0 + 9.0 * rng.random(2000))
+        l1 = np.append(0.27971924372545764, rng.random(2000))
+        l2 = np.append(0.9861526190212553, rng.random(2000))
+        gq = np.concatenate([[1.0, np.inf], 1.0 + 10.0 ** rng.uniform(-6.0, 6.0, 1999)])
+        for i in range(mu.size):
+            args = (float(mu[i]), float(l1[i]), float(l2[i]), float(gq[i]))
+            one = [np.array([v]) for v in args]
+            x_plus = joint_quadrature_variance(*args[:3])
+            assert type(x_plus) is float
+            assert joint_quadrature_variance(*one[:3]).tolist() == [x_plus]
+            lam = gain_ratio_from_quantum_gain(args[3])
+            assert type(lam) is float
+            assert gain_ratio_from_quantum_gain(one[3]).tolist() == [lam]
+            for pairing in model.PAIRINGS:
+                r = closed_form_noise_reduction(*args, pairing)
+                assert type(r) is float
+                assert closed_form_noise_reduction(*one, pairing).tolist() == [r]
+                coef = noise_reduction_coefficients(*args[:3], pairing)
+                assert [type(c) for c in coef] == [np.float64] * 3
+                assert [c.tolist() for c in noise_reduction_coefficients(*one[:3], pairing)] == [
+                    [c] for c in coef]
+
+    def test_phase_minimum_is_the_one_point_sweep(self):
+        """R = min_noise_over_phase / reference_variance bit for bit the R of a
+        one-point prep_gain_sweep and quantum_gain_sweep; the readout gain is
+        dyadic, so 2G^2 - 1 and sqrt((gq + 1)/2) are exact and both sweeps
+        see the scenario's gains."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            readout = AmplifierParams(1.0 + int(rng.integers(0, 2**20)) / 2.0**16)
+            channel = ChannelParams(rng.random(), rng.random(), 0.0, 0.5 * rng.random())
+            sc = CascadeScenario(AmplifierParams(1.0 + 1.5 * rng.random()), readout, channel)
+            r = min_noise_over_phase(sc)[1] / reference_variance(sc)
+            assert type(r) is float
+            assert prep_gain_sweep([sc.prep.gain], readout, channel).variance_linear.tolist() == [r]
+            trace = quantum_gain_sweep([readout.quantum_noise_gain], sc.prep, channel)
+            assert trace.variance_linear.tolist() == [r]
 
 
 class TestJointQuadrature:
@@ -609,21 +666,27 @@ class TestSweeps:
     def test_squeezer_range_error_through_model_paths(self, gain, recwarn):
         """A gain beyond working precision, on either stage of the phase
         minimum, the scan and the sweeps, is a range error naming it."""
-        big, small = AmplifierParams(gain), AmplifierParams(1.2)
-        calls = [
-            ("prep_gain", lambda: min_noise_over_phase(CascadeScenario(big, small))),
-            ("readout gain", lambda: min_noise_over_phase(CascadeScenario(small, big))),
-            ("prep_gain", lambda: noise_vs_phase(CascadeScenario(big, small), 8)),
-            ("readout gain", lambda: noise_vs_phase(CascadeScenario(small, big), 8)),
-            ("prep_gain", lambda: prep_gain_sweep([1.2, gain], small, ChannelParams(0.1, 0.2))),
-            ("readout gain", lambda: prep_gain_sweep([1.2, 1.5], big, ChannelParams(0.1, 0.2))),
-            ("prep_gain", lambda: quantum_gain_sweep([2.0, 8.0], big, ChannelParams(0.1, 0.2))),
-            ("readout gain", lambda: quantum_gain_sweep([2.0, min(2.0 * gain * gain - 1.0, 1e300)],
-                                                        small, ChannelParams(0.1, 0.2))),
-        ]
-        for name, call in calls:
-            with pytest.raises(ValueError, match=f"^{name} .* is out of range"):
-                call()
+        small, channel = AmplifierParams(1.2), ChannelParams(0.1, 0.2)
+        gq = min(2.0 * gain * gain - 1.0, 1e300)
+        messages = []  # per form of the gain: Python float, np.float64, one-element array
+        for g in forms(gain):
+            big = AmplifierParams(g)
+            calls = [
+                ("prep_gain", lambda: min_noise_over_phase(CascadeScenario(big, small))),
+                ("readout gain", lambda: min_noise_over_phase(CascadeScenario(small, big))),
+                ("prep_gain", lambda: noise_vs_phase(CascadeScenario(big, small), 8)),
+                ("readout gain", lambda: noise_vs_phase(CascadeScenario(small, big), 8)),
+                ("prep_gain", lambda: prep_gain_sweep(np.append(1.2, g), small, channel)),
+                ("readout gain", lambda: prep_gain_sweep([1.2, 1.5], big, channel)),
+                ("prep_gain", lambda: quantum_gain_sweep([2.0, 8.0], big, channel)),
+                ("readout gain", lambda: quantum_gain_sweep(np.append(2.0, gq), small, channel)),
+            ]
+            messages.append([])
+            for name, call in calls:
+                with pytest.raises(ValueError, match=f"^{name} .* is out of range") as err:
+                    call()
+                messages[-1].append(str(err.value))
+        assert messages[1] == messages[2] == messages[0]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
