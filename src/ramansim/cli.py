@@ -63,6 +63,12 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _write_rows(fh, *columns) -> None:
+    """One CSV line per row of the float ``columns``, each cell as :func:`_fmt` writes a float."""
+    line = ",".join(["{:.12g}"] * len(columns)) + "\n"
+    fh.writelines(line.format(*row) for row in zip(*(np.asarray(c, float).tolist() for c in columns)))
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -233,8 +239,7 @@ def _cmd_noise_scan(args, cfg: dict) -> int:
         fh.write(f"# reference_variance_linear = {_fmt(ref)}\n")
         fh.write(f"# reference_variance_db = {_fmt(linear_to_db(ref))}\n")
         fh.write("phi_rad,variance_linear,variance_db\n")
-        for phi, v, vdb in zip(trace.values, trace.variance_linear, trace.variance_db):
-            fh.write(f"{_fmt(phi)},{_fmt(v)},{_fmt(vdb)}\n")
+        _write_rows(fh, trace.values, trace.variance_linear, trace.variance_db)
     return 0
 
 
@@ -265,8 +270,7 @@ def _cmd_gain_sweep(args, cfg: dict) -> int:
         gq_col = values
     with _open_out(args, cfg) as fh:
         fh.write("sweep_value,gq_linear,R_linear,R_db\n")
-        for x, gq, r, rdb in zip(trace.values, gq_col, trace.variance_linear, trace.variance_db):
-            fh.write(f"{_fmt(x)},{_fmt(gq)},{_fmt(r)},{_fmt(rdb)}\n")
+        _write_rows(fh, trace.values, gq_col, trace.variance_linear, trace.variance_db)
     return 0
 
 
@@ -361,8 +365,7 @@ def _cmd_fringes(args, cfg: dict) -> int:
     with _open_out(args, cfg) as fh:
         fh.write(f"# visibility = {_fmt(fringe_visibility(scenario))}\n")
         fh.write("phi_rad,intensity,background\n")
-        for phi, inten, bg in zip(trace.phases, trace.seed_intensity, trace.background):
-            fh.write(f"{_fmt(phi)},{_fmt(inten)},{_fmt(bg)}\n")
+        _write_rows(fh, trace.phases, trace.seed_intensity, trace.background)
     return 0
 
 

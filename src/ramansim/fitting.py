@@ -202,7 +202,8 @@ def _coefficients(x) -> tuple[np.ndarray, np.ndarray]:
     """model._coefficients at x = (t, s1, s2), with u = 2 sinh^2 t and v = sinh 2t, and their
     Jacobian in x, broadcast over the leading axes of x: shapes x.shape and x.shape + (3,)."""
     t, s1, s2 = x[..., 0], x[..., 1], x[..., 2]
-    u, v = 2.0 * np.sinh(t) ** 2, np.sinh(2.0 * t)
+    sh = np.sinh(t)  # squared as a product: NumPy's ** 2 takes pow on a scalar, square on an array
+    u, v = 2.0 * (sh * sh), np.sinh(2.0 * t)
     u2, du, dc = 2.0 * u, 2.0 * v, -4.0 * np.cosh(2.0 * t)
     out = np.zeros(t.shape + (4, 3))  # the coefficients, then the Jacobian's rows
     out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = _model_coefficients(u, v, s1, s2)

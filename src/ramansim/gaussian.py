@@ -17,6 +17,7 @@ updates, so everything here is plain NumPy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,14 +59,26 @@ def _every(ok) -> bool:
     return bool(ok) if ok.ndim == 0 else bool(ok.all())
 
 
+@functools.lru_cache(maxsize=64)
+def _coupling(pump_phase: float) -> np.ndarray:
+    """P(theta), the X/Y coupling of the conjugate term g e^{i theta} b^dag, read-only; the
+    cache pays off when calls repeat a pump phase, as every stage left at phase 0 does."""
+    c, s = np.cos(pump_phase), np.sin(pump_phase)
+    out = np.array([[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
+    out.setflags(write=False)
+    return out
+
+
 def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
-    """Two-mode squeezer on modes (0, 1), shape ``gain.shape + (4, 4)``.
+    """Two-mode squeezer G I + g P(theta) on modes (0, 1), shape ``gain.shape + (4, 4)``.
 
     ``gain`` broadcasts; ``pump_phase`` is one scalar.  See
     :func:`two_mode_squeezer` for the convention.  A gain outside
     [1, SQUEEZER_GAIN_MAX], NaN included, is a range error naming ``name``
     and the gain's quantum noise gain 2G^2 - 1, raised before anything is
     built; within that range the matrix is symplectic to SYMPLECTIC_ATOL.
+    P(theta) is cached per ``float(pump_phase)`` (:func:`_coupling`); G, g and
+    the sum are computed on every call.
     """
     gain = np.asarray(gain, dtype=float)[()]
     ok = (gain >= 1.0) & (gain <= SQUEEZER_GAIN_MAX)
@@ -75,10 +88,8 @@ def _squeezer_matrix(gain, pump_phase: float, name: str) -> np.ndarray:
             f"{name} {bad:g} (quantum noise gain {2.0 * bad * bad - 1.0:g}) is out of range: a "
             f"squeezer gain must lie within [1, {SQUEEZER_GAIN_MAX:.6g}], its quantum noise gain "
             f"within [1, {2.0 * SQUEEZER_GAIN_MAX**2 - 1.0:.4g}]")
-    c, s = np.cos(pump_phase), np.sin(pump_phase)
-    # G I + g P(theta), P the X/Y coupling of the conjugate term g e^{i theta} b^dag
-    return gain[..., None, None] * _EYE4 + np.sqrt(gain * gain - 1.0)[..., None, None] * np.array(
-        [[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
+    return (gain[..., None, None] * _EYE4
+            + np.sqrt(gain * gain - 1.0)[..., None, None] * _coupling(float(pump_phase)))
 
 
 def _rotation_matrix(phi) -> np.ndarray:
@@ -87,12 +98,14 @@ def _rotation_matrix(phi) -> np.ndarray:
     return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
-def _attenuate(mean: np.ndarray, cov: np.ndarray, loss: np.ndarray):
-    """Pure loss given per quadrature by one ``(2n,)`` vector ``loss``: the
-    means ``(..., 2n)`` scale by sqrt(1 - loss), the covs by its outer
-    product, and the lost fraction of vacuum noise is added on the diagonal."""
+def _attenuate(mean, cov: np.ndarray, loss: np.ndarray):
+    """Pure loss given per quadrature by one ``(2n,)`` vector ``loss``: the means ``(..., 2n)``,
+    or None, scale by sqrt(1 - loss), the covs by its outer product, and the lost fraction of
+    vacuum noise is added on each diagonal."""
     scale = np.sqrt(1.0 - loss)
-    return mean * scale, cov * scale[:, None] * scale + np.diag(loss)
+    out = np.multiply(cov * scale[:, None], scale, order="C")  # C order: the reshape is a view
+    out.reshape(out.shape[:-2] + (-1,))[..., :: loss.size + 1] += loss  # each diagonal
+    return None if mean is None else mean * scale, out
 
 
 def _frozen(name: str, value) -> np.ndarray:

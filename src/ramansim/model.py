@@ -54,6 +54,16 @@ def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db) / 10.0)
 
 
+def _quantum_noise_gain(gain):
+    """2 G^2 - 1, a stage's output noise for uncorrelated input; broadcasts."""
+    return 2.0 * gain * gain - 1.0
+
+
+def _stage_gain(quantum_gain):
+    """G = sqrt((gq + 1)/2), the inverse of :func:`_quantum_noise_gain`; broadcasts."""
+    return np.sqrt((quantum_gain + 1.0) / 2.0)
+
+
 @dataclass(frozen=True)
 class AmplifierParams:
     """One parametric amplifier stage.
@@ -81,14 +91,14 @@ class AmplifierParams:
     @property
     def quantum_noise_gain(self) -> float:
         """Output noise of the stage for uncorrelated input: 2 G^2 - 1."""
-        return 2.0 * self.gain * self.gain - 1.0
+        return _quantum_noise_gain(self.gain)
 
     @classmethod
     def from_quantum_gain(cls, quantum_gain: float, pump_phase: float = 0.0) -> "AmplifierParams":
         """Build a stage from its quantum noise gain 2G^2 - 1 >= 1."""
         if not quantum_gain >= 1.0:
             raise ValueError("quantum_gain must be >= 1")
-        return cls(math.sqrt((quantum_gain + 1.0) / 2.0), pump_phase)
+        return cls(float(_stage_gain(quantum_gain)), pump_phase)
 
     @classmethod
     def from_quantum_gain_db(cls, quantum_gain_db: float, pump_phase: float = 0.0) -> "AmplifierParams":
@@ -214,20 +224,18 @@ class FringeTrace:
 # cascade pipeline
 
 
-def _interstage_moments(scenario: CascadeScenario, prep_gain):
+def _interstage_moments(scenario: CascadeScenario, prep_gain, seed=None):
     """Mean ``(..., 4)`` and covariance ``(..., 4, 4)`` between the stages.
 
-    vacuum -> coherent seed on the Stokes mode -> prep squeezer -> Stokes
-    and spin-wave loss, none of which depends on the scan phase.
-    ``prep_gain`` broadcasts and replaces the scenario's; the caller validates it.
+    vacuum displaced to the quadrature means ``seed`` (None: no mean is
+    computed) -> prep squeezer -> Stokes and spin-wave loss, none of which
+    depends on the scan phase.  ``prep_gain`` broadcasts and replaces the
+    scenario's; the caller validates it.
     """
     ch = scenario.channel
     prep = _squeezer_matrix(prep_gain, scenario.prep.pump_phase, "prep_gain")
-    alpha = complex(scenario.seed_amplitude)
-    # X = a + a^dag scaling: <X> = 2 Re alpha, <Y> = 2 Im alpha
-    seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
     return _attenuate(
-        prep @ seed, prep @ prep.swapaxes(-1, -2),
+        None if seed is None else prep @ seed, prep @ prep.swapaxes(-1, -2),
         np.array([ch.loss_stokes, ch.loss_stokes, ch.loss_spinwave, ch.loss_spinwave]),
     )
 
@@ -237,10 +245,12 @@ def _cascade_moments(scenario: CascadeScenario, scan_phase):
 
     ``scan_phase`` may be an array and replaces the scenario's own value;
     everything else comes from ``scenario``.  After
-    :func:`_interstage_moments`: scan phase on the Stokes arm -> readout
-    squeezer -> output loss on the Stokes arm.
+    :func:`_interstage_moments` from the coherent seed: scan phase on the
+    Stokes arm -> readout squeezer -> output loss on the Stokes arm.
     """
-    mean, cov = _interstage_moments(scenario, scenario.prep.gain)
+    alpha = complex(scenario.seed_amplitude)  # X = a + a^dag: <X> = 2 Re alpha, <Y> = 2 Im alpha
+    seed = np.array([2.0 * alpha.real, 2.0 * alpha.imag, 0.0, 0.0])
+    mean, cov = _interstage_moments(scenario, scenario.prep.gain, seed)
     rot = np.broadcast_to(np.eye(4), np.shape(scan_phase) + (4, 4)).copy()
     rot[..., :2, :2] = _rotation_matrix(scan_phase)
     s = _squeezer_matrix(scenario.readout.gain, scenario.readout.pump_phase, "readout gain") @ rot
@@ -298,7 +308,9 @@ def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
     (the cross term 2 p^T R(phi) C_ab q); the minimum is a - hypot(b, c) at
     atan2(-c, -b).  An anisotropic C_aa adds the second harmonic
     T |p|^2 hypot((C00 - C11)/2, C01); above _HARMONIC_RTOL * a, or with a
-    coefficient not finite, this raises HarmonicFitError.
+    coefficient not finite, this raises HarmonicFitError.  Each call computes
+    C, without the inter-stage mean, and the readout row from squeezers whose
+    P(theta) is cached, and reads C_ab q and C_bb q from one product.
     """
     _, cov = _interstage_moments(scenario, prep_gain)
     row = _squeezer_matrix(readout_gain, scenario.readout.pump_phase, "readout gain")[..., 0, :]
@@ -306,9 +318,9 @@ def _harmonic_min(scenario: CascadeScenario, prep_gain, readout_gain):
     t, loss = 1.0 - scenario.channel.output_loss, scenario.channel.output_loss
     c00, c01, c11 = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
     p_sq = p0 * p0 + p1 * p1
-    w = 2.0 * t * (cov[..., :2, 2:] @ q[..., None])[..., 0]
-    w0, w1 = w[..., 0][()], w[..., 1][()]
-    qcq = (q[..., None, :] @ cov[..., 2:, 2:] @ q[..., None])[..., 0, 0][()]
+    cq = cov[..., 2:] @ q[..., None]  # C_ab q stacked over C_bb q
+    w0, w1 = 2.0 * t * cq[..., 0, 0][()], 2.0 * t * cq[..., 1, 0][()]
+    qcq = (q[..., None, :] @ cq[..., 2:, :])[..., 0, 0][()]
     a = t * (0.5 * (c00 + c11) * p_sq + qcq) + loss
     b, c = p0 * w0 + p1 * w1, p1 * w0 - p0 * w1
     second = t * p_sq * np.hypot(0.5 * (c00 - c11), c01)
@@ -504,8 +516,9 @@ def quantum_gain_sweep(
     variance of the prepared state (the lambda -> 1 limit)."""
     gqs = _gain_array(quantum_gains, "quantum_gains")
     base = CascadeScenario(prep, AmplifierParams(1.0), channel)
-    _, var_min = _harmonic_min(base, prep.gain, np.sqrt((gqs + 1.0) / 2.0))
-    return NoiseTrace(gqs, var_min / _reference_variance(gqs, channel.output_loss))
+    gains = _stage_gain(gqs)  # the reference is their 2G^2 - 1, as reference_variance's
+    ref = _reference_variance(_quantum_noise_gain(gains), channel.output_loss)
+    return NoiseTrace(gqs, _harmonic_min(base, prep.gain, gains)[1] / ref)
 
 
 def _gain_array(values, name: str) -> np.ndarray:

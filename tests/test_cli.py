@@ -6,6 +6,7 @@ here and exercised for real by the acceptance suite.
 """
 
 import argparse
+import io
 import json
 import os
 import re
@@ -172,6 +173,21 @@ def test_unread_cases_cover_every_mode():
     table = {(command, mode, key) for (command, mode), keys in cli._UNREAD.items()
              for key in keys if key != "from_ratio"}
     assert {(argv[0], mode, key) for argv, mode, key, _ in UNREAD_CASES} == table
+
+
+def test_row_writer_matches_per_cell_format():
+    """The table writer's lines equal the per-cell _fmt join, on random
+    floats of every magnitude and on nan, +-inf, -0.0, subnormals and 1e300,
+    from float arrays and from a list."""
+    rng = np.random.default_rng(412)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1.0]
+    values = np.concatenate([special, rng.normal(size=500) * 10.0 ** rng.uniform(-320, 307, 500)])
+    for n_cols in (1, 3, 4):
+        cols = [rng.permutation(values) for _ in range(n_cols)]
+        fh = io.StringIO()
+        cli._write_rows(fh, *cols[:-1], cols[-1].tolist())
+        want = "".join(",".join(cli._fmt(x) for x in row) + "\n" for row in zip(*cols))
+        assert fh.getvalue() == want
 
 
 class TestNoiseScan:
@@ -938,6 +954,16 @@ def test_readme_command_block_runs(readme_dir, capsys):
     assert [argv[0] for argv in commands] == list(cli._COMMANDS)
     for argv in commands:
         assert run_cli(*argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_ci_console_step_runs_the_readme_block():
+    """CI's console-script step runs ``--version`` and then the README's
+    command block as written, in order, through the installed entry point."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    step = workflow.read_text().split("- name: Console script", 1)[1].split("- name:", 1)[0]
+    lines = [line.strip() for line in step.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ramansim ")]
+    assert commands == [["--version"]] + readme_commands()
 
 
 def test_readme_fit_example_has_a_nonzero_interval(readme_dir, capsys):

@@ -240,6 +240,18 @@ class TestLinearAgainstPolish:
                       - fitting._coefficients(x - step)[0]) / (2 * h)
                 assert jac[:, i] == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
+    def test_scalar_and_stacked_t_agree_to_the_last_bit(self):
+        """One point x = (t, s1, s2), whose t is a NumPy scalar, gives the
+        coefficients and Jacobian rows of the same point in a stack, bit for
+        bit: NumPy's ** 2 is pow on a scalar and square on an array, and
+        sinh(t)^2 by pow differs in the last bit for some t in [0, 3]."""
+        rng = np.random.default_rng(205)
+        xs = rng.uniform([0.0, 0.0, 0.0], [3.0, 1.0, 1.0], (5000, 3))
+        coef, jac = fitting._coefficients(xs)
+        for x, c, j in zip(xs, coef, jac):
+            one_coef, one_jac = fitting._coefficients(x)
+            assert one_coef.tolist() == c.tolist() and one_jac.tolist() == j.tolist()
+
     def test_fit_coordinates_keep_t_below_cosh_resolution(self):
         """At t = 1e-9, where mu = cosh t rounds to 1, the kernel still gives
         gamma = -2 sinh(2t) = -4t and its slope -4 cosh(2t) = -4."""

@@ -18,6 +18,7 @@ from ramansim.gaussian import (
     mean_photon_number,
     phase_shift,
     _attenuate,
+    _coupling,
     _is_symplectic,
     _squeezer_matrix,
     symplectic_eigenvalues,
@@ -241,6 +242,42 @@ class TestBroadcastBuildsAgainstEntrywise:
         for pump_phase in (0.0, 2.0, np.pi):
             assert np.array_equal(_squeezer_matrix([1.0, 1.0], pump_phase, "gain"),
                                   self.entrywise_squeezer([1.0, 1.0], pump_phase))
+
+    def test_attenuate_takes_any_memory_order(self):
+        """The loss goes on the diagonal through a flat view of the result, so
+        Fortran-ordered covs, a transposed stack and a state built from one
+        attenuate as their C-ordered copies do."""
+        rng = np.random.default_rng(4104)
+        a = rng.normal(size=(3, 4, 4))
+        cov = a @ np.swapaxes(a, -1, -2) + np.eye(4)
+        loss = np.array([0.2, 0.2, 1.0, 0.0])
+        for other in (np.asfortranarray(cov[0]), np.swapaxes(cov, -1, -2), np.asfortranarray(cov)):
+            want = _attenuate(None, np.ascontiguousarray(other), loss)[1]
+            assert np.array_equal(_attenuate(None, other, loss)[1], want)
+        state = GaussianState(np.zeros(4), np.asfortranarray(cov[1]))
+        assert np.array_equal(apply_loss(state, 0, 0.3).cov,
+                              apply_loss(GaussianState(np.zeros(4), cov[1]), 0, 0.3).cov)
+
+    def test_cached_coupling_is_read_only_and_keeps_every_bit(self):
+        """P(theta) comes from a cache keyed on float(pump_phase).  The cached
+        array cannot be written; signed zeros, NumPy scalars and more distinct
+        phases than the cache holds (each phase built, evicted and rebuilt)
+        give the entry-by-entry squeezer bit for bit."""
+        _coupling.cache_clear()
+        with pytest.raises(ValueError, match="read-only"):
+            _coupling(0.3)[0, 2] = 1.0
+        gains = np.array([1.0, 1.0 + 1e-9, 1.5, 30.0, SQUEEZER_GAIN_MAX])
+        for first, second in ((0.0, -0.0), (-0.0, 0.0), (np.float64(-0.0), 0.0)):
+            _coupling.cache_clear()
+            one, two = (_squeezer_matrix(gains, phase, "gain") for phase in (first, second))
+            assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
+        phases = np.random.default_rng(4103).uniform(-np.pi, np.pi, 3 * _coupling.cache_info().maxsize)
+        for _ in range(2):
+            for phase in phases:
+                got = _squeezer_matrix(gains[1:], np.float64(phase), "gain")
+                want = self.entrywise_squeezer(gains[1:], phase)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert _coupling.cache_info().currsize == _coupling.cache_info().maxsize
 
     def test_attenuate_matches_fancy_index(self):
         rng = np.random.default_rng(4102)

@@ -364,6 +364,89 @@ def five_sample_min(sc):
     return math.atan2(-c, -b) % (2.0 * np.pi), a - math.hypot(b, c), math.hypot(b, c), a
 
 
+def listed_harmonic_min(sc, prep_gain, readout_gain):
+    """The phase minimum by the algebra the kernel replaced: each squeezer
+    built from a 16-entry list, the inter-stage loss added with np.diag, and
+    C_ab q and q^T C_bb q as two products.  Also returns hypot(b, c) and a."""
+    def squeezer(gain, theta):
+        gain = np.asarray(gain, dtype=float)
+        c, s = np.cos(theta), np.sin(theta)
+        coupling = np.array([[0.0, 0.0, c, s], [0.0, 0.0, s, -c], [c, s, 0.0, 0.0], [s, -c, 0.0, 0.0]])
+        return gain[..., None, None] * np.eye(4) + np.sqrt(gain * gain - 1.0)[..., None, None] * coupling
+
+    ch = sc.channel
+    prep = squeezer(prep_gain, sc.prep.pump_phase)
+    loss = np.array([ch.loss_stokes, ch.loss_stokes, ch.loss_spinwave, ch.loss_spinwave])
+    scale = np.sqrt(1.0 - loss)
+    cov = prep @ prep.swapaxes(-1, -2) * scale[:, None] * scale + np.diag(loss)
+    row = squeezer(readout_gain, sc.readout.pump_phase)[..., 0, :]
+    p0, p1, q = row[..., 0], row[..., 1], row[..., 2:]
+    t = 1.0 - ch.output_loss
+    c00, c11 = cov[..., 0, 0], cov[..., 1, 1]
+    p_sq = p0 * p0 + p1 * p1
+    w = 2.0 * t * (cov[..., :2, 2:] @ q[..., None])[..., 0]
+    qcq = (q[..., None, :] @ cov[..., 2:, 2:] @ q[..., None])[..., 0, 0]
+    a = t * (0.5 * (c00 + c11) * p_sq + qcq) + ch.output_loss
+    b, c = p0 * w[..., 0] + p1 * w[..., 1], p1 * w[..., 0] - p0 * w[..., 1]
+    return np.arctan2(-c, -b) % (2.0 * np.pi), a - np.hypot(b, c), np.hypot(b, c), a
+
+
+class TestHarmonicAgainstListedAlgebra:
+    """_harmonic_min, with its cached coupling, loss without np.diag, one
+    covariance product and no inter-stage mean, against the algebra it
+    replaced: V_min to 1e-14 of the trace's mean level a, phi_min to 1e-12
+    wherever the trace's swing hypot(b, c) exceeds 1e-6 a.  The minimum
+    a - hypot(b, c) cancels by up to ~1e4 at mu = 11, so one ulp of a, which
+    reading q^T C_bb q from C_bb q may move, is up to ~1e-12 of V_min itself
+    (6e-14 on two entries of the stacked draws)."""
+
+    @staticmethod
+    def draw(rng):
+        """mu up to 11, gq up to 1e5, pump phases on a fifth, output loss
+        up to 0.5, each interstage loss exactly 0 or 1 in about one draw of seven."""
+        l1, l2 = np.clip(rng.uniform(-0.2, 1.2, size=2), 0.0, 1.0)
+        phases = rng.uniform(-np.pi, np.pi, size=2) if rng.random() < 0.2 else (0.0, 0.0)
+        return CascadeScenario(
+            AmplifierParams(1.0 + 10.0 * rng.random(), phases[0]),
+            AmplifierParams.from_quantum_gain(10.0 ** rng.uniform(0.0, 5.0), phases[1]),
+            ChannelParams(l1, l2, 0.0, 0.5 * rng.random()),
+            seed_amplitude=complex(*rng.normal(size=2)),
+        )
+
+    @staticmethod
+    def assert_agree(got, ref):
+        (phi, var), (phi_ref, var_ref, amplitude, mean_level) = got, ref
+        assert np.all(np.abs(var - var_ref) <= 1e-14 * mean_level)
+        wrap = np.abs(np.angle(np.exp(1j * (phi - phi_ref))))
+        defined = amplitude > 1e-6 * mean_level
+        assert np.all(wrap[defined] <= 1e-12)
+        return int(np.sum(defined))
+
+    def test_scalar_scenarios(self):
+        rng = np.random.default_rng(3001)
+        defined = 0
+        for _ in range(2000):
+            sc = self.draw(rng)
+            got = _harmonic_min(sc, sc.prep.gain, sc.readout.gain)
+            assert [type(x) for x in got] == [np.float64, np.float64]
+            defined += self.assert_agree(got, listed_harmonic_min(sc, sc.prep.gain, sc.readout.gain))
+        assert defined >= 1400
+
+    def test_stacked_sweeps(self):
+        rng = np.random.default_rng(3002)
+        for _ in range(100):
+            sc = self.draw(rng)
+            mus = 1.0 + 10.0 * rng.random(7)
+            gains = np.sqrt((10.0 ** rng.uniform(0.0, 5.0, size=(2, 3)) + 1.0) / 2.0)
+            for prep_gain, readout_gain in ((mus, sc.readout.gain), (sc.prep.gain, gains),
+                                            (mus[:, None, None], gains)):
+                got = _harmonic_min(sc, prep_gain, readout_gain)
+                ref = listed_harmonic_min(sc, prep_gain, readout_gain)
+                assert got[1].shape == ref[1].shape == np.broadcast_shapes(
+                    np.shape(prep_gain), np.shape(readout_gain))
+                self.assert_agree(got, ref)
+
+
 class TestHarmonicAgainstSampledKernel:
     def test_random_scenarios(self):
         rng = np.random.default_rng(7301)
@@ -532,9 +615,11 @@ class TestScalarAndArrayCalls:
 
     def test_phase_minimum_is_the_one_point_sweep(self):
         """R = min_noise_over_phase / reference_variance bit for bit the R of a
-        one-point prep_gain_sweep and quantum_gain_sweep; the readout gain is
-        dyadic, so 2G^2 - 1 and sqrt((gq + 1)/2) are exact and both sweeps
-        see the scenario's gains."""
+        one-point prep_gain_sweep and quantum_gain_sweep.  First with dyadic
+        readout gains, so 2G^2 - 1 and sqrt((gq + 1)/2) are exact and both
+        sweeps see the scenario's gains; then at any gq, with the readout that
+        AmplifierParams.from_quantum_gain(gq) builds (prep_gain_sweep's prep
+        stage has pump phase 0, quantum_gain_sweep's has the given one)."""
         rng = np.random.default_rng(29)
         for _ in range(300):
             readout = AmplifierParams(1.0 + int(rng.integers(0, 2**20)) / 2.0**16)
@@ -545,6 +630,18 @@ class TestScalarAndArrayCalls:
             assert prep_gain_sweep([sc.prep.gain], readout, channel).variance_linear.tolist() == [r]
             trace = quantum_gain_sweep([readout.quantum_noise_gain], sc.prep, channel)
             assert trace.variance_linear.tolist() == [r]
+        # any gq: the sweep's reference is the evaluated stage's 2G^2 - 1, not gq again
+        for _ in range(300):
+            gq = 10.0 ** rng.uniform(0.01, 5.0)
+            readout = AmplifierParams.from_quantum_gain(gq)
+            channel = ChannelParams(rng.random(), rng.random(), 0.0, 0.5 * rng.random())
+            prep = AmplifierParams(1.0 + 10.0 * rng.random(), rng.uniform(-np.pi, np.pi))
+            sc = CascadeScenario(prep, readout, channel)
+            r = min_noise_over_phase(sc)[1] / reference_variance(sc)
+            assert quantum_gain_sweep([gq], prep, channel).variance_linear.tolist() == [r]
+            unphased = CascadeScenario(AmplifierParams(prep.gain), readout, channel)
+            r = min_noise_over_phase(unphased)[1] / reference_variance(unphased)
+            assert prep_gain_sweep([prep.gain], readout, channel).variance_linear.tolist() == [r]
 
 
 class TestJointQuadrature:
